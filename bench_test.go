@@ -19,8 +19,17 @@ import (
 	"sspp/internal/loadbalance"
 	"sspp/internal/ranking"
 	"sspp/internal/rng"
-	"sspp/internal/sim"
 )
+
+// runCustom runs p on the engine, System.Run, with the given options.
+func runCustom(b *testing.B, p Protocol, opts ...RunOption) Result {
+	b.Helper()
+	sys, err := NewCustom(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sys.Run(opts...)
+}
 
 // runFromClass builds ElectLeader_r, injects the class, and runs to the safe
 // set, reporting interactions as a benchmark metric.
@@ -37,11 +46,11 @@ func runFromClass(b *testing.B, n, r int, class adversary.Class) {
 		if err := adversary.Apply(p, class, rng.New(seed+7)); err != nil {
 			b.Fatal(err)
 		}
-		took, ok := p.RunToSafeSet(rng.New(seed+13), budget)
-		if !ok {
+		res := runCustom(b, p, SchedulerSeed(seed+13), MaxInteractions(budget))
+		if !res.Stabilized {
 			b.Fatalf("iteration %d: no stabilization within %d", i, budget)
 		}
-		total += took
+		total += res.StabilizedAt
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "interactions/op")
 }
@@ -100,10 +109,8 @@ func BenchmarkT3_AssignRanks(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := sim.Run(pr, rng.New(uint64(i)+99), sim.Options{
-			MaxInteractions:    1 << 21,
-			StopAfterStableFor: uint64(4 * n),
-		})
+		res := runCustom(b, pr, Until(CorrectOutput), SchedulerSeed(uint64(i)+99),
+			MaxInteractions(1<<21), PollEvery(n/4), Confirm(4*n))
 		if !res.Stabilized {
 			failures++
 			continue
@@ -126,10 +133,8 @@ func BenchmarkT4_FastLeaderElect(b *testing.B) {
 	const n = 256
 	for i := 0; i < b.N; i++ {
 		f := ranking.NewFastLE(n, coin.FromPRNG(rng.New(uint64(i))))
-		res := sim.Run(f, rng.New(uint64(i)+5), sim.Options{
-			MaxInteractions:    1 << 24,
-			StopAfterStableFor: uint64(4 * n),
-		})
+		res := runCustom(b, f, Until(CorrectOutput), SchedulerSeed(uint64(i)+5),
+			MaxInteractions(1<<24), PollEvery(n/4), Confirm(4*n))
 		if !res.Stabilized {
 			b.Fatal("election failed")
 		}
@@ -139,9 +144,15 @@ func BenchmarkT4_FastLeaderElect(b *testing.B) {
 // BenchmarkT5_Epidemic measures two-way epidemic completion (Lemma A.2) at
 // n=1024.
 func BenchmarkT5_Epidemic(b *testing.B) {
+	const n = 1024
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		total += epidemic.CompletionTime(1024, rng.New(uint64(i)), true)
+		r := rng.New(uint64(i))
+		res := runCustom(b, epidemic.NewTwoWay(n, r.Intn(n)), Until(CorrectOutput), WithScheduler(r), PollEvery(1))
+		if !res.Stabilized {
+			b.Fatal("epidemic did not complete")
+		}
+		total += res.StabilizedAt
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "interactions/op")
 }
@@ -152,7 +163,8 @@ func BenchmarkT6_LoadBalance(b *testing.B) {
 	const n = 512
 	for i := 0; i < b.N; i++ {
 		p := loadbalance.NewPointMass(n, 2*n)
-		if _, ok := loadbalance.RunUntilDiscrepancy(p, rng.New(uint64(i)), 3, 1<<24); !ok {
+		balanced := ConditionFunc("discrepancy<=3", func(*System) bool { return p.Discrepancy() <= 3 })
+		if res := runCustom(b, p, Until(balanced), SchedulerSeed(uint64(i)), MaxInteractions(1<<24)); !res.Stabilized {
 			b.Fatal("balancing failed")
 		}
 	}
@@ -233,10 +245,8 @@ func BenchmarkT11_Baselines(b *testing.B) {
 		var total uint64
 		for i := 0; i < b.N; i++ {
 			c := baseline.NewCIW(n)
-			res := sim.Run(c, rng.New(uint64(i)), sim.Options{
-				MaxInteractions:    1 << 26,
-				StopAfterStableFor: uint64(20 * n * n),
-			})
+			res := runCustom(b, c, Until(CorrectOutput), SchedulerSeed(uint64(i)),
+				MaxInteractions(1<<26), PollEvery(n/4), Confirm(20*n*n))
 			if !res.Stabilized {
 				b.Fatal("CIW failed")
 			}
@@ -259,7 +269,7 @@ func BenchmarkT12_SyntheticCoin(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := p.RunToSafeSet(rng.New(uint64(i)+13), budget); !ok {
+		if res := runCustom(b, p, SchedulerSeed(uint64(i)+13), MaxInteractions(budget)); !res.Stabilized {
 			b.Fatal("no stabilization")
 		}
 	}
@@ -277,15 +287,15 @@ func BenchmarkT14_TransientFaults(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := p.RunToSafeSet(rng.New(seed+1), budget); !ok {
+		if res := runCustom(b, p, SchedulerSeed(seed+1), MaxInteractions(budget)); !res.Stabilized {
 			b.Fatal("setup failed")
 		}
 		adversary.Transient(p, 4, rng.New(seed+2))
-		took, ok := p.RunToSafeSet(rng.New(seed+3), budget)
-		if !ok {
+		res := runCustom(b, p, SchedulerSeed(seed+3), MaxInteractions(budget))
+		if !res.Stabilized {
 			b.Fatal("no recovery")
 		}
-		total += took
+		total += res.StabilizedAt
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "interactions/op")
 }
@@ -329,10 +339,8 @@ func BenchmarkT13_LooseLeader(b *testing.B) {
 	tau := int32(4 * float64(n) * math.Log(n))
 	for i := 0; i < b.N; i++ {
 		l := baseline.NewLooseLE(n, tau)
-		res := sim.Run(l, rng.New(uint64(i)), sim.Options{
-			MaxInteractions:    1 << 24,
-			StopAfterStableFor: uint64(4 * n),
-		})
+		res := runCustom(b, l, Until(CorrectOutput), SchedulerSeed(uint64(i)),
+			MaxInteractions(1<<24), PollEvery(n/4), Confirm(4*n))
 		if !res.Stabilized {
 			b.Fatal("no convergence")
 		}

@@ -24,7 +24,6 @@ import (
 	"os"
 
 	"sspp"
-	"sspp/internal/trace"
 )
 
 // traceRun executes the run while printing a phase timeline. The cadence
@@ -40,7 +39,7 @@ func traceRun(sys *sspp.System, sched, maxI, cadence uint64) sspp.Result {
 			cadence = 1
 		}
 	}
-	tl := trace.New(sys.N())
+	tl := newTimeline(sys.N())
 	var last sspp.Snapshot
 	res := sys.Run(
 		sspp.Until(sspp.SafeSet),
@@ -62,7 +61,7 @@ func traceRun(sys *sspp.System, sched, maxI, cadence uint64) sspp.Result {
 			// phases collapse.
 			if marks != "" || s.Resetting != last.Resetting || s.Ranking != last.Ranking ||
 				s.Verifying != last.Verifying || s.Leaders != last.Leaders || s.InSafeSet {
-				tl.Add(trace.Row{
+				tl.add(row{
 					T:         s.Interactions,
 					Resetting: s.Resetting,
 					Ranking:   s.Ranking,
@@ -75,8 +74,8 @@ func traceRun(sys *sspp.System, sched, maxI, cadence uint64) sspp.Result {
 			last = s
 		}),
 	)
-	tl.Render(os.Stdout, 48)
-	fmt.Println(tl.Summary())
+	tl.render(os.Stdout, 48)
+	fmt.Println(tl.summary())
 	return res
 }
 

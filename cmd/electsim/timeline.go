@@ -1,10 +1,11 @@
-// Package trace renders population-composition timelines: how many agents
-// are resetting / ranking / verifying over the course of a run, when resets
-// strike, and when the leader count collapses to one. The output is a plain
-// ASCII timeline suitable for terminals and logs; cmd/electsim -trace and
-// the examples use it to make the phase structure of ElectLeader_r visible
-// (reset wave → dormancy → ranking → countdown → verification).
-package trace
+// timeline.go renders the -trace population-composition timeline: how
+// many agents are resetting / ranking / verifying over the course of a run,
+// when resets strike, and when the leader count collapses to one. The
+// output is a plain ASCII timeline suitable for terminals and logs that
+// makes the phase structure of ElectLeader_r visible (reset wave →
+// dormancy → ranking → countdown → verification).
+
+package main
 
 import (
 	"fmt"
@@ -12,8 +13,8 @@ import (
 	"strings"
 )
 
-// Row is one timeline sample.
-type Row struct {
+// row is one timeline sample.
+type row struct {
 	// T is the interaction count at the sample.
 	T uint64
 	// Resetting, Ranking, Verifying are the role counts.
@@ -27,38 +28,32 @@ type Row struct {
 	Safe bool
 }
 
-// Timeline accumulates rows for a population of size n.
-type Timeline struct {
+// timeline accumulates rows for a population of size n.
+type timeline struct {
 	n    int
-	rows []Row
+	rows []row
 }
 
-// New returns an empty timeline for a population of size n. It panics if
-// n <= 0.
-func New(n int) *Timeline {
+// newTimeline returns an empty timeline for a population of size n. It
+// panics if n <= 0.
+func newTimeline(n int) *timeline {
 	if n <= 0 {
-		panic("trace: population size must be positive")
+		panic("electsim: population size must be positive")
 	}
-	return &Timeline{n: n}
+	return &timeline{n: n}
 }
 
-// Add appends a sample.
-func (t *Timeline) Add(r Row) { t.rows = append(t.rows, r) }
+// add appends a sample.
+func (t *timeline) add(r row) { t.rows = append(t.rows, r) }
 
-// Len returns the number of samples recorded.
-func (t *Timeline) Len() int { return len(t.rows) }
-
-// Rows returns the recorded samples (shared slice; treat as read-only).
-func (t *Timeline) Rows() []Row { return t.rows }
-
-// Render writes the timeline as one line per sample:
+// render writes the timeline as one line per sample:
 //
 //	t=1,234  [RRRRAAAAAVVVV....]  leaders=3  HS
 //
 // The bar uses width characters: 'R' resetting, 'A' ranking (assigning),
 // 'V' verifying, '*' for the safe set. Bars are proportional to the role
 // counts, rounded with largest-remainder so they always fill exactly.
-func (t *Timeline) Render(w io.Writer, width int) {
+func (t *timeline) render(w io.Writer, width int) {
 	if width <= 0 {
 		width = 40
 	}
@@ -74,7 +69,7 @@ func (t *Timeline) Render(w io.Writer, width int) {
 }
 
 // bar renders the stacked role bar for one row.
-func (t *Timeline) bar(r Row, width int) string {
+func (t *timeline) bar(r row, width int) string {
 	if r.Safe {
 		return strings.Repeat("*", width)
 	}
@@ -115,9 +110,9 @@ func (t *Timeline) bar(r Row, width int) string {
 	return b.String()
 }
 
-// Summary returns a one-line digest: sample count, first safe sample, and
+// summary returns a one-line digest: sample count, first safe sample, and
 // the total marks seen.
-func (t *Timeline) Summary() string {
+func (t *timeline) summary() string {
 	firstSafe := "-"
 	marks := map[rune]int{}
 	for _, r := range t.rows {

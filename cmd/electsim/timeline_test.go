@@ -1,4 +1,4 @@
-package trace
+package main
 
 import (
 	"bytes"
@@ -13,34 +13,34 @@ func TestNewPanicsOnBadN(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(0)
+	newTimeline(0)
 }
 
 func TestAddAndLen(t *testing.T) {
-	tl := New(8)
-	if tl.Len() != 0 {
+	tl := newTimeline(8)
+	if len(tl.rows) != 0 {
 		t.Fatal("fresh timeline not empty")
 	}
-	tl.Add(Row{T: 1, Ranking: 8})
-	tl.Add(Row{T: 2, Verifying: 8})
-	if tl.Len() != 2 || len(tl.Rows()) != 2 {
-		t.Fatalf("Len = %d", tl.Len())
+	tl.add(row{T: 1, Ranking: 8})
+	tl.add(row{T: 2, Verifying: 8})
+	if len(tl.rows) != 2 {
+		t.Fatalf("len(rows) = %d, want 2", len(tl.rows))
 	}
 }
 
 func TestBarProportions(t *testing.T) {
-	tl := New(8)
-	bar := tl.bar(Row{Resetting: 4, Ranking: 2, Verifying: 2}, 8)
+	tl := newTimeline(8)
+	bar := tl.bar(row{Resetting: 4, Ranking: 2, Verifying: 2}, 8)
 	if bar != "RRRRAAVV" {
 		t.Fatalf("bar = %q, want RRRRAAVV", bar)
 	}
 }
 
 func TestBarAlwaysFillsWidthProperty(t *testing.T) {
-	tl := New(100)
+	tl := newTimeline(100)
 	f := func(a, b, c uint8, wRaw uint8) bool {
 		w := int(wRaw%60) + 1
-		bar := tl.bar(Row{Resetting: int(a), Ranking: int(b), Verifying: int(c)}, w)
+		bar := tl.bar(row{Resetting: int(a), Ranking: int(b), Verifying: int(c)}, w)
 		return len(bar) == w
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -49,21 +49,21 @@ func TestBarAlwaysFillsWidthProperty(t *testing.T) {
 }
 
 func TestBarSafeAndEmpty(t *testing.T) {
-	tl := New(4)
-	if got := tl.bar(Row{Safe: true}, 5); got != "*****" {
+	tl := newTimeline(4)
+	if got := tl.bar(row{Safe: true}, 5); got != "*****" {
 		t.Fatalf("safe bar = %q", got)
 	}
-	if got := tl.bar(Row{}, 5); got != "....." {
+	if got := tl.bar(row{}, 5); got != "....." {
 		t.Fatalf("empty bar = %q", got)
 	}
 }
 
 func TestRender(t *testing.T) {
-	tl := New(4)
-	tl.Add(Row{T: 10, Resetting: 4, Marks: "H"})
-	tl.Add(Row{T: 2000, Verifying: 4, Leaders: 1, Safe: true})
+	tl := newTimeline(4)
+	tl.add(row{T: 10, Resetting: 4, Marks: "H"})
+	tl.add(row{T: 2000, Verifying: 4, Leaders: 1, Safe: true})
 	var buf bytes.Buffer
-	tl.Render(&buf, 8)
+	tl.render(&buf, 8)
 	out := buf.String()
 	for _, want := range []string{"RRRRRRRR", "********", "leaders=1", "H", "t=2,000"} {
 		if !strings.Contains(out, want) {
@@ -73,27 +73,27 @@ func TestRender(t *testing.T) {
 }
 
 func TestRenderDefaultWidth(t *testing.T) {
-	tl := New(4)
-	tl.Add(Row{T: 1, Ranking: 4})
+	tl := newTimeline(4)
+	tl.add(row{T: 1, Ranking: 4})
 	var buf bytes.Buffer
-	tl.Render(&buf, 0)
+	tl.render(&buf, 0)
 	if !strings.Contains(buf.String(), strings.Repeat("A", 40)) {
 		t.Fatal("default width not applied")
 	}
 }
 
 func TestSummary(t *testing.T) {
-	tl := New(4)
-	tl.Add(Row{T: 5, Marks: "HT"})
-	tl.Add(Row{T: 1500, Safe: true, Marks: "S"})
-	s := tl.Summary()
+	tl := newTimeline(4)
+	tl.add(row{T: 5, Marks: "HT"})
+	tl.add(row{T: 1500, Safe: true, Marks: "S"})
+	s := tl.summary()
 	for _, want := range []string{"2 samples", "first safe at t=1,500", "H×1", "S×1", "T×1"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q: %s", want, s)
 		}
 	}
-	empty := New(4)
-	if !strings.Contains(empty.Summary(), "events: none") {
+	empty := newTimeline(4)
+	if !strings.Contains(empty.summary(), "events: none") {
 		t.Fatal("empty summary should report no events")
 	}
 }

@@ -48,8 +48,12 @@ func legacyMeasure(t *testing.T, workers, seeds int, baseSeed uint64, n, r int, 
 		if err := adversary.Apply(p, adversary.Class(class), advSrc); err != nil {
 			return outcome{}
 		}
-		took, ok := p.RunToSafeSet(schedSrc, budget)
-		return outcome{took: float64(took), ok: ok}
+		custom, err := NewCustom(p)
+		if err != nil {
+			return outcome{}
+		}
+		res := custom.Run(WithScheduler(schedSrc), MaxInteractions(budget))
+		return outcome{took: float64(res.StabilizedAt), ok: res.Stabilized}
 	})
 	for _, res := range results {
 		if res.ok {

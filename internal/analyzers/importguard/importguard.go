@@ -36,11 +36,11 @@ var Analyzer = &analysis.Analyzer{
 
 // cmdAllow maps cmd packages to the internal import prefixes their harness
 // role justifies. These entries are the check-imports.sh allowlist carried
-// over verbatim, plus ssppvet (which exists to analyze the internals) and
-// sppd (whose HTTP layer is internal/serve).
+// over (less electsim, which renders its timeline itself and needs no
+// internal package), plus ssppvet (which exists to analyze the internals)
+// and sppd (whose HTTP layer is internal/serve).
 var cmdAllow = map[string][]string{
 	"sspp/cmd/benchtab":    {"sspp/internal/experiments", "sspp/internal/trials"},
-	"sspp/cmd/electsim":    {"sspp/internal/trace"},
 	"sspp/cmd/statespace":  {"sspp/internal/core"},
 	"sspp/cmd/verifyspace": {"sspp/internal/modelcheck"},
 	"sspp/cmd/ssppvet":     {"sspp/internal/analyzers"},

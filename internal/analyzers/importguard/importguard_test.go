@@ -41,7 +41,6 @@ func TestParityWithCheckImportsScript(t *testing.T) {
 	// this test pins the script's allowlist table against the analyzer's.
 	for pkg, want := range map[string][]string{
 		"sspp/cmd/benchtab":    {"sspp/internal/experiments", "sspp/internal/trials"},
-		"sspp/cmd/electsim":    {"sspp/internal/trace"},
 		"sspp/cmd/statespace":  {"sspp/internal/core"},
 		"sspp/cmd/verifyspace": {"sspp/internal/modelcheck"},
 	} {

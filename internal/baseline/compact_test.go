@@ -94,7 +94,7 @@ func TestCIWSpeciesMirrorsAgentLevel(t *testing.T) {
 	// final configuration must come back (the reproducibility contract the
 	// mirror test itself rests on).
 	replayed := NewCIW(n)
-	sim.StepsSched(replayed, rec.Recording().Replay(), mirrorSteps)
+	sim.Steps(replayed, rec.Recording().Replay(), mirrorSteps)
 	for i := 0; i < n; i++ {
 		if replayed.Rank(i) != agent.Rank(i) {
 			t.Fatalf("replay diverged at agent %d: rank %d vs %d", i, replayed.Rank(i), agent.Rank(i))
@@ -119,7 +119,7 @@ func TestLooseLESpeciesMirrorsAgentLevel(t *testing.T) {
 	}
 
 	replayed := NewLooseLE(n, 24)
-	sim.StepsSched(replayed, rec.Recording().Replay(), mirrorSteps)
+	sim.Steps(replayed, rec.Recording().Replay(), mirrorSteps)
 	for i := 0; i < n; i++ {
 		if replayed.leader[i] != agent.leader[i] || replayed.timer[i] != agent.timer[i] {
 			t.Fatalf("replay diverged at agent %d", i)

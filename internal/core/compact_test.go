@@ -105,7 +105,7 @@ func TestElectLeaderSpeciesMirrorsAgentLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.StepsSched(replayed, rec.Recording().Replay(), mirrorSteps)
+	sim.Steps(replayed, rec.Recording().Replay(), mirrorSteps)
 	var want, got []byte
 	for i := 0; i < n; i++ {
 		want = appendAgentKey(want[:0], &agent.agents[i])

@@ -9,12 +9,6 @@ import (
 	"sspp/internal/verify"
 )
 
-// stabilizationBound returns a generous interaction budget for (n, r):
-// a large constant times the Theorem 1.1 bound (n²/r)·log n.
-func stabilizationBound(n, r int) uint64 {
-	return uint64(600 * float64(n*n) / float64(r) * math.Log(float64(n)+1))
-}
-
 func mustNew(t *testing.T, n, r int, opts ...Option) *Protocol {
 	t.Helper()
 	p, err := New(n, r, opts...)
@@ -70,105 +64,6 @@ func TestRoleString(t *testing.T) {
 	}
 }
 
-// TestStabilizeFromCleanStart: from the all-fresh-rankers configuration the
-// protocol reaches a safe configuration with a correct ranking (the Lemma
-// 6.2 path), across (n, r) and seeds.
-func TestStabilizeFromCleanStart(t *testing.T) {
-	cases := []struct{ n, r int }{{16, 1}, {16, 4}, {16, 8}, {32, 4}, {32, 16}}
-	for _, c := range cases {
-		for seed := uint64(0); seed < 2; seed++ {
-			ev := sim.NewEvents()
-			p := mustNew(t, c.n, c.r, WithSeed(seed), WithEvents(ev))
-			took, ok := p.RunToSafeSet(rng.New(seed+500), stabilizationBound(c.n, c.r))
-			if !ok {
-				resetting, rankers, verifiers := p.Roles()
-				t.Fatalf("n=%d r=%d seed=%d: no safe set after %d interactions "+
-					"(roles %d/%d/%d, leaders %d, events %s)",
-					c.n, c.r, seed, took, resetting, rankers, verifiers, p.Leaders(), ev)
-			}
-			if !p.CorrectRanking() || !p.Correct() {
-				t.Fatalf("n=%d r=%d seed=%d: safe set without correct output", c.n, c.r, seed)
-			}
-		}
-	}
-}
-
-// TestStabilizeFromTriggered is Lemma 6.2 proper: from a fully triggered
-// configuration, the protocol hard-resets through dormancy and then ranks
-// correctly.
-func TestStabilizeFromTriggered(t *testing.T) {
-	const n, r = 16, 4
-	for seed := uint64(0); seed < 3; seed++ {
-		p := mustNew(t, n, r, WithSeed(seed))
-		for i := 0; i < n; i++ {
-			p.ForceTriggered(i)
-		}
-		took, ok := p.RunToSafeSet(rng.New(seed+900), stabilizationBound(n, r))
-		if !ok {
-			t.Fatalf("seed %d: no safe set from triggered config after %d interactions", seed, took)
-		}
-	}
-}
-
-// TestClosure: once in the safe set, the configuration stays correct
-// (Lemma 6.1) — no resets, no rank changes, over a long follow-up run.
-func TestClosure(t *testing.T) {
-	const n, r = 16, 4
-	ev := sim.NewEvents()
-	p := mustNew(t, n, r, WithSeed(11), WithEvents(ev))
-	if _, ok := p.RunToSafeSet(rng.New(42), stabilizationBound(n, r)); !ok {
-		t.Fatal("setup failed to reach the safe set")
-	}
-	ranksBefore := make([]int32, n)
-	for i := 0; i < n; i++ {
-		ranksBefore[i] = p.RankOutput(i)
-	}
-	hardBefore := ev.Count(EventHardReset)
-	sim.Steps(p, rng.New(43), 400_000)
-	if !p.Correct() || !p.CorrectRanking() {
-		t.Fatal("closure violated: configuration left correctness")
-	}
-	for i := 0; i < n; i++ {
-		if p.RankOutput(i) != ranksBefore[i] {
-			t.Fatalf("agent %d changed rank %d -> %d after stabilization",
-				i, ranksBefore[i], p.RankOutput(i))
-		}
-	}
-	if ev.Count(EventHardReset) != hardBefore {
-		t.Fatalf("hard reset after stabilization (%d -> %d)", hardBefore, ev.Count(EventHardReset))
-	}
-}
-
-// TestRecoveryFromDuplicateRanks is the heart of self-stabilization
-// (Lemma F.6 path): verifiers with duplicate ranks and expired probation
-// timers must detect, escalate to a hard reset, and re-stabilize.
-func TestRecoveryFromDuplicateRanks(t *testing.T) {
-	const n, r = 16, 4
-	for seed := uint64(0); seed < 3; seed++ {
-		ev := sim.NewEvents()
-		p := mustNew(t, n, r, WithSeed(seed), WithEvents(ev))
-		for i := 0; i < n; i++ {
-			rank := int32(i + 1)
-			if i == 1 {
-				rank = 1 // duplicate leader rank
-			}
-			p.ForceVerifier(i, rank)
-			p.SetProbation(i, 0)
-		}
-		if p.Correct() {
-			t.Fatal("setup: duplicate rank 1 should mean two leaders")
-		}
-		took, ok := p.RunToSafeSet(rng.New(seed+33), stabilizationBound(n, r))
-		if !ok {
-			t.Fatalf("seed %d: no recovery from duplicate ranks after %d interactions (events %s)",
-				seed, took, ev)
-		}
-		if ev.Count(EventHardReset) == 0 {
-			t.Fatalf("seed %d: recovery without a hard reset is impossible here", seed)
-		}
-	}
-}
-
 // TestSoftResetPreservesRanking is the §3.2 guarantee (experiment T9): a
 // correct ranking with corrupted circulating messages and expired probation
 // must repair itself via soft resets only, never changing any rank.
@@ -204,50 +99,6 @@ func TestSoftResetPreservesRanking(t *testing.T) {
 			t.Fatalf("seed %d: not back in safe set (gens %v, top %v)",
 				seed, p.Generations(), p.AnyTop())
 		}
-	}
-}
-
-// TestRecoveryFromMixedGenerations exercises the ℰ₂→ℰ₃ ladder step
-// (Lemma F.4): verifiers with scattered generations either equalize or
-// hard-reset, and then stabilize.
-func TestRecoveryFromMixedGenerations(t *testing.T) {
-	const n, r = 16, 4
-	p := mustNew(t, n, r, WithSeed(5))
-	for i := 0; i < n; i++ {
-		p.ForceVerifier(i, int32(i+1))
-		p.SetGeneration(i, uint8(i%4)) // generations 0..3: gaps force resets
-		p.SetProbation(i, 0)
-	}
-	took, ok := p.RunToSafeSet(rng.New(8), stabilizationBound(n, r))
-	if !ok {
-		t.Fatalf("no recovery from mixed generations after %d interactions (gens %v)",
-			took, p.Generations())
-	}
-}
-
-// TestRecoveryFromGarbageRanks: all verifiers share rank 1 (no-leader dual:
-// n leaders). Detection within groups must reset and recover.
-func TestRecoveryFromGarbageRanks(t *testing.T) {
-	const n, r = 16, 4
-	p := mustNew(t, n, r, WithSeed(6))
-	for i := 0; i < n; i++ {
-		p.ForceVerifier(i, 1)
-		p.SetProbation(i, 0)
-	}
-	took, ok := p.RunToSafeSet(rng.New(9), stabilizationBound(n, r))
-	if !ok {
-		t.Fatalf("no recovery from all-rank-1 after %d interactions", took)
-	}
-}
-
-// TestSyntheticCoinMode: the derandomized protocol (Appendix B) stabilizes
-// too.
-func TestSyntheticCoinMode(t *testing.T) {
-	const n, r = 16, 4
-	p := mustNew(t, n, r, WithSeed(7), WithSyntheticCoins())
-	took, ok := p.RunToSafeSet(rng.New(10), stabilizationBound(n, r))
-	if !ok {
-		t.Fatalf("synthetic-coin mode failed to stabilize after %d interactions", took)
 	}
 }
 

@@ -1,53 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"sspp/internal/rng"
-)
-
-func TestRunToOutputStable(t *testing.T) {
-	p := mustNew(t, 16, 8, WithSeed(31))
-	at, ok := p.RunToOutputStable(rng.New(32), stabilizationBound(16, 8), 200)
-	if !ok {
-		t.Fatal("output never stabilized")
-	}
-	if !p.Correct() {
-		t.Fatal("reported stable but incorrect")
-	}
-	if at == 0 {
-		t.Fatal("fresh rankers cannot be correct at t=0")
-	}
-}
-
-func TestRunToOutputStableBudgetExhausted(t *testing.T) {
-	p := mustNew(t, 16, 8, WithSeed(33))
-	if _, ok := p.RunToOutputStable(rng.New(34), 100, 1_000_000); ok {
-		t.Fatal("cannot confirm a window longer than the budget")
-	}
-}
-
-func TestRunToSafeSetImmediate(t *testing.T) {
-	p := mustNew(t, 8, 2)
-	for i := 0; i < 8; i++ {
-		p.ForceVerifier(i, int32(i+1))
-	}
-	took, ok := p.RunToSafeSet(rng.New(1), 100)
-	if !ok || took != 0 {
-		t.Fatalf("already-safe config: took=%d ok=%v", took, ok)
-	}
-}
-
-func TestRunToSafeSetBudgetExhausted(t *testing.T) {
-	p := mustNew(t, 16, 4, WithSeed(35))
-	took, ok := p.RunToSafeSet(rng.New(36), 50)
-	if ok {
-		t.Fatal("50 interactions cannot suffice")
-	}
-	if took != 50 {
-		t.Fatalf("took = %d, want 50", took)
-	}
-}
+import "testing"
 
 func TestMessagesCoherentDetectsTamper(t *testing.T) {
 	p := mustNew(t, 12, 6)

@@ -1,23 +1,21 @@
-// run_test.go covers the execution helpers of run.go, in particular the
-// RunToOutputStable edge cases: an already-stable start, a confirmation
-// window landing exactly on the interaction budget, and a window larger than
-// the budget (unconfirmable by construction).
-package core
+// run_test.go covers System.Run over ElectLeader_r at the edges of its two
+// stop conditions: an already-stable start, a confirmation window landing
+// exactly on the interaction budget, a window larger than the budget
+// (unconfirmable by construction), and budget exhaustion.
+package core_test
 
 import (
 	"testing"
 
-	"sspp/internal/rng"
+	"sspp"
+	"sspp/internal/core"
 )
 
 // newStableProtocol returns a protocol in a safe configuration (identity
 // ranking, all verifiers): output-correct now and forever.
-func newStableProtocol(t *testing.T, n, r int) *Protocol {
+func newStableProtocol(t *testing.T, n, r int) *core.Protocol {
 	t.Helper()
-	p, err := New(n, r, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustNew(t, n, r, core.WithSeed(1))
 	for i := 0; i < n; i++ {
 		p.ForceVerifier(i, int32(i+1))
 	}
@@ -27,17 +25,67 @@ func newStableProtocol(t *testing.T, n, r int) *Protocol {
 	return p
 }
 
+// runToOutputStable runs p until exactly one leader has held for confirm
+// interactions, within max interactions.
+func runToOutputStable(t *testing.T, p *core.Protocol, seed, max, confirm uint64) sspp.Result {
+	t.Helper()
+	return run(t, p, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed),
+		sspp.MaxInteractions(max), sspp.Confirm(confirm))
+}
+
+func TestRunToOutputStable(t *testing.T) {
+	p := mustNew(t, 16, 8, core.WithSeed(31))
+	res := runToOutputStable(t, p, 32, stabilizationBound(16, 8), 200)
+	if !res.Stabilized {
+		t.Fatal("output never stabilized")
+	}
+	if !p.Correct() {
+		t.Fatal("reported stable but incorrect")
+	}
+	if res.StabilizedAt == 0 {
+		t.Fatal("fresh rankers cannot be correct at t=0")
+	}
+}
+
+func TestRunToOutputStableBudgetExhausted(t *testing.T) {
+	p := mustNew(t, 16, 8, core.WithSeed(33))
+	if res := runToOutputStable(t, p, 34, 100, 1_000_000); res.Stabilized {
+		t.Fatal("cannot confirm a window longer than the budget")
+	}
+}
+
+func TestRunToSafeSetImmediate(t *testing.T) {
+	p := mustNew(t, 8, 2)
+	for i := 0; i < 8; i++ {
+		p.ForceVerifier(i, int32(i+1))
+	}
+	res := runToSafeSet(t, p, 1, 100)
+	if !res.Stabilized || res.Interactions != 0 {
+		t.Fatalf("already-safe config: %+v", res)
+	}
+}
+
+func TestRunToSafeSetBudgetExhausted(t *testing.T) {
+	p := mustNew(t, 16, 4, core.WithSeed(35))
+	res := runToSafeSet(t, p, 36, 50)
+	if res.Stabilized {
+		t.Fatal("50 interactions cannot suffice")
+	}
+	if res.Interactions != 50 {
+		t.Fatalf("Interactions = %d, want 50", res.Interactions)
+	}
+}
+
 // TestRunToOutputStableAlreadyStable starts from a correct configuration:
 // the final correct stretch begins at interaction 0.
 func TestRunToOutputStableAlreadyStable(t *testing.T) {
 	const n, r = 16, 4
-	p := newStableProtocol(t, n, r)
-	at, ok := p.RunToOutputStable(rng.New(2), 10_000, 500)
-	if !ok {
+	res := runToOutputStable(t, newStableProtocol(t, n, r), 2, 10_000, 500)
+	if !res.Stabilized {
 		t.Fatal("stable start not confirmed")
 	}
-	if at != 0 {
-		t.Fatalf("stableSince = %d, want 0 for an already-stable start", at)
+	if res.StabilizedAt != 0 {
+		t.Fatalf("StabilizedAt = %d, want 0 for an already-stable start", res.StabilizedAt)
 	}
 }
 
@@ -47,14 +95,14 @@ func TestRunToOutputStableAlreadyStable(t *testing.T) {
 func TestRunToOutputStableExactBudgetBoundary(t *testing.T) {
 	const n, r = 16, 4
 	const confirm = 1024
-	at, ok := newStableProtocol(t, n, r).RunToOutputStable(rng.New(3), confirm, confirm)
-	if !ok {
+	res := runToOutputStable(t, newStableProtocol(t, n, r), 3, confirm, confirm)
+	if !res.Stabilized {
 		t.Fatalf("confirmation window ending exactly at the budget must succeed")
 	}
-	if at != 0 {
-		t.Fatalf("stableSince = %d, want 0", at)
+	if res.StabilizedAt != 0 {
+		t.Fatalf("StabilizedAt = %d, want 0", res.StabilizedAt)
 	}
-	if _, ok := newStableProtocol(t, n, r).RunToOutputStable(rng.New(3), confirm-1, confirm); ok {
+	if res := runToOutputStable(t, newStableProtocol(t, n, r), 3, confirm-1, confirm); res.Stabilized {
 		t.Fatal("budget one short of the confirmation window must fail")
 	}
 }
@@ -63,13 +111,12 @@ func TestRunToOutputStableExactBudgetBoundary(t *testing.T) {
 // the whole budget, whatever the configuration does.
 func TestRunToOutputStableMaxBelowConfirm(t *testing.T) {
 	const n, r = 16, 4
-	p := newStableProtocol(t, n, r)
-	at, ok := p.RunToOutputStable(rng.New(4), 100, 10_000)
-	if ok {
+	res := runToOutputStable(t, newStableProtocol(t, n, r), 4, 100, 10_000)
+	if res.Stabilized {
 		t.Fatal("max < confirm must never confirm")
 	}
-	if at != 0 {
-		t.Fatalf("unconfirmed run returned stableSince = %d, want 0", at)
+	if res.StabilizedAt != 0 || res.Interactions != 100 {
+		t.Fatalf("unconfirmed run = %+v, want StabilizedAt 0 after 100 interactions", res)
 	}
 }
 
@@ -78,18 +125,15 @@ func TestRunToOutputStableMaxBelowConfirm(t *testing.T) {
 // and within the Theorem 1.1 budget.
 func TestRunToOutputStableFromTriggered(t *testing.T) {
 	const n, r = 16, 4
-	p, err := New(n, r, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustNew(t, n, r, core.WithSeed(5))
 	for i := 0; i < n; i++ {
 		p.ForceTriggered(i)
 	}
-	at, ok := p.RunToOutputStable(rng.New(6), 4_000_000, uint64(20*n))
-	if !ok {
+	res := runToOutputStable(t, p, 6, 4_000_000, uint64(20*n))
+	if !res.Stabilized {
 		t.Fatal("no output stabilization from a triggered configuration")
 	}
-	if at == 0 {
+	if res.StabilizedAt == 0 {
 		t.Fatal("a triggered start cannot be output-correct at interaction 0")
 	}
 }
@@ -97,9 +141,8 @@ func TestRunToOutputStableFromTriggered(t *testing.T) {
 // TestRunToSafeSetAlreadySafe checks the zero-interaction fast path.
 func TestRunToSafeSetAlreadySafe(t *testing.T) {
 	const n, r = 16, 4
-	p := newStableProtocol(t, n, r)
-	took, ok := p.RunToSafeSet(rng.New(7), 1000)
-	if !ok || took != 0 {
-		t.Fatalf("RunToSafeSet from a safe configuration = (%d, %v), want (0, true)", took, ok)
+	res := runToSafeSet(t, newStableProtocol(t, n, r), 7, 1000)
+	if !res.Stabilized || res.Interactions != 0 {
+		t.Fatalf("run from a safe configuration = %+v, want 0 interactions, stabilized", res)
 	}
 }

@@ -8,10 +8,7 @@
 // w.h.p. Experiment T5 measures this constant empirically.
 package epidemic
 
-import (
-	"sspp/internal/rng"
-	"sspp/internal/sim"
-)
+import "sspp/internal/sim"
 
 // OneWay is a one-way infection epidemic: when an infected initiator meets a
 // susceptible responder, the responder becomes infected. Interactions in the
@@ -144,24 +141,3 @@ func (m *Min) Value(i int) int64 { return m.values[i] }
 
 // GlobalMin returns the global minimum of the initial values.
 func (m *Min) GlobalMin() int64 { return m.min }
-
-// CompletionTime runs an epidemic from a single uniformly chosen source
-// until every agent is infected and returns the number of interactions it
-// took. twoWay selects the transmission rule. This is the measurement behind
-// experiment T5 (Lemma A.2).
-func CompletionTime(n int, r *rng.PRNG, twoWay bool) uint64 {
-	var p sim.Protocol
-	src := r.Intn(n)
-	if twoWay {
-		p = NewTwoWay(n, src)
-	} else {
-		p = NewOneWay(n, src)
-	}
-	var t uint64
-	for !p.Correct() {
-		a, b := r.Pair(n)
-		p.Interact(a, b)
-		t++
-	}
-	return t
-}

@@ -1,7 +1,6 @@
 package epidemic
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -62,38 +61,25 @@ func TestMonotonicityProperty(t *testing.T) {
 	}
 }
 
-func TestCompletion(t *testing.T) {
-	r := rng.New(10)
-	for _, twoWay := range []bool{false, true} {
-		e := CompletionTime(64, r, twoWay)
-		if e == 0 {
-			t.Fatal("zero completion time")
-		}
-	}
-}
-
-// TestLemmaA2Bound spot-checks Lemma A.2: a two-way epidemic completes well
-// within c·n·ln(n) interactions for a modest constant, on every tried seed.
-func TestLemmaA2Bound(t *testing.T) {
-	const n = 256
-	bound := uint64(20 * float64(n) * math.Log(n))
-	for seed := uint64(0); seed < 10; seed++ {
-		r := rng.New(seed)
-		got := CompletionTime(n, r, true)
-		if got > bound {
-			t.Errorf("seed %d: completion %d exceeds %d", seed, got, bound)
-		}
-	}
-}
-
+// TestRunnerIntegration steps the epidemic through sim.Steps one
+// interaction at a time, polling correctness after each: the epidemic
+// completes and, once complete, stays complete (exactly one flip).
 func TestRunnerIntegration(t *testing.T) {
 	e := NewTwoWay(64, 0)
-	res := sim.Run(e, rng.New(11), sim.Options{MaxInteractions: 1 << 20, CheckEvery: 1})
-	if !res.Stabilized {
+	sched := rng.New(11)
+	correct, flips := e.Correct(), 0
+	for i := 0; i < 1<<20; i++ {
+		sim.Steps(e, sched, 1)
+		if now := e.Correct(); now != correct {
+			correct = now
+			flips++
+		}
+	}
+	if !correct {
 		t.Fatal("epidemic did not complete")
 	}
-	if res.Flips != 1 {
-		t.Fatalf("epidemic correctness should flip exactly once, got %d", res.Flips)
+	if flips != 1 {
+		t.Fatalf("epidemic correctness should flip exactly once, got %d", flips)
 	}
 }
 

@@ -15,6 +15,7 @@ package experiments
 import (
 	"math"
 
+	"sspp"
 	"sspp/internal/adversary"
 	"sspp/internal/core"
 	"sspp/internal/detect"
@@ -104,11 +105,11 @@ func A2ProbationAblation(cfg Config) *Table {
 			if err := adversary.Apply(p, adversary.ClassTwoLeaders, rng.New(seed+3)); err != nil {
 				return outcome{}
 			}
-			took, ok := p.RunToSafeSet(rng.New(seed+5), safeSetBudget(n, r))
-			if !ok {
+			res := runCustom(p, sspp.SchedulerSeed(seed+5), sspp.MaxInteractions(safeSetBudget(n, r)))
+			if !res.Stabilized {
 				return outcome{}
 			}
-			return outcome{ok: true, took: float64(took),
+			return outcome{ok: true, took: float64(res.StabilizedAt),
 				soft: float64(ev.Count(verify.EventSoftReset)),
 				hard: float64(ev.Count(core.EventHardReset))}
 		})
@@ -158,11 +159,8 @@ func A3RefreshAblation(cfg Config) *Table {
 			if err != nil {
 				return 0, false
 			}
-			res := sim.Run(h, rng.New(seed+41), sim.Options{
-				MaxInteractions:    4 * safeSetBudget(n, r),
-				CheckEvery:         uint64(n / 2),
-				StopAfterStableFor: 1,
-			})
+			res := runCustom(h, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed+41),
+				sspp.MaxInteractions(4*safeSetBudget(n, r)), sspp.PollEvery(uint64(n/2)), sspp.Confirm(1))
 			return float64(res.StabilizedAt), res.Stabilized
 		})
 		if len(times) == 0 {
@@ -223,11 +221,8 @@ func A4LoadBalanceAblation(cfg Config) *Table {
 			if err := h.ClumpRankMessages(1, 4); err != nil {
 				return 0, false
 			}
-			res := sim.Run(h, rng.New(seed+41), sim.Options{
-				MaxInteractions:    8 * safeSetBudget(n, n/2),
-				CheckEvery:         uint64(n / 2),
-				StopAfterStableFor: 1,
-			})
+			res := runCustom(h, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed+41),
+				sspp.MaxInteractions(8*safeSetBudget(n, n/2)), sspp.PollEvery(uint64(n/2)), sspp.Confirm(1))
 			return float64(res.StabilizedAt), res.Stabilized
 		})
 		if len(times) == 0 {

@@ -80,10 +80,10 @@ func S2TauLeapClock(cfg Config) *Table {
 					t.Note("%s n=%d: %v", proto.name, n, err)
 					continue
 				}
-				sp.BindSource(rng.New(cfg.BaseSeed + 29))
+				sched := rng.New(cfg.BaseSeed + 29)
 				sp.StartContinuous(rng.New(cfg.BaseSeed+31), arm.leap)
 				start := time.Now() //sspp:allow rngdiscipline -- clock speedup is a wall-clock measurement by design
-				sp.StepMany(budget)
+				sim.Steps(sp, sched, budget)
 				elapsed := time.Since(start) //sspp:allow rngdiscipline -- clock speedup is a wall-clock measurement by design
 				speedup := ""
 				if arm.leap {

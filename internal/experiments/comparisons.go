@@ -38,10 +38,8 @@ func T11Baselines(cfg Config) *Table {
 		// CIW from the all-rank-1 start, measured to output stability.
 		results := seedTrials(cfg, cfg.seeds(), func(s int) float64 {
 			c := baseline.NewCIW(n)
-			res := sim.Run(c, rng.New(cfg.BaseSeed+uint64(s)), sim.Options{
-				MaxInteractions:    uint64(2000 * n * n),
-				StopAfterStableFor: uint64(20 * n * n),
-			})
+			res := runCustom(c, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(cfg.BaseSeed+uint64(s)),
+				sspp.MaxInteractions(uint64(2000*n*n)), sspp.PollEvery(uint64(n/4)), sspp.Confirm(uint64(20*n*n)))
 			if !res.Stabilized {
 				return -1
 			}
@@ -77,6 +75,14 @@ func T11Baselines(cfg Config) *Table {
 	return t
 }
 
+// coinMixing is a population of synthetic-coin states whose interactions
+// mix their bits (Appendix B), stepped by sim.Steps.
+type coinMixing []coin.State
+
+func (c coinMixing) N() int            { return len(c) }
+func (c coinMixing) Interact(a, b int) { coin.Observe(&c[a], &c[b]) }
+func (c coinMixing) Correct() bool     { return false }
+
 // crossover solves cCIW·n² = cEL·n·ln n for n by fixed-point iteration.
 func crossover(cCIW, cEL float64) float64 {
 	n := 100.0
@@ -102,16 +108,11 @@ func T12SyntheticCoin(cfg Config) *Table {
 		space = 16
 	)
 	r := rng.New(cfg.BaseSeed + 1)
-	agents := make([]coin.State, n)
+	agents := make(coinMixing, n)
 	for i := range agents {
 		agents[i] = coin.NewState(coin.WidthFor(space), uint64(i))
 	}
-	mix := func(k int) {
-		for i := 0; i < k; i++ {
-			a, b := r.Pair(n)
-			coin.Observe(&agents[a], &agents[b])
-		}
-	}
+	mix := func(k int) { sim.Steps(agents, r, uint64(k)) }
 	mix(50 * n)
 	rounds := 2000 * cfg.seeds()
 	counts := make([]int, space)
@@ -148,14 +149,14 @@ func T12SyntheticCoin(cfg Config) *Table {
 			if err != nil {
 				continue
 			}
-			took, ok := p.RunToSafeSet(rng.New(seed+9), safeSetBudget(en, er))
-			if !ok {
+			res := runCustom(p, sspp.SchedulerSeed(seed+9), sspp.MaxInteractions(safeSetBudget(en, er)))
+			if !res.Stabilized {
 				continue
 			}
 			if mode {
-				out.synth = float64(took)
+				out.synth = float64(res.StabilizedAt)
 			} else {
-				out.prng = float64(took)
+				out.prng = float64(res.StabilizedAt)
 			}
 		}
 		return out

@@ -7,6 +7,7 @@ package experiments
 import (
 	"math"
 
+	"sspp"
 	"sspp/internal/detect"
 	"sspp/internal/rng"
 	"sspp/internal/sim"
@@ -43,11 +44,8 @@ func T7DetectionLatency(cfg Config) *Table {
 				if err != nil {
 					return 0, false
 				}
-				res := sim.Run(h, rng.New(seed+41), sim.Options{
-					MaxInteractions:    safeSetBudget(n, r),
-					CheckEvery:         uint64(n / 2),
-					StopAfterStableFor: 1,
-				})
+				res := runCustom(h, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed+41),
+					sspp.MaxInteractions(safeSetBudget(n, r)), sspp.PollEvery(uint64(n/2)), sspp.Confirm(1))
 				return float64(res.StabilizedAt), res.Stabilized
 			})
 			if len(times) == 0 {
@@ -93,11 +91,7 @@ func T8Soundness(cfg Config) *Table {
 			if err != nil {
 				return outcome{}
 			}
-			r := rng.New(seed + 51)
-			for i := uint64(0); i < perSeed; i++ {
-				a, b := r.Pair(c.n)
-				h.Interact(a, b)
-			}
+			sim.Steps(h, rng.New(seed+51), perSeed)
 			out := outcome{ran: true, tops: h.TopCount()}
 			if err := h.CheckMessageConservation(); err != nil {
 				out.conservation = err.Error()

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 
+	"sspp"
 	"sspp/internal/rng"
 	"sspp/internal/trials"
 )
@@ -54,6 +55,16 @@ func seedTrials[T any](cfg Config, count int, fn func(s int) T) []T {
 	return trials.Run(cfg.workers(), count, cfg.BaseSeed, func(s int, _ *rng.PRNG) T {
 		return fn(s)
 	})
+}
+
+// runCustom runs p on the public engine, System.Run, with the given
+// options; an unbuildable system is reported in Result.Err.
+func runCustom(p sspp.Protocol, opts ...sspp.RunOption) sspp.Result {
+	sys, err := sspp.NewCustom(p)
+	if err != nil {
+		return sspp.Result{ParallelTime: -1, Err: err}
+	}
+	return sys.Run(opts...)
 }
 
 // seedTimes is seedTrials for the common single-measurement shape: each

@@ -7,13 +7,13 @@ package experiments
 import (
 	"math"
 
+	"sspp"
 	"sspp/internal/coin"
 	"sspp/internal/core"
 	"sspp/internal/epidemic"
 	"sspp/internal/loadbalance"
 	"sspp/internal/ranking"
 	"sspp/internal/rng"
-	"sspp/internal/sim"
 	"sspp/internal/stats"
 )
 
@@ -91,10 +91,8 @@ func T3AssignRanks(cfg Config) *Table {
 					fails++
 					continue
 				}
-				res := sim.Run(pr, rng.New(seed+21), sim.Options{
-					MaxInteractions:    safeSetBudget(n, r),
-					StopAfterStableFor: uint64(4 * n),
-				})
+				res := runCustom(pr, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed+21),
+					sspp.MaxInteractions(safeSetBudget(n, r)), sspp.PollEvery(uint64(n/4)), sspp.Confirm(uint64(4*n)))
 				if !res.Stabilized {
 					fails++
 					continue
@@ -134,10 +132,9 @@ func T4FastLeaderElect(cfg Config) *Table {
 		for s := 0; s < cfg.seeds(); s++ {
 			seed := cfg.BaseSeed + uint64(s)
 			f := ranking.NewFastLE(n, coin.FromPRNG(rng.New(seed)))
-			res := sim.Run(f, rng.New(seed+31), sim.Options{
-				MaxInteractions:    uint64(400 * float64(n) * math.Log(float64(n))),
-				StopAfterStableFor: uint64(4 * n),
-			})
+			res := runCustom(f, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed+31),
+				sspp.MaxInteractions(uint64(400*float64(n)*math.Log(float64(n)))),
+				sspp.PollEvery(uint64(n/4)), sspp.Confirm(uint64(4*n)))
 			if res.Stabilized {
 				unique++
 				times = append(times, float64(res.StabilizedAt))
@@ -177,8 +174,18 @@ func T5Epidemic(cfg Config) *Table {
 		for _, n := range ns {
 			var acc stats.Acc
 			for s := 0; s < 4*cfg.seeds(); s++ {
+				// One stream picks the source, then deals the schedule;
+				// polling after every interaction makes StabilizedAt the
+				// exact completion time. The default budget, 1000·n·ln(n+1),
+				// is far beyond c_epi·n·log n.
 				r := rng.New(cfg.BaseSeed + uint64(s))
-				acc.Add(float64(epidemic.CompletionTime(n, r, twoWay)))
+				src := r.Intn(n)
+				var p sspp.Protocol = epidemic.NewOneWay(n, src)
+				if twoWay {
+					p = epidemic.NewTwoWay(n, src)
+				}
+				res := runCustom(p, sspp.Until(sspp.CorrectOutput), sspp.WithScheduler(r), sspp.PollEvery(1))
+				acc.Add(float64(res.StabilizedAt))
 			}
 			norm := float64(n) * math.Log(float64(n))
 			t.Append(mode, itoa(n), fmtU(uint64(acc.Mean())), fmtU(uint64(acc.Max())),
@@ -207,13 +214,15 @@ func T6LoadBalance(cfg Config) *Table {
 		unreached := 0
 		for s := 0; s < 2*cfg.seeds(); s++ {
 			p := loadbalance.NewPointMass(n, int64(2*n))
-			took, ok := loadbalance.RunUntilDiscrepancy(p, rng.New(cfg.BaseSeed+uint64(s)), 3,
-				uint64(200*float64(n)*math.Log(float64(n))))
-			if !ok {
+			balanced := sspp.ConditionFunc("discrepancy<=3", func(*sspp.System) bool { return p.Discrepancy() <= 3 })
+			res := runCustom(p, sspp.Until(balanced),
+				sspp.SchedulerSeed(cfg.BaseSeed+uint64(s)),
+				sspp.MaxInteractions(uint64(200*float64(n)*math.Log(float64(n)))))
+			if !res.Stabilized {
 				unreached++
 				continue
 			}
-			acc.Add(float64(took))
+			acc.Add(float64(res.StabilizedAt))
 		}
 		norm := float64(n) * math.Log(float64(n))
 		t.Append(itoa(n), fmtU(uint64(acc.Mean())), fmtU(uint64(acc.Max())),

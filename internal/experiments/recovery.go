@@ -45,12 +45,12 @@ func preservationTrial(n, r int, consts *core.Constants, seed uint64, class adve
 		before[i] = p.RankOutput(i)
 	}
 	out := preservationOutcome{ran: true}
-	took, ok := p.RunToSafeSet(rng.New(seed+5), safeSetBudget(n, r))
-	if !ok {
+	res := runCustom(p, sspp.SchedulerSeed(seed+5), sspp.MaxInteractions(safeSetBudget(n, r)))
+	if !res.Stabilized {
 		return out
 	}
 	out.finished = true
-	out.took = float64(took)
+	out.took = float64(res.StabilizedAt)
 	out.hard = ev.Count(core.EventHardReset)
 	out.soft = float64(ev.Count(verify.EventSoftReset))
 	out.preserved = true

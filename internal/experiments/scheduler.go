@@ -9,10 +9,10 @@
 package experiments
 
 import (
+	"sspp"
 	"sspp/internal/adversary"
 	"sspp/internal/core"
 	"sspp/internal/rng"
-	"sspp/internal/sim"
 	"sspp/internal/stats"
 )
 
@@ -39,12 +39,12 @@ func T16SchedulerRobustness(cfg Config) *Table {
 			if err := adversary.Apply(p, adversary.ClassTriggered, rng.New(sd+1)); err != nil {
 				return 0, false
 			}
-			var sched sim.Scheduler = rng.New(sd + 2)
+			sched := sspp.NewUniform(sd + 2)
 			if s > 0 {
-				sched = sim.NewZipf(rng.New(sd+2), n, s)
+				sched = sspp.NewZipf(sd+2, n, s)
 			}
-			took, ok := p.RunToSafeSetSched(sched, 8*safeSetBudget(n, r))
-			return float64(took), ok
+			res := runCustom(p, sspp.WithScheduler(sched), sspp.MaxInteractions(8*safeSetBudget(n, r)))
+			return float64(res.StabilizedAt), res.Stabilized
 		})
 		var times stats.Acc
 		for _, took := range measured {

@@ -11,10 +11,7 @@
 // coupling argument of Lemma E.6 transfers it to message counts.
 package loadbalance
 
-import (
-	"sspp/internal/rng"
-	"sspp/internal/sim"
-)
+import "sspp/internal/sim"
 
 // Process is a token load-balancing process over n agents.
 type Process struct {
@@ -94,33 +91,4 @@ func (p *Process) CheckConservation() bool {
 		s += c
 	}
 	return s == p.total
-}
-
-// RunUntilDiscrepancy runs the process under the uniform scheduler until the
-// discrepancy is at most target or max interactions have elapsed, and
-// returns the number of interactions performed and whether the target was
-// reached. The discrepancy is polled every ⌈n/2⌉ interactions, so the
-// returned count has that resolution.
-func RunUntilDiscrepancy(p *Process, r *rng.PRNG, target int64, max uint64) (uint64, bool) {
-	n := p.N()
-	if p.Discrepancy() <= target {
-		return 0, true
-	}
-	cadence := uint64(n/2 + 1)
-	var t uint64
-	for t < max {
-		limit := t + cadence
-		if limit > max {
-			limit = max
-		}
-		for t < limit {
-			a, b := r.Pair(n)
-			p.Interact(a, b)
-			t++
-		}
-		if p.Discrepancy() <= target {
-			return t, true
-		}
-	}
-	return t, false
 }

@@ -1,7 +1,6 @@
 package loadbalance
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -76,41 +75,6 @@ func TestPointMass(t *testing.T) {
 	}
 	if p.Discrepancy() != 64 {
 		t.Fatalf("Discrepancy = %d, want 64", p.Discrepancy())
-	}
-}
-
-// TestTightAndSimpleBound reproduces the shape of Theorem 1 of [9]: from a
-// point mass of 2n tokens, the process reaches discrepancy ≤ 3 within
-// c·n·log n interactions on every tried seed, for a modest c.
-func TestTightAndSimpleBound(t *testing.T) {
-	const n = 128
-	bound := uint64(40 * float64(n) * math.Log(n))
-	for seed := uint64(0); seed < 8; seed++ {
-		p := NewPointMass(n, 2*n)
-		r := rng.New(seed)
-		took, ok := RunUntilDiscrepancy(p, r, 3, bound)
-		if !ok {
-			t.Errorf("seed %d: discrepancy %d after %d interactions", seed, p.Discrepancy(), took)
-		}
-	}
-}
-
-func TestRunUntilDiscrepancyImmediate(t *testing.T) {
-	p := New([]int64{3, 3, 3})
-	took, ok := RunUntilDiscrepancy(p, rng.New(1), 1, 10)
-	if !ok || took != 0 {
-		t.Fatalf("expected immediate success, got took=%d ok=%v", took, ok)
-	}
-}
-
-func TestRunUntilDiscrepancyTimeout(t *testing.T) {
-	p := NewPointMass(16, 1600)
-	took, ok := RunUntilDiscrepancy(p, rng.New(1), 0, 5)
-	if ok {
-		t.Fatal("expected timeout")
-	}
-	if took != 5 {
-		t.Fatalf("took = %d, want 5", took)
 	}
 }
 

@@ -562,9 +562,14 @@ func (s *Server) broadcast(key string, obs sspp.TrialObservation) {
 // are always retained.
 const storedFrameCap = 1024
 
+// subscriberBuffer is the live checkpoint buffer of one SSE subscriber. Its
+// channel has room for the job's sticky frames on top of it.
+const subscriberBuffer = 256
+
 // emit frames an SSE event and delivers it: stored frames replay to late
 // subscribers, live frames go to current subscribers only. A slow
-// subscriber's full channel drops frames rather than blocking simulation.
+// subscriber drops checkpoint frames rather than blocking simulation, but
+// never a sticky frame: checkpoints cannot take the room reserved for them.
 func (j *job) emit(event string, payload any, sticky bool) {
 	data, err := json.Marshal(payload)
 	if err != nil {
@@ -577,6 +582,9 @@ func (j *job) emit(event string, payload any, sticky bool) {
 		j.stored = append(j.stored, frame)
 	}
 	for _, ch := range j.subs {
+		if !sticky && len(ch) >= subscriberBuffer {
+			continue
+		}
 		select {
 		case ch <- frame:
 		default:
@@ -587,7 +595,8 @@ func (j *job) emit(event string, payload any, sticky bool) {
 // subscribe returns the replay of stored frames plus a live channel, and
 // an unsubscribe func.
 func (j *job) subscribe() (replay [][]byte, ch chan []byte, cancel func()) {
-	ch = make(chan []byte, 256)
+	// One sticky frame per cell plus the terminal frame.
+	ch = make(chan []byte, subscriberBuffer+len(j.keys)+1)
 	j.mu.Lock()
 	replay = append([][]byte(nil), j.stored...)
 	j.subs = append(j.subs, ch)

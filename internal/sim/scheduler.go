@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"sspp/internal/graph"
@@ -326,31 +325,3 @@ func (r *timedReplayer) Pair(n int) (int, int) {
 func (r *timedReplayer) Time() float64 { return r.t }
 
 var _ Timed = (*timedReplayer)(nil)
-
-// RunSched is Run with an arbitrary scheduler.
-func RunSched(p Protocol, sched Scheduler, opt Options) Result {
-	return runWith(p, sched, opt)
-}
-
-// StepsSched performs exactly k interactions under an arbitrary scheduler.
-// When p is count-based, sched must be a uniform PRNG stream (agent
-// identities do not exist in species form, so a non-uniform schedule
-// cannot be honored): the stream is bound as the sampling source and p
-// steps in bulk; anything else panics rather than silently substituting
-// uniform dynamics for the requested schedule.
-func StepsSched(p Protocol, sched Scheduler, k uint64) {
-	if cb, ok := AsCountBased(p); ok {
-		src, uniform := sched.(*rng.PRNG)
-		if !uniform {
-			panic(fmt.Sprintf("sim: count-based protocol %T supports only uniform *rng.PRNG schedulers, got %T", p, sched))
-		}
-		cb.BindSource(src)
-		cb.StepMany(k)
-		return
-	}
-	n := p.N()
-	for i := uint64(0); i < k; i++ {
-		a, b := sched.Pair(n)
-		p.Interact(a, b)
-	}
-}

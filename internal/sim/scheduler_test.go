@@ -163,16 +163,3 @@ func TestReplayEmptyRecordingPanics(t *testing.T) {
 	}()
 	(&Recording{}).Replay().Pair(4)
 }
-
-func TestRunSchedAndStepsSched(t *testing.T) {
-	p := &countdownProto{n: 8, correctAt: 50}
-	res := RunSched(p, NewZipf(rng.New(5), 8, 0.5), Options{MaxInteractions: 1000, CheckEvery: 1})
-	if !res.Stabilized {
-		t.Fatal("weighted run did not stabilize")
-	}
-	q := &countdownProto{n: 8}
-	StepsSched(q, NewZipf(rng.New(6), 8, 0.5), 77)
-	if q.t != 77 {
-		t.Fatalf("StepsSched performed %d interactions, want 77", q.t)
-	}
-}

@@ -3,17 +3,17 @@
 // of distinct agents interacts and updates its states via the protocol's
 // transition function.
 //
-// The package provides the Protocol abstraction, a deterministic seeded
-// scheduler, a Runner that measures stabilization times, and an Events sink
-// that protocols use to report notable transitions (resets, detections,
-// phase changes) to experiments and tests.
+// The package provides the Protocol abstraction, the pair schedulers, the
+// Steps kernel that deals k interactions, and an Events sink that protocols
+// use to report notable transitions (resets, detections, phase changes) to
+// experiments and tests. Polling a stop condition is not done here: the
+// public System.Run is the one run loop, built on Steps.
 //
 // Throughout the repository, "time" follows the paper's convention: parallel
 // time equals the number of interactions divided by n.
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,8 +23,8 @@ import (
 
 // Protocol is a population protocol over a fixed set of agents.
 //
-// Implementations are single-threaded state machines: the Runner calls
-// Interact sequentially, never concurrently.
+// Implementations are single-threaded state machines: Steps calls Interact
+// sequentially, never concurrently.
 type Protocol interface {
 	// N returns the population size.
 	N() int
@@ -36,192 +36,42 @@ type Protocol interface {
 	Correct() bool
 }
 
-// NeverStabilized is the sentinel value of Result.StabilizedAt when the run
-// did not end in a correct configuration.
-const NeverStabilized = ^uint64(0)
-
-// Options configures a Runner execution.
-type Options struct {
-	// MaxInteractions bounds the run. Required (> 0).
-	MaxInteractions uint64
-	// CheckEvery is the correctness polling cadence in interactions.
-	// Defaults to max(1, n/4). Smaller values tighten the measurement of
-	// stabilization times at the cost of more Correct() calls.
-	CheckEvery uint64
-	// StopAfterStableFor, when positive, stops the run early once
-	// correctness has been observed continuously for at least this many
-	// interactions. For self-stabilizing protocols the safe set is closed,
-	// so a window of a few n interactions is a cheap confirmation.
-	StopAfterStableFor uint64
-	// Invariant, when non-nil, is polled every CheckEvery interactions; a
-	// non-nil error aborts the run and is reported in Result.Err. Tests use
-	// this to assert protocol invariants during execution.
-	Invariant func() error
-	// OnCheck, when non-nil, is called at every poll with the current
-	// interaction count and correctness flag (tracing hook).
-	OnCheck func(interactions uint64, correct bool)
-}
-
-// Result reports the outcome of a Runner execution.
-type Result struct {
-	// Interactions is the number of interactions performed.
-	Interactions uint64
-	// Stabilized reports whether the configuration was correct at the end
-	// of the run (and, when StopAfterStableFor was set, had been correct for
-	// at least that long).
-	Stabilized bool
-	// StabilizedAt is the poll index (in interactions) at which the final
-	// stretch of uninterrupted correctness began, or NeverStabilized.
-	// Its resolution is CheckEvery interactions.
-	StabilizedAt uint64
-	// FirstCorrectAt is the first poll at which correctness was observed,
-	// or NeverStabilized if it never was. A value smaller than StabilizedAt
-	// indicates the configuration regressed at least once (e.g. a reset).
-	FirstCorrectAt uint64
-	// Flips counts observed correctness transitions (in either direction).
-	Flips int
-	// Err is the first invariant violation, if any.
-	Err error
-}
-
-// ParallelTime returns the stabilization time in parallel-time units
-// (interactions divided by n), the measure used throughout the paper.
-func (r Result) ParallelTime(n int) float64 {
-	if !r.Stabilized || n == 0 {
-		return -1
+// CountSource returns the uniform stream a count-based protocol samples its
+// state pairs from. Count-based protocols (the species backend) have no
+// agent identities, so they accept only a uniform *rng.PRNG scheduler; any
+// other scheduler is an error rather than a silent substitution of uniform
+// dynamics. For agent-based protocols it returns (nil, nil): every
+// scheduler is fine.
+func CountSource(p Protocol, sched Scheduler) (*rng.PRNG, error) {
+	if _, ok := AsCountBased(p); !ok {
+		return nil, nil
 	}
-	return float64(r.StabilizedAt) / float64(n)
-}
-
-// Run executes p under the uniform random scheduler drawn from rand.
-func Run(p Protocol, rand *rng.PRNG, opt Options) Result {
-	return runWith(p, rand, opt)
-}
-
-// runWith executes p under an arbitrary scheduler.
-func runWith(p Protocol, sched Scheduler, opt Options) Result {
-	res := Result{StabilizedAt: NeverStabilized, FirstCorrectAt: NeverStabilized}
-	n := p.N()
-	if n < 2 {
-		res.Err = fmt.Errorf("sim: population size %d < 2", n)
-		return res
+	src, uniform := sched.(*rng.PRNG)
+	if !uniform {
+		return nil, fmt.Errorf("sim: count-based protocol %T supports only uniform *rng.PRNG schedulers, got %T", p, sched)
 	}
-	if opt.MaxInteractions == 0 {
-		res.Err = errors.New("sim: MaxInteractions must be positive")
-		return res
-	}
-	check := opt.CheckEvery
-	if check == 0 {
-		check = uint64(n / 4)
-		if check == 0 {
-			check = 1
-		}
-	}
-
-	wasCorrect := false
-	var stableSince uint64 // start of current correct stretch (valid when wasCorrect)
-	var t uint64
-	poll := func() bool {
-		correct := p.Correct()
-		if opt.OnCheck != nil {
-			opt.OnCheck(t, correct)
-		}
-		if correct != wasCorrect {
-			res.Flips++
-			if correct {
-				stableSince = t
-				if res.FirstCorrectAt == NeverStabilized {
-					res.FirstCorrectAt = t
-				}
-			}
-			wasCorrect = correct
-		}
-		if opt.Invariant != nil {
-			if err := opt.Invariant(); err != nil {
-				res.Err = fmt.Errorf("sim: invariant violated at interaction %d: %w", t, err)
-				return false
-			}
-		}
-		return true
-	}
-
-	// Count-based backends draw their own pairs: bind the uniform stream
-	// and step in bulk between polls. A non-uniform scheduler cannot be
-	// honored (agent identities do not exist), so it is an error here, not
-	// a silent substitution of uniform dynamics.
-	cb, countBased := AsCountBased(p)
-	var cbSrc *rng.PRNG
-	if countBased {
-		src, uniform := sched.(*rng.PRNG)
-		if !uniform {
-			res.Err = fmt.Errorf("sim: count-based protocol %T supports only uniform *rng.PRNG schedulers, got %T", p, sched)
-			return res
-		}
-		cbSrc = src
-	}
-
-	// Poll the initial configuration so that a run that starts correct and
-	// stays correct reports StabilizedAt = 0.
-	if !poll() {
-		res.Interactions = 0
-		return res
-	}
-	if countBased {
-		cb.BindSource(cbSrc)
-		for t < opt.MaxInteractions {
-			stepTo := t + check - t%check // next poll boundary
-			if stepTo > opt.MaxInteractions {
-				stepTo = opt.MaxInteractions
-			}
-			cb.StepMany(stepTo - t)
-			t = stepTo
-			if t%check == 0 {
-				if !poll() {
-					break
-				}
-				if wasCorrect && opt.StopAfterStableFor > 0 && t-stableSince >= opt.StopAfterStableFor {
-					break
-				}
-			}
-		}
-	} else {
-		for t = 1; t <= opt.MaxInteractions; t++ {
-			a, b := sched.Pair(n)
-			p.Interact(a, b)
-			if t%check == 0 {
-				if !poll() {
-					break
-				}
-				if wasCorrect && opt.StopAfterStableFor > 0 && t-stableSince >= opt.StopAfterStableFor {
-					break
-				}
-			}
-		}
-		if t > opt.MaxInteractions {
-			t = opt.MaxInteractions
-		}
-	}
-	res.Interactions = t
-	if res.Err == nil && wasCorrect {
-		res.Stabilized = true
-		res.StabilizedAt = stableSince
-	}
-	return res
+	return src, nil
 }
 
 // Steps performs exactly k scheduler-driven interactions on p without any
-// correctness polling. It is the low-level building block used by examples
-// and adversarial setups that need fine-grained control. Count-based
-// backends consume rand as their sampling stream and step in bulk.
-func Steps(p Protocol, rand *rng.PRNG, k uint64) {
+// correctness polling. It is the one stepping kernel of the repository:
+// System.Run calls it once per chunk between polls, and experiments and
+// tests call it directly. Count-based protocols bind sched as their
+// sampling stream and step in bulk; Steps panics with the CountSource
+// error when sched is not a uniform *rng.PRNG.
+func Steps(p Protocol, sched Scheduler, k uint64) {
 	if cb, ok := AsCountBased(p); ok {
-		cb.BindSource(rand)
+		src, err := CountSource(p, sched)
+		if err != nil {
+			panic(err)
+		}
+		cb.BindSource(src)
 		cb.StepMany(k)
 		return
 	}
 	n := p.N()
 	for i := uint64(0); i < k; i++ {
-		a, b := rand.Pair(n)
+		a, b := sched.Pair(n)
 		p.Interact(a, b)
 	}
 }

@@ -1,174 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"testing"
-
-	"sspp/internal/rng"
-)
-
-// countdownProto becomes correct after a fixed number of interactions and
-// optionally regresses once for a stretch, to exercise flip tracking.
-type countdownProto struct {
-	n         int
-	t         uint64
-	correctAt uint64
-	regressAt uint64 // if > 0, incorrect during [regressAt, regressAt+span)
-	span      uint64
-}
-
-func (c *countdownProto) N() int { return c.n }
-
-func (c *countdownProto) Interact(a, b int) {
-	if a == b {
-		panic("scheduler produced identical pair")
-	}
-	c.t++
-}
-
-func (c *countdownProto) Correct() bool {
-	if c.t < c.correctAt {
-		return false
-	}
-	if c.regressAt > 0 && c.t >= c.regressAt && c.t < c.regressAt+c.span {
-		return false
-	}
-	return true
-}
-
-func TestRunStabilizes(t *testing.T) {
-	p := &countdownProto{n: 8, correctAt: 100}
-	res := Run(p, rng.New(1), Options{MaxInteractions: 1000, CheckEvery: 1})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if !res.Stabilized {
-		t.Fatal("expected stabilization")
-	}
-	if res.StabilizedAt != 100 {
-		t.Fatalf("StabilizedAt = %d, want 100", res.StabilizedAt)
-	}
-	if res.FirstCorrectAt != 100 {
-		t.Fatalf("FirstCorrectAt = %d, want 100", res.FirstCorrectAt)
-	}
-	if res.Flips != 1 {
-		t.Fatalf("Flips = %d, want 1", res.Flips)
-	}
-}
-
-func TestRunTracksRegression(t *testing.T) {
-	p := &countdownProto{n: 8, correctAt: 50, regressAt: 200, span: 100}
-	res := Run(p, rng.New(2), Options{MaxInteractions: 1000, CheckEvery: 1})
-	if !res.Stabilized {
-		t.Fatal("expected stabilization")
-	}
-	if res.FirstCorrectAt != 50 {
-		t.Fatalf("FirstCorrectAt = %d, want 50", res.FirstCorrectAt)
-	}
-	if res.StabilizedAt != 300 {
-		t.Fatalf("StabilizedAt = %d, want 300", res.StabilizedAt)
-	}
-	if res.Flips != 3 {
-		t.Fatalf("Flips = %d, want 3", res.Flips)
-	}
-}
-
-func TestRunNeverStabilizes(t *testing.T) {
-	p := &countdownProto{n: 4, correctAt: 1 << 60}
-	res := Run(p, rng.New(3), Options{MaxInteractions: 500})
-	if res.Stabilized {
-		t.Fatal("unexpected stabilization")
-	}
-	if res.StabilizedAt != NeverStabilized || res.FirstCorrectAt != NeverStabilized {
-		t.Fatalf("sentinels not set: %+v", res)
-	}
-	if res.Interactions != 500 {
-		t.Fatalf("Interactions = %d, want 500", res.Interactions)
-	}
-}
-
-func TestRunEarlyStop(t *testing.T) {
-	p := &countdownProto{n: 4, correctAt: 10}
-	res := Run(p, rng.New(4), Options{
-		MaxInteractions:    1 << 30,
-		CheckEvery:         1,
-		StopAfterStableFor: 100,
-	})
-	if !res.Stabilized {
-		t.Fatal("expected stabilization")
-	}
-	if res.Interactions >= 1<<30 || res.Interactions < 110 {
-		t.Fatalf("Interactions = %d, want early stop near 110", res.Interactions)
-	}
-}
-
-func TestRunInvariantAborts(t *testing.T) {
-	p := &countdownProto{n: 4, correctAt: 0}
-	boom := errors.New("boom")
-	calls := 0
-	res := Run(p, rng.New(5), Options{
-		MaxInteractions: 1000,
-		CheckEvery:      10,
-		Invariant: func() error {
-			calls++
-			if calls > 3 {
-				return boom
-			}
-			return nil
-		},
-	})
-	if res.Err == nil || !errors.Is(res.Err, boom) {
-		t.Fatalf("expected invariant error, got %v", res.Err)
-	}
-	if res.Stabilized {
-		t.Fatal("aborted run must not be stabilized")
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	if res := Run(&countdownProto{n: 1}, rng.New(1), Options{MaxInteractions: 10}); res.Err == nil {
-		t.Fatal("expected error for n < 2")
-	}
-	if res := Run(&countdownProto{n: 4}, rng.New(1), Options{}); res.Err == nil {
-		t.Fatal("expected error for MaxInteractions = 0")
-	}
-}
-
-func TestRunInitiallyCorrect(t *testing.T) {
-	p := &countdownProto{n: 4, correctAt: 0}
-	res := Run(p, rng.New(6), Options{MaxInteractions: 100, CheckEvery: 1})
-	if !res.Stabilized || res.StabilizedAt != 0 {
-		t.Fatalf("expected StabilizedAt=0, got %+v", res)
-	}
-}
-
-func TestParallelTime(t *testing.T) {
-	res := Result{Stabilized: true, StabilizedAt: 800}
-	if got := res.ParallelTime(100); got != 8 {
-		t.Fatalf("ParallelTime = %v, want 8", got)
-	}
-	res.Stabilized = false
-	if got := res.ParallelTime(100); got != -1 {
-		t.Fatalf("ParallelTime of unstabilized = %v, want -1", got)
-	}
-}
-
-func TestSteps(t *testing.T) {
-	p := &countdownProto{n: 4}
-	Steps(p, rng.New(7), 123)
-	if p.t != 123 {
-		t.Fatalf("Steps performed %d interactions, want 123", p.t)
-	}
-}
-
-func TestOnCheckHook(t *testing.T) {
-	p := &countdownProto{n: 4, correctAt: 5}
-	var polls int
-	Run(p, rng.New(8), Options{MaxInteractions: 50, CheckEvery: 5, OnCheck: func(uint64, bool) { polls++ }})
-	if polls != 11 { // initial poll + 10 cadence polls
-		t.Fatalf("polls = %d, want 11", polls)
-	}
-}
+import "testing"
 
 func TestEvents(t *testing.T) {
 	e := NewEvents()

@@ -295,40 +295,53 @@ type fixedSched struct{}
 
 func (fixedSched) Pair(n int) (int, int) { return 0, 1 % n }
 
-// TestInternalRunnerDrivesCountBased: sim.Run must honor the supplied
-// stream (distinct seeds → distinct trajectories, bulk-stepped), and
-// sim.RunSched must reject non-uniform schedulers instead of silently
-// substituting uniform dynamics from a stale stream.
+// TestInternalRunnerDrivesCountBased: sim.Steps must honor the supplied
+// stream (distinct seeds → distinct trajectories, bulk-stepped), and must
+// reject non-uniform schedulers — through sim.CountSource, before any
+// interaction — instead of silently substituting uniform dynamics from a
+// stale stream.
 func TestInternalRunnerDrivesCountBased(t *testing.T) {
-	run := func(seed uint64) sim.Result {
+	// run steps in chunks of n/4 and returns the first chunk boundary at
+	// which the toy ranking is correct.
+	run := func(seed uint64) uint64 {
 		s, err := NewSystem(toyDiagonal(64, 64), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.Run(s, rng.New(seed), sim.Options{MaxInteractions: 50_000, StopAfterStableFor: 1})
+		sched := rng.New(seed)
+		for s.Clock() < 50_000 && !s.Correct() {
+			sim.Steps(s, sched, 16)
+		}
+		if !s.Correct() {
+			t.Fatalf("seed %d: toy ranking did not stabilize through sim.Steps", seed)
+		}
+		return s.Clock()
 	}
 	a, b, a2 := run(3), run(4), run(3)
 	if a != a2 {
-		t.Fatalf("same seed diverged: %+v vs %+v", a, a2)
+		t.Fatalf("same seed diverged: %d vs %d", a, a2)
 	}
 	if a == b {
-		t.Fatalf("distinct seeds produced identical results %+v — the scheduler stream is being ignored", a)
-	}
-	if !a.Stabilized {
-		t.Fatalf("toy ranking did not stabilize through sim.Run: %+v", a)
+		t.Fatalf("distinct seeds stabilized at the same interaction %d — the scheduler stream is being ignored", a)
 	}
 
 	s, err := NewSystem(toyDiagonal(8, 16), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sim.RunSched(s, fixedSched{}, sim.Options{MaxInteractions: 100})
-	if res.Err == nil {
-		t.Fatal("sim.RunSched accepted a non-uniform scheduler for a count-based protocol")
+	_, cerr := sim.CountSource(s, fixedSched{})
+	if cerr == nil {
+		t.Fatal("sim.CountSource accepted a non-uniform scheduler for a count-based protocol")
 	}
-	if s.Clock() != 0 {
-		t.Fatalf("%d interactions executed before the scheduler rejection", s.Clock())
-	}
+	defer func() {
+		if e, ok := recover().(error); !ok || e.Error() != cerr.Error() {
+			t.Fatalf("sim.Steps panicked with %v, want the CountSource error %v", e, cerr)
+		}
+		if s.Clock() != 0 {
+			t.Fatalf("%d interactions executed before the scheduler rejection", s.Clock())
+		}
+	}()
+	sim.Steps(s, fixedSched{}, 100)
 }
 
 // TestReactOutsideStateSpacePanics: a model whose React emits a key

@@ -1,9 +1,8 @@
-// run.go implements the composable run engine of the public API: one
-// generic, scheduler-driven execution loop configured by RunOption values,
-// with first-class stop conditions, confirmation windows, observation hooks,
-// mid-run transient faults, and cancellation. The legacy RunToSafeSet /
-// RunToStableOutput / Trace entry points survive as thin deprecated wrappers
-// and produce bit-identical results for identical seeds.
+// run.go implements the run engine of the public API: System.Run is the one
+// loop that polls a stop condition, configured by RunOption values, with
+// first-class stop conditions, confirmation windows, observation hooks,
+// mid-run transient faults, and cancellation. It deals interactions through
+// sim.Steps, the one stepping kernel, one chunk per poll interval.
 
 package sspp
 
@@ -23,8 +22,8 @@ type Condition struct {
 	name  string
 	holds func(*System) bool
 	// cadence is the default polling interval in interactions for a
-	// population of n agents (matching the historical per-condition poll
-	// rates, which the deprecated wrappers rely on for bit-identity).
+	// population of n agents (the historical per-condition poll rates,
+	// which the recorded goldens pin).
 	cadence func(n int) uint64
 	// safeSet marks the built-in SafeSet condition, which Run replaces with
 	// CorrectOutput + Confirm for protocols without a safe set.
@@ -247,8 +246,7 @@ type Result struct {
 	// Events reports every scheduled workload event (in firing order) with
 	// its per-event recovery observation; nil for runs without a schedule.
 	// It is a pointer so Result stays comparable with == for schedule-free
-	// runs (the bit-identity contract of the deprecated wrappers); read it
-	// through EventOutcomes.
+	// runs; read it through EventOutcomes.
 	Events *EventList
 	// Err is non-nil when the run was cancelled via WithContext or a
 	// scheduled event failed to apply.
@@ -376,23 +374,15 @@ func (s *System) Run(opts ...RunOption) Result {
 	// bulk. Only uniform PRNG schedulers can seed that stream; anything else
 	// (batch, weighted, replayed, user types) fails the run up front rather
 	// than silently mis-modelling the schedule.
-	cb, countBased := sim.AsCountBased(s.proto)
-	if countBased {
-		src, uniform := sched.(*rng.PRNG)
-		if !uniform {
-			return Result{
-				Condition:    spec.cond.name,
-				ParallelTime: -1,
-				Err: fmt.Errorf("sspp: the species backend draws its own interaction pairs and supports only uniform schedulers (SchedulerSeed / NewUniform); got %T",
-					sched),
-			}
-		}
-		cb.BindSource(src)
+	if _, err := sim.CountSource(s.proto, sched); err != nil {
+		return Result{Condition: spec.cond.name, ParallelTime: -1, Err: err}
 	}
+	_, countBased := sim.AsCountBased(s.proto)
 	// Trace recording needs the agent backend on the complete topology: the
 	// species backend draws state pairs internally (no agent pairs exist to
 	// record), and edge-indexed schedules go through the Recording format.
 	var tracer *traceRecorder
+	stepSched := sched
 	if spec.traceDst != nil {
 		if countBased {
 			return Result{
@@ -408,7 +398,8 @@ func (s *System) Run(opts ...RunOption) Result {
 				Err:          fmt.Errorf("sspp: trace recording requires the complete topology (capture edge-indexed schedules with NewRecorder and archive them via Recording.Encode)"),
 			}
 		}
-		tracer = newTraceRecorder(s)
+		tracer = newTraceRecorder(s, sched)
+		stepSched = tracer
 	}
 	obsDefaulted := spec.observe != nil && spec.obsEvery == 0
 	obsEvery := spec.obsEvery
@@ -581,23 +572,8 @@ func (s *System) Run(opts ...RunOption) Result {
 		}
 		step := next - t
 		s.clock += step
-		if countBased {
-			cb.StepMany(step)
-			t = next
-		} else if tracer != nil {
-			for t < next {
-				a, b := sched.Pair(n)
-				tracer.pair(a, b)
-				s.proto.Interact(a, b)
-				t++
-			}
-		} else {
-			for t < next {
-				a, b := sched.Pair(n)
-				s.proto.Interact(a, b)
-				t++
-			}
-		}
+		sim.Steps(s.proto, stepSched, step)
+		t = next
 		advance(step)
 		if !fire() {
 			break
@@ -659,15 +635,6 @@ func (s *System) workloadCaps() workload.Caps {
 // Repeated calls with the same *System advance the same configuration; pass
 // different seeds to explore schedules.
 func (s *System) Step(schedulerSeed uint64, k uint64) {
-	if s.graph == nil {
-		sim.Steps(s.proto, rng.New(schedulerSeed), k) // the monomorphic historical fast path
-		s.clock += k
-		s.advanceClock(k)
-		return
-	}
-	// Graph systems route through StepSched so topologize picks the clock's
-	// scheduler (edge sampler or next-reaction) — bit-identical schedules
-	// under the discrete clock.
 	s.StepSched(rng.New(schedulerSeed), k)
 }
 
@@ -684,7 +651,7 @@ func (s *System) StepSched(sched Scheduler, k uint64) {
 	if err != nil {
 		panic(err.Error())
 	}
-	sim.StepsSched(s.proto, sched, k)
+	sim.Steps(s.proto, sched, k)
 	s.clock += k
 	if td, ok := sched.(sim.Timed); ok &&
 		(s.clockMode == ClockContinuous || s.clockMode == ClockContinuousExact) {
@@ -692,49 +659,4 @@ func (s *System) StepSched(sched Scheduler, k uint64) {
 		return
 	}
 	s.advanceClock(k)
-}
-
-// RunToSafeSet runs until the configuration enters the safe set of Lemma 6.1
-// or until max interactions (0 means DefaultBudget).
-//
-// Deprecated: use Run(Until(SafeSet), SchedulerSeed(seed),
-// MaxInteractions(max)). The wrapper produces identical results for
-// identical seeds.
-func (s *System) RunToSafeSet(schedulerSeed uint64, max uint64) Result {
-	return s.Run(Until(SafeSet), SchedulerSeed(schedulerSeed), MaxInteractions(max))
-}
-
-// RunToStableOutput runs until the output (exactly one leader) has held for
-// the confirmation window (0 means 20·n interactions), or until max
-// interactions (0 means DefaultBudget). Result.Interactions reports the
-// interaction count at which the final correct stretch began.
-//
-// Deprecated: use Run(Until(CorrectOutput), Confirm(window),
-// SchedulerSeed(seed), MaxInteractions(max)); Result.StabilizedAt carries
-// the stretch start, and Result.Interactions the true interaction count. The
-// wrapper produces identical results for identical seeds.
-func (s *System) RunToStableOutput(schedulerSeed uint64, max, confirm uint64) Result {
-	if confirm == 0 {
-		confirm = uint64(20 * s.N())
-	}
-	res := s.Run(Until(CorrectOutput), SchedulerSeed(schedulerSeed),
-		MaxInteractions(max), Confirm(confirm))
-	res.Interactions = res.StabilizedAt // historical contract of this entry point
-	return res
-}
-
-// Trace runs to the safe set under a single scheduler stream, invoking
-// observe every cadence interactions (0 means n) and once more at the end.
-// Unlike the historical implementation, a system already in the safe set
-// returns immediately with zero interactions instead of executing one
-// cadence chunk first; all other schedules are dealt identically.
-//
-// Deprecated: use Run(Observe(cadence, observe), PollEvery(cadence),
-// SchedulerSeed(seed), MaxInteractions(max)).
-func (s *System) Trace(schedulerSeed uint64, max, cadence uint64, observe func(Snapshot)) Result {
-	if cadence == 0 {
-		cadence = uint64(s.N())
-	}
-	return s.Run(Until(SafeSet), SchedulerSeed(schedulerSeed), MaxInteractions(max),
-		PollEvery(cadence), Observe(cadence, observe))
 }

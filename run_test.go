@@ -9,10 +9,10 @@ import (
 	"sspp/internal/rng"
 )
 
-// buildCorePair builds a System and a bare core.Protocol with identical
-// configuration and adversarial start, so a facade run can be compared
-// against the legacy core run loops pair for pair.
-func buildCorePair(t *testing.T, n, r int, seed uint64, class Adversary, advSeed uint64) (*System, *core.Protocol) {
+// buildCorePair builds a registry System and a custom System over a bare
+// core.Protocol with identical configuration and adversarial start, so the
+// two construction paths can be compared run for run.
+func buildCorePair(t *testing.T, n, r int, seed uint64, class Adversary, advSeed uint64) (*System, *System) {
 	t.Helper()
 	sys, err := New(Config{N: n, R: r, Seed: seed})
 	if err != nil {
@@ -30,112 +30,110 @@ func buildCorePair(t *testing.T, n, r int, seed uint64, class Adversary, advSeed
 			t.Fatal(err)
 		}
 	}
-	return sys, p
+	custom, err := NewCustom(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, custom
 }
 
-// TestRunToSafeSetGolden pins the acceptance criterion of the API redesign:
-// the deprecated RunToSafeSet wrapper (now a thin shim over Run) returns
-// results identical to the legacy core run loop for identical seeds.
+// TestRunToSafeSetGolden pins Run(Until(SafeSet)) to literal results
+// recorded before the engine was consolidated, for both construction paths
+// (New and NewCustom over core.New) under the same seeds.
 func TestRunToSafeSetGolden(t *testing.T) {
 	cases := []struct {
 		n, r      int
 		class     Adversary
 		seed      uint64
 		schedSeed uint64
+		at        uint64 // StabilizedAt == Interactions
 	}{
-		{16, 4, AdversaryTriggered, 1, 2},
-		{16, 4, AdversaryTwoLeaders, 3, 4},
-		{24, 6, AdversaryRandomGarbage, 5, 6},
-		{16, 8, "", 7, 8},
-		{12, 3, AdversaryStuckRankers, 9, 10},
+		{16, 4, AdversaryTriggered, 1, 2, 7128},
+		{16, 4, AdversaryTwoLeaders, 3, 4, 7380},
+		{24, 6, AdversaryRandomGarbage, 5, 6, 12038},
+		{16, 8, "", 7, 8, 4329},
+		{12, 3, AdversaryStuckRankers, 9, 10, 4809},
 	}
 	for _, c := range cases {
-		sys, p := buildCorePair(t, c.n, c.r, c.seed, c.class, c.seed+50)
-		budget := sys.DefaultBudget()
-		res := sys.RunToSafeSet(c.schedSeed, 0)
-		took, ok := p.RunToSafeSet(rng.New(c.schedSeed), budget)
-		if res.Stabilized != ok || res.Interactions != took {
-			t.Errorf("n=%d r=%d class=%q: wrapper (%d, %v) != legacy (%d, %v)",
-				c.n, c.r, c.class, res.Interactions, res.Stabilized, took, ok)
+		sys, custom := buildCorePair(t, c.n, c.r, c.seed, c.class, c.seed+50)
+		opts := []RunOption{Until(SafeSet), SchedulerSeed(c.schedSeed), MaxInteractions(sys.DefaultBudget())}
+		res := sys.Run(opts...)
+		want := Result{Interactions: c.at, Stabilized: true, StabilizedAt: c.at,
+			ParallelTime: float64(c.at) / float64(c.n), Condition: "safe-set"}
+		if res != want {
+			t.Errorf("n=%d r=%d class=%q: Run = %+v, want %+v", c.n, c.r, c.class, res, want)
 		}
-		if ok {
-			want := float64(took) / float64(c.n)
-			if res.ParallelTime != want {
-				t.Errorf("parallel time %v, want %v", res.ParallelTime, want)
-			}
-			if res.StabilizedAt != took {
-				t.Errorf("StabilizedAt %d, want %d", res.StabilizedAt, took)
-			}
+		if got := custom.Run(opts...); got != res {
+			t.Errorf("n=%d r=%d class=%q: NewCustom(core.New) run %+v != New run %+v",
+				c.n, c.r, c.class, got, res)
 		}
 	}
 }
 
-// TestRunToStableOutputGolden: the deprecated RunToStableOutput wrapper
-// matches the legacy core loop bit for bit, including the historical
-// contract that Interactions reports the start of the confirmed stretch.
+// TestRunToStableOutputGolden pins Run(Until(CorrectOutput), Confirm(w)) to
+// literal (StabilizedAt, Interactions, Stabilized) results recorded before
+// the engine was consolidated, for both construction paths.
 func TestRunToStableOutputGolden(t *testing.T) {
 	cases := []struct {
-		n, r         int
-		class        Adversary
-		seed         uint64
-		schedSeed    uint64
-		max, confirm uint64
+		n, r             int
+		class            Adversary
+		seed             uint64
+		schedSeed        uint64
+		max, confirm     uint64
+		at, interactions uint64
+		stabilized       bool
 	}{
-		{16, 8, "", 4, 7, 0, 0},
-		{16, 4, AdversaryTriggered, 11, 12, 0, 100},
-		{16, 4, AdversaryNoLeader, 13, 14, 0, 0},
-		{16, 4, AdversaryTriggered, 15, 16, 500, 50}, // tight budget: not stabilized
+		{16, 8, "", 4, 7, 0, 320, 1575, 1895, true},
+		{16, 4, AdversaryTriggered, 11, 12, 0, 100, 3295, 3395, true},
+		{16, 4, AdversaryNoLeader, 13, 14, 0, 320, 3455, 3775, true},
+		{16, 4, AdversaryTriggered, 15, 16, 500, 50, 0, 500, false}, // tight budget
 	}
 	for _, c := range cases {
-		sys, p := buildCorePair(t, c.n, c.r, c.seed, c.class, c.seed+50)
-		budget := c.max
-		if budget == 0 {
-			budget = sys.DefaultBudget()
+		sys, custom := buildCorePair(t, c.n, c.r, c.seed, c.class, c.seed+50)
+		max := c.max
+		if max == 0 {
+			max = sys.DefaultBudget()
 		}
-		confirm := c.confirm
-		if confirm == 0 {
-			confirm = uint64(20 * c.n)
+		opts := []RunOption{Until(CorrectOutput), SchedulerSeed(c.schedSeed),
+			MaxInteractions(max), Confirm(c.confirm)}
+		res := sys.Run(opts...)
+		if res.StabilizedAt != c.at || res.Interactions != c.interactions || res.Stabilized != c.stabilized {
+			t.Errorf("n=%d r=%d class=%q: Run = (%d, %d, %v), want (%d, %d, %v)",
+				c.n, c.r, c.class, res.StabilizedAt, res.Interactions, res.Stabilized,
+				c.at, c.interactions, c.stabilized)
 		}
-		res := sys.RunToStableOutput(c.schedSeed, c.max, c.confirm)
-		at, ok := p.RunToOutputStable(rng.New(c.schedSeed), budget, confirm)
-		if res.Stabilized != ok || res.Interactions != at {
-			t.Errorf("n=%d r=%d class=%q: wrapper (%d, %v) != legacy (%d, %v)",
-				c.n, c.r, c.class, res.Interactions, res.Stabilized, at, ok)
+		if got := custom.Run(opts...); got != res {
+			t.Errorf("n=%d r=%d class=%q: NewCustom(core.New) run %+v != New run %+v",
+				c.n, c.r, c.class, got, res)
 		}
 	}
 }
 
-// TestTraceGolden pins the deprecated Trace wrapper to the Run option list
-// its doc comment names: identical Result, identical observation stream.
+// TestTraceGolden pins a traced run — Observe and PollEvery on one cadence —
+// to its literal result and observation stream, recorded before the engine
+// was consolidated.
 func TestTraceGolden(t *testing.T) {
-	build := func() *System {
-		sys, err := New(Config{N: 16, R: 4, Seed: 61})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Inject(AdversaryTriggered, 62); err != nil {
-			t.Fatal(err)
-		}
-		return sys
+	sys, err := New(Config{N: 16, R: 4, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Inject(AdversaryTriggered, 62); err != nil {
+		t.Fatal(err)
 	}
 	const cadence = 64
-	var traceObs, runObs []uint64
-	resTrace := build().Trace(63, 0, cadence, func(s Snapshot) {
-		traceObs = append(traceObs, s.Interactions)
-	})
-	resRun := build().Run(Until(SafeSet), SchedulerSeed(63), MaxInteractions(0),
-		PollEvery(cadence), Observe(cadence, func(s Snapshot) {
-			runObs = append(runObs, s.Interactions)
-		}))
-	if resTrace != resRun {
-		t.Fatalf("Trace %+v != documented replacement %+v", resTrace, resRun)
+	var obs []uint64
+	res := sys.Run(Until(SafeSet), SchedulerSeed(63), PollEvery(cadence),
+		Observe(cadence, func(s Snapshot) { obs = append(obs, s.Interactions) }))
+	want := Result{Interactions: 7168, Stabilized: true, ParallelTime: 448, StabilizedAt: 7168, Condition: "safe-set"}
+	if res != want {
+		t.Fatalf("Run = %+v, want %+v", res, want)
 	}
-	if len(traceObs) == 0 || len(traceObs) != len(runObs) {
-		t.Fatalf("observation streams diverge: %v vs %v", traceObs, runObs)
+	if len(obs) != 112 {
+		t.Fatalf("%d observations, want 112", len(obs))
 	}
-	for i := range traceObs {
-		if traceObs[i] != runObs[i] {
-			t.Fatalf("observation %d diverges: %d vs %d", i, traceObs[i], runObs[i])
+	for i, at := range obs {
+		if at != uint64(cadence*(i+1)) {
+			t.Fatalf("observation %d at %d, want %d", i, at, cadence*(i+1))
 		}
 	}
 }

@@ -95,9 +95,9 @@ func TestRunToStableOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.RunToStableOutput(7, 0, 0)
-	if !res.Stabilized {
-		t.Fatal("output never stabilized")
+	res := sys.Run(Until(CorrectOutput), SchedulerSeed(7), Confirm(uint64(20*sys.N())))
+	if !res.Stabilized || res.StabilizedAt != 1575 || res.Interactions != 1895 {
+		t.Fatalf("Run = %+v, want stabilized at 1575 after 1895 interactions", res)
 	}
 	if !sys.Correct() {
 		t.Fatal("output-stable but incorrect")

@@ -155,6 +155,7 @@ func (s *System) applyWorkloadEvent(ev workload.Event) error {
 // fired event's census diff.
 type traceRecorder struct {
 	s      *System
+	sched  Scheduler
 	keyer  sim.StateKeyer
 	proto  string
 	n0     int
@@ -163,19 +164,22 @@ type traceRecorder struct {
 	events []workload.TraceEvent
 }
 
-func newTraceRecorder(s *System) *traceRecorder {
-	r := &traceRecorder{s: s, proto: s.ProtocolName(), n0: s.N()}
+func newTraceRecorder(s *System, sched Scheduler) *traceRecorder {
+	r := &traceRecorder{s: s, sched: sched, proto: s.ProtocolName(), n0: s.N()}
 	r.keyer, _ = sim.AsStateKeyer(s.proto)
 	return r
 }
 
-// pair records one dealt interaction with the agents' pre-interaction state
-// keys.
-func (r *traceRecorder) pair(a, b int) {
+// Pair deals the next interaction from the wrapped scheduler and records
+// it with the agents' pre-interaction state keys, so a traced run steps
+// through the same sim.Steps kernel as an untraced one.
+func (r *traceRecorder) Pair(n int) (a, b int) {
+	a, b = r.sched.Pair(n)
 	r.pairs = append(r.pairs, int32(a), int32(b))
 	if r.keyer != nil {
 		r.keys = append(r.keys, r.keyer.StateKey(a), r.keyer.StateKey(b))
 	}
+	return a, b
 }
 
 // census snapshots the population's state multiset (nil when the protocol
