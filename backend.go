@@ -45,45 +45,27 @@ const SpeciesAutoThreshold = 1 << 16
 // stream from the protocol seed; engine runs rebind the scheduler stream.
 const speciesSeedSalt = 0xA5A5_5A5A_0F0F_F0F0
 
-// resolveBackend maps a Config.Backend value to the concrete backend for
-// the given protocol spec. A resolution landing on the species backend is
-// rejected when the configuration asks for a non-complete topology: the
-// species backend samples state pairs from counts, so agent adjacency does
-// not exist there (capability table, DESIGN.md §9). The auto threshold
-// fails fast too rather than silently degrading a million-agent run to the
-// agent backend.
-func resolveBackend(cfg Config, spec *protocolSpec) (string, error) {
-	_, compactable := sim.AsCompactable(spec.zero)
-	species := func() (string, error) {
-		if cfg.SyntheticCoins {
-			return "", fmt.Errorf("sspp: synthetic-coin mode has no species form "+
-				"(the Appendix B coin state is per-agent identity) — protocol %q with synthetic coins needs Backend: %q",
-				spec.name, BackendAgent)
-		}
-		if !cfg.Topology.IsComplete() {
-			return "", fmt.Errorf("sspp: the species backend supports only the complete topology "+
-				"(state-pair sampling has no agent adjacency; see the capability table, DESIGN.md §9) — "+
-				"protocol %q with topology %q needs Backend: %q", spec.name, cfg.Topology.Name(), BackendAgent)
-		}
-		return BackendSpecies, nil
+// checkSpecies rejects a species-backend resolution the species form
+// cannot run: a protocol without the compactable capability, synthetic
+// coins (the Appendix B coin state is per-agent identity), or a non-complete
+// topology (state-pair sampling has no agent adjacency; capability table,
+// DESIGN.md §9). An auto resolution fails here too, rather than silently
+// degrading a million-agent run to the agent backend.
+func (spec *protocolSpec) checkSpecies(cfg Config) error {
+	if _, ok := sim.AsCompactable(spec.zero); !ok {
+		return fmt.Errorf("sspp: protocol %q has no species form (missing the compactable capability)", spec.name)
 	}
-	switch cfg.Backend {
-	case "", BackendAgent:
-		return BackendAgent, nil
-	case BackendSpecies:
-		if !compactable {
-			return "", fmt.Errorf("sspp: protocol %q has no species form (missing the compactable capability)", spec.name)
-		}
-		return species()
-	case BackendAuto:
-		if compactable && cfg.N >= SpeciesAutoThreshold {
-			return species()
-		}
-		return BackendAgent, nil
-	default:
-		return "", fmt.Errorf("sspp: unknown backend %q (want %q, %q or %q)",
-			cfg.Backend, BackendAgent, BackendSpecies, BackendAuto)
+	if cfg.SyntheticCoins {
+		return fmt.Errorf("sspp: synthetic-coin mode has no species form "+
+			"(the Appendix B coin state is per-agent identity) — protocol %q with synthetic coins needs Backend: %q",
+			spec.name, BackendAgent)
 	}
+	if !cfg.Topology.IsComplete() {
+		return fmt.Errorf("sspp: the species backend supports only the complete topology "+
+			"(state-pair sampling has no agent adjacency; see the capability table, DESIGN.md §9) — "+
+			"protocol %q with topology %q needs Backend: %q", spec.name, cfg.Topology.Name(), BackendAgent)
+	}
+	return nil
 }
 
 // compactProto converts a freshly built agent-level protocol to its species
@@ -204,9 +186,8 @@ func NewSpecies(model SpeciesModel) (*System, error) {
 		return nil, fmt.Errorf("sspp: %w", err)
 	}
 	return &System{
-		proto:   species.Capable(sp),
-		events:  sim.NewEvents(),
-		cfg:     Config{N: sp.N(), Backend: BackendSpecies},
-		backend: BackendSpecies,
+		proto:  species.Capable(sp),
+		events: sim.NewEvents(),
+		cfg:    Config{N: sp.N(), Backend: BackendSpecies, Clock: ClockDiscrete},
 	}, nil
 }

@@ -177,7 +177,7 @@ func TestSpeciesCleanStartFastPath(t *testing.T) {
 	if p, err = compactProto(p, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
-	slow := &System{proto: p, events: ev, cfg: cfg, spec: spec, backend: BackendSpecies, clockMode: ClockDiscrete}
+	slow := &System{proto: p, events: ev, cfg: fast.cfg, spec: spec}
 
 	resFast := fast.Run(Until(SafeSet), SchedulerSeed(3))
 	resSlow := slow.Run(Until(SafeSet), SchedulerSeed(3))

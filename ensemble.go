@@ -113,15 +113,6 @@ type Grid struct {
 	Backend string
 }
 
-// gridSeeds resolves the effective per-cell seed count of a grid (0 means
-// the default of 5; negative values are rejected by NewEnsemble).
-func gridSeeds(s int) int {
-	if s == 0 {
-		return 5
-	}
-	return s
-}
-
 // Ensemble executes a Grid across a worker pool. Build with NewEnsemble.
 type Ensemble struct {
 	grid     Grid
@@ -180,41 +171,41 @@ func NewEnsemble(g Grid, opts ...EnsembleOption) (*Ensemble, error) {
 	if len(g.Points) == 0 {
 		return nil, fmt.Errorf("sspp: ensemble grid has no points")
 	}
-	protos := g.Protocols
-	if len(protos) == 0 {
-		protos = []string{""}
+	if g.Seeds < 0 {
+		return nil, fmt.Errorf("sspp: ensemble grid has negative seed count %d", g.Seeds)
 	}
-	topos := g.Topologies
-	if len(topos) == 0 {
-		topos = []Topology{Complete()}
+	if g.Seeds == 0 {
+		g.Seeds = 5
 	}
+	if g.TransientK < 0 {
+		return nil, fmt.Errorf("sspp: ensemble grid has negative transient burst size %d", g.TransientK)
+	}
+	ax := g.axes()
 	// Probe-materialize every non-complete topology at every point, at the
 	// exact protocol seed each trial will use — the random families draw
 	// their graph from that seed, so an unbuildable combination (odd-degree
 	// random-regular on an odd population, an Erdős–Rényi draw with no
 	// edges at one trial's seed) fails the grid up front instead of being
 	// silently aggregated as a failure to stabilize.
-	if seeds := gridSeeds(g.Seeds); seeds > 0 {
-		streams := deriveSeedStreams(g.BaseSeed, seeds)
-		for _, top := range topos {
-			if top.IsComplete() {
-				continue
-			}
-			for _, pt := range g.Points {
-				for s, st := range streams {
-					gr, err := top.materialize(pt.N, st.protoSeed)
-					if err != nil {
-						return nil, fmt.Errorf("sspp: ensemble point (n=%d), seed %d: %w", pt.N, s, err)
-					}
-					// Stabilization is global: on a disconnected graph every
-					// trial would burn its full budget and be aggregated as
-					// a failure to stabilize, so reject the draw instead.
-					if !gr.Connected() {
-						return nil, fmt.Errorf("sspp: ensemble point (n=%d), seed %d: topology %q draws a "+
-							"disconnected graph — no protocol can stabilize across components (raise the "+
-							"density, or probe single systems via System.TopologyConnected)",
-							pt.N, s, top.Name())
-					}
+	streams := deriveSeedStreams(g.BaseSeed, g.Seeds)
+	for _, top := range ax.topos {
+		if top.IsComplete() {
+			continue
+		}
+		for _, pt := range g.Points {
+			for s, st := range streams {
+				gr, err := top.materialize(pt.N, st.protoSeed)
+				if err != nil {
+					return nil, fmt.Errorf("sspp: ensemble point (n=%d), seed %d: %w", pt.N, s, err)
+				}
+				// Stabilization is global: on a disconnected graph every
+				// trial would burn its full budget and be aggregated as a
+				// failure to stabilize, so reject the draw instead.
+				if !gr.Connected() {
+					return nil, fmt.Errorf("sspp: ensemble point (n=%d), seed %d: topology %q draws a "+
+						"disconnected graph — no protocol can stabilize across components (raise the "+
+						"density, or probe single systems via System.TopologyConnected)",
+						pt.N, s, top.Name())
 				}
 			}
 		}
@@ -229,22 +220,20 @@ func NewEnsemble(g Grid, opts ...EnsembleOption) (*Ensemble, error) {
 		}
 		wlFaults, wlChurn = g.Workload.uses()
 		if wlChurn {
-			for _, top := range topos {
+			for _, top := range ax.topos {
 				if !top.IsComplete() {
 					return nil, fmt.Errorf("sspp: the workload's churn phases require the complete topology; topology %q does not support them (see the capability table, DESIGN.md §10)", top.Name())
 				}
 			}
 		}
 	}
-	for _, name := range protos {
+	for _, name := range ax.protos {
 		spec, err := specFor(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, pt := range g.Points {
-			cfg := Config{Protocol: name, N: pt.N, R: pt.R, Tau: g.Tau,
-				SyntheticCoins: g.SyntheticCoins}
-			if err := spec.validate(cfg); err != nil {
+			if err := spec.validate(g.trialConfig(name, "", Complete(), pt)); err != nil {
 				return nil, fmt.Errorf("sspp: ensemble point (n=%d, r=%d) for protocol %q: %w",
 					pt.N, pt.R, spec.name, err)
 			}
@@ -266,22 +255,26 @@ func NewEnsemble(g Grid, opts ...EnsembleOption) (*Ensemble, error) {
 		}
 		// speciesTrials reports whether any of this protocol's trials will
 		// run on the species backend, where agent-identity surfaces
-		// (injection, transient faults) do not exist. Resolution is
-		// delegated per (topology, point) to resolveBackend — the same
-		// function every trial uses — so grid validation can never diverge
-		// from what the trials actually do: a grid never silently skips its
-		// fault model at large n, and a species resolution under a
-		// non-complete topology is rejected here with the capability-table
-		// error.
+		// (injection, transient faults) do not exist. Every (topology, clock,
+		// point) goes through Resolve — the resolution every trial's New
+		// makes — so grid validation can never diverge from what the trials
+		// actually do: a grid never silently skips its fault model at large
+		// n, and a species resolution the species form cannot run (a
+		// non-complete topology, say) is rejected here with New's error.
 		speciesTrials := false
-		for _, top := range topos {
-			for _, pt := range g.Points {
-				backend, err := resolveBackend(Config{Backend: g.Backend, N: pt.N, Topology: top}, spec)
-				if err != nil {
-					return nil, err
-				}
-				if backend == BackendSpecies {
-					speciesTrials = true
+		for _, top := range ax.topos {
+			for _, clock := range ax.clocks {
+				for _, pt := range g.Points {
+					cfg, err := Resolve(g.trialConfig(name, clock, top, pt))
+					if err != nil {
+						return nil, err
+					}
+					if cfg.Backend == BackendSpecies {
+						if err := spec.checkSpecies(cfg); err != nil {
+							return nil, err
+						}
+						speciesTrials = true
+					}
 				}
 			}
 		}
@@ -299,11 +292,6 @@ func NewEnsemble(g Grid, opts ...EnsembleOption) (*Ensemble, error) {
 			}
 		}
 	}
-	for _, c := range g.Clocks {
-		if _, err := resolveClock(c); err != nil {
-			return nil, err
-		}
-	}
 	known := make(map[Adversary]bool)
 	for _, c := range AdversaryClasses() {
 		known[c] = true
@@ -312,13 +300,6 @@ func NewEnsemble(g Grid, opts ...EnsembleOption) (*Ensemble, error) {
 		if a != "" && !known[a] {
 			return nil, fmt.Errorf("sspp: ensemble grid names unknown adversary class %q", a)
 		}
-	}
-	if g.Seeds < 0 {
-		return nil, fmt.Errorf("sspp: ensemble grid has negative seed count %d", g.Seeds)
-	}
-	g.Seeds = gridSeeds(g.Seeds)
-	if g.TransientK < 0 {
-		return nil, fmt.Errorf("sspp: ensemble grid has negative transient burst size %d", g.TransientK)
 	}
 	e := &Ensemble{grid: g}
 	for _, o := range opts {
@@ -438,45 +419,22 @@ type EnsembleResult struct {
 	Cells    []Cell `json:"cells"`
 }
 
-// Cell returns the first cell for the given point and adversary class
-// (across all protocols when the grid crossed several; see ProtocolCell).
-func (r *EnsembleResult) Cell(p Point, a Adversary) (Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Point == p && c.Adversary == a {
-			return c, true
-		}
-	}
-	return Cell{}, false
+// CellKey identifies one cell of an EnsembleResult by the coordinates it is
+// stamped with. An empty Protocol, Topology or Clock names an axis the grid
+// did not cross (its cells carry "" there); an empty Adversary is a clean
+// start.
+type CellKey struct {
+	Protocol  string
+	Topology  string
+	Clock     string
+	Point     Point
+	Adversary Adversary
 }
 
-// ProtocolCell returns the cell for the given protocol, point and adversary
-// class ("" matches the default single-protocol grid).
-func (r *EnsembleResult) ProtocolCell(protocol string, p Point, a Adversary) (Cell, bool) {
+// Cell returns the cell whose coordinates equal key exactly.
+func (r *EnsembleResult) Cell(key CellKey) (Cell, bool) {
 	for _, c := range r.Cells {
-		if c.Protocol == protocol && c.Point == p && c.Adversary == a {
-			return c, true
-		}
-	}
-	return Cell{}, false
-}
-
-// TopologyCell returns the cell for the given protocol, topology name,
-// point and adversary class ("" matches the respective un-crossed axis).
-func (r *EnsembleResult) TopologyCell(protocol, topology string, p Point, a Adversary) (Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Protocol == protocol && c.Topology == topology && c.Point == p && c.Adversary == a {
-			return c, true
-		}
-	}
-	return Cell{}, false
-}
-
-// ClockCell returns the cell for the given protocol, topology name, clock
-// name, point and adversary class ("" matches the respective un-crossed
-// axis).
-func (r *EnsembleResult) ClockCell(protocol, topology, clock string, p Point, a Adversary) (Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Protocol == protocol && c.Topology == topology && c.Clock == clock && c.Point == p && c.Adversary == a {
+		if (CellKey{c.Protocol, c.Topology, c.Clock, c.Point, c.Adversary}) == key {
 			return c, true
 		}
 	}
@@ -677,26 +635,30 @@ func (g *Grid) axes() gridAxes {
 	return ax
 }
 
-// at resolves cell index ci to its grid coordinates (declaration order).
-func (ax *gridAxes) at(g *Grid, ci int) (proto, clock string, top Topology, pt Point, class Adversary) {
-	proto = ax.protos[ci/ax.perProto]
-	top = ax.topos[ci%ax.perProto/ax.perTopo]
-	clock = ax.clocks[ci%ax.perTopo/ax.perClock]
-	pt = g.Points[ci%ax.perClock/len(ax.advs)]
-	class = ax.advs[ci%len(ax.advs)]
-	return
+// at resolves cell index ci to the trial Config of its coordinates (Seed
+// unset) and its adversary class, in declaration order.
+func (ax *gridAxes) at(g *Grid, ci int) (Config, Adversary) {
+	cfg := g.trialConfig(ax.protos[ci/ax.perProto], ax.clocks[ci%ax.perTopo/ax.perClock],
+		ax.topos[ci%ax.perProto/ax.perTopo], g.Points[ci%ax.perClock/len(ax.advs)])
+	return cfg, ax.advs[ci%len(ax.advs)]
 }
 
-// runTrial executes one (protocol, topology, point, adversary, seed) trial:
-// build, optionally inject, run to the stabilization condition — and, in
-// TransientK mode, corrupt and run again, reporting the recovery. ci and s
-// identify the trial for the ObserveTrials hook.
-func (e *Ensemble) runTrial(ci, s int, proto, clock string, top Topology, pt Point, class Adversary, st seedStreams) trialOutcome {
+// trialConfig is the Config every trial at the given coordinates builds,
+// before its protocol seed is set.
+func (g *Grid) trialConfig(proto, clock string, top Topology, pt Point) Config {
+	return Config{Protocol: proto, N: pt.N, R: pt.R, SyntheticCoins: g.SyntheticCoins,
+		Tau: g.Tau, Backend: g.Backend, Topology: top, Clock: clock}
+}
+
+// runTrial executes one (cell, seed) trial from the cell's Config and
+// adversary class: build, optionally inject, run to the stabilization
+// condition — and, in TransientK mode, corrupt and run again, reporting the
+// recovery. ci and s identify the trial for the ObserveTrials hook.
+func (e *Ensemble) runTrial(ci, s int, cfg Config, class Adversary, st seedStreams) trialOutcome {
 	g := e.grid
 	advSrc, schedSrc := st.adv, st.sched
-	sys, err := New(Config{Protocol: proto, N: pt.N, R: pt.R, Seed: st.protoSeed,
-		SyntheticCoins: g.SyntheticCoins, Tau: g.Tau, Backend: g.Backend, Topology: top,
-		Clock: clock})
+	cfg.Seed = st.protoSeed
+	sys, err := New(cfg)
 	if err != nil {
 		return trialOutcome{}
 	}
@@ -760,8 +722,8 @@ func (e *Ensemble) Run() *EnsembleResult {
 
 	outs := trials.Run(e.workers, jobs, g.BaseSeed, func(j int, _ *rng.PRNG) trialOutcome {
 		ci, s := j/g.Seeds, j%g.Seeds
-		proto, clock, top, pt, class := ax.at(&g, ci)
-		return e.runTrial(ci, s, proto, clock, top, pt, class, streams[s])
+		cfg, class := ax.at(&g, ci)
+		return e.runTrial(ci, s, cfg, class, streams[s])
 	})
 
 	out := &EnsembleResult{
@@ -857,37 +819,31 @@ func (e *Ensemble) TrialRecording(ci, s int) (*Recording, uint64, error) {
 	if ci < 0 || ci >= ax.cells() {
 		return nil, 0, fmt.Errorf("sspp: cell index %d out of range [0, %d)", ci, ax.cells())
 	}
-	seeds := gridSeeds(g.Seeds)
-	if s < 0 || s >= seeds {
-		return nil, 0, fmt.Errorf("sspp: seed index %d out of range [0, %d)", s, seeds)
+	if s < 0 || s >= g.Seeds {
+		return nil, 0, fmt.Errorf("sspp: seed index %d out of range [0, %d)", s, g.Seeds)
 	}
-	proto, clock, top, pt, class := ax.at(&g, ci)
+	cfg, class := ax.at(&g, ci)
 	if class != "" {
 		return nil, 0, fmt.Errorf("sspp: trial recording requires a clean start (cell %d starts from adversary class %q, drawn from a stream the public replay cannot re-derive)", ci, class)
 	}
 	if g.TransientK > 0 || g.Workload != nil {
 		return nil, 0, fmt.Errorf("sspp: trial recording does not cover TransientK or Workload grids (their fault streams are not part of the schedule)")
 	}
-	if !top.IsComplete() {
-		return nil, 0, fmt.Errorf("sspp: trial recording requires the complete topology (cell %d uses %q; capture edge-indexed schedules with NewRecorder directly)", ci, top.Name())
+	if !cfg.Topology.IsComplete() {
+		return nil, 0, fmt.Errorf("sspp: trial recording requires the complete topology (cell %d uses %q; capture edge-indexed schedules with NewRecorder directly)", ci, cfg.Topology.Name())
 	}
-	spec, err := specFor(proto)
+	cfg, err := Resolve(cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	backend, err := resolveBackend(Config{Backend: g.Backend, N: pt.N, Topology: top}, spec)
-	if err != nil {
-		return nil, 0, err
+	if cfg.Backend != BackendAgent {
+		return nil, 0, fmt.Errorf("sspp: trial recording requires the agent backend (cell %d resolves to %q, which consumes scheduler randomness in bulk draws, not pairs)", ci, cfg.Backend)
 	}
-	if backend != BackendAgent {
-		return nil, 0, fmt.Errorf("sspp: trial recording requires the agent backend (cell %d resolves to %q, which consumes scheduler randomness in bulk draws, not pairs)", ci, backend)
-	}
-	st := deriveSeedStreams(g.BaseSeed, seeds)[s]
+	st := deriveSeedStreams(g.BaseSeed, g.Seeds)[s]
 	schedSrc := st.sched
 	rec := NewRecorder(&schedSrc)
-	sys, err := New(Config{Protocol: proto, N: pt.N, R: pt.R, Seed: st.protoSeed,
-		SyntheticCoins: g.SyntheticCoins, Tau: g.Tau, Backend: g.Backend, Topology: top,
-		Clock: clock})
+	cfg.Seed = st.protoSeed
+	sys, err := New(cfg)
 	if err != nil {
 		return nil, 0, err
 	}

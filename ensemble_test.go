@@ -83,7 +83,7 @@ func TestEnsembleReproducesExperimentNumbers(t *testing.T) {
 		}
 		for _, pt := range grid.Points {
 			for _, class := range grid.Adversaries {
-				cell, ok := res.Cell(Point{N: pt.N, R: pt.R}, class)
+				cell, ok := res.Cell(CellKey{Point: Point{N: pt.N, R: pt.R}, Adversary: class})
 				if !ok {
 					t.Fatalf("cell (%d, %d, %s) missing", pt.N, pt.R, class)
 				}
@@ -240,12 +240,12 @@ func TestEnsembleClockAxis(t *testing.T) {
 	// at matched seeds the stabilization interaction counts are identical,
 	// clock to clock and to the un-crossed grid.
 	for _, pt := range base.Points {
-		plain, ok := plainRes.Cell(pt, AdversaryTriggered)
+		plain, ok := plainRes.Cell(CellKey{Point: pt, Adversary: AdversaryTriggered})
 		if !ok {
 			t.Fatalf("plain cell %+v missing", pt)
 		}
 		for _, clock := range clocked.Clocks {
-			cell, ok := res.ClockCell("", "", clock, pt, AdversaryTriggered)
+			cell, ok := res.Cell(CellKey{Clock: clock, Point: pt, Adversary: AdversaryTriggered})
 			if !ok {
 				t.Fatalf("cell (%s, %+v) missing", clock, pt)
 			}

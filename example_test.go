@@ -114,8 +114,8 @@ func ExampleEnsemble() {
 		fmt.Printf("n=%d r=%d %s: %d/%d recovered\n",
 			cell.Point.N, cell.Point.R, cell.Adversary, cell.Recovered, cell.Seeds)
 	}
-	fast, _ := out.Cell(sspp.Point{N: 16, R: 8}, sspp.AdversaryTriggered)
-	slow, _ := out.Cell(sspp.Point{N: 16, R: 4}, sspp.AdversaryTriggered)
+	fast, _ := out.Cell(sspp.CellKey{Point: sspp.Point{N: 16, R: 8}, Adversary: sspp.AdversaryTriggered})
+	slow, _ := out.Cell(sspp.CellKey{Point: sspp.Point{N: 16, R: 4}, Adversary: sspp.AdversaryTriggered})
 	fmt.Println("larger r is faster:", fast.Interactions.Mean < slow.Interactions.Mean)
 	// Output:
 	// n=16 r=4 triggered: 3/3 recovered

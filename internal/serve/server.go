@@ -84,7 +84,8 @@ type Options struct {
 	MaxCells int
 	// MaxBodyBytes bounds the POST /v1/grids request body (0: 1 MiB).
 	MaxBodyBytes int64
-	// MaxN bounds Point.N in submitted grids (0: 10,000,000 — the species
+	// MaxN bounds Point.N in submitted grids, and the events and population
+	// a grid's workload schedules per trial (0: 10,000,000 — the species
 	// backend handles that comfortably; raise it for bigger deployments).
 	MaxN int
 	// MaxSeeds bounds the per-cell trial count (0: 10,000).
@@ -152,6 +153,7 @@ type Server struct {
 	memHits  atomic.Uint64 // cells served from the in-memory LRU
 	diskHits atomic.Uint64 // cells served from the on-disk store
 	replays  atomic.Uint64 // trial recordings computed
+	diskErrs atomic.Uint64 // cell and replay writes the on-disk store dropped
 }
 
 // maxJobs bounds the retained-job map; the oldest finished jobs are
@@ -261,11 +263,32 @@ func (s *Server) handleProtocols(w http.ResponseWriter, _ *http.Request) {
 // checkLimits enforces the server's per-request resource caps on a decoded
 // grid spec — the endpoint is unauthenticated, so a single submission must
 // not be able to pin unbounded memory or CPU. maxCells bounds only the
-// cross-product count; these bound the cost of each cell.
+// cross-product count; these bound the cost of each cell. A workload is
+// bounded before any trial compiles it: the engine materializes one event
+// per scheduled join or leave, so neither the events a trial schedules nor
+// the population they can grow to may exceed maxN. Open-ended phases
+// (end 0) run to the trial budget, which is bounded here by
+// max_interactions, or by this server's interaction limit when the spec
+// leaves the budget to the protocol's default.
 func (s *Server) checkLimits(spec *GridSpec) error {
+	horizon := spec.MaxInteractions
+	if horizon == 0 {
+		horizon = s.maxTrialInter
+	}
 	for _, pt := range spec.Points {
 		if pt.N > s.maxN {
 			return fmt.Errorf("point n=%d is over this server's %d-agent limit", pt.N, s.maxN)
+		}
+		events, peak := 0.0, float64(pt.N)
+		for _, p := range spec.Workload {
+			e, j := p.load(pt.N, horizon)
+			events += e
+			peak += j
+		}
+		if events > float64(s.maxN) || peak > float64(s.maxN) {
+			return fmt.Errorf("the workload schedules %.3g events and up to %.3g agents at n=%d, "+
+				"over this server's %d limit (bound open-ended phases with end or max_interactions)",
+				events, peak, pt.N, s.maxN)
 		}
 	}
 	if spec.Seeds > s.maxSeeds {
@@ -525,7 +548,11 @@ func (s *Server) cellBytes(cs *CellSpec, key string, checkpointEvery uint64) (b 
 		return nil, "", err
 	}
 	if s.store != nil {
-		s.store.putCell(key, b) // best effort: the disk layer is an accelerator
+		// Best effort: the disk layer is an accelerator, so a failed write
+		// only shows in the stats.
+		if s.store.putCell(key, b) != nil {
+			s.diskErrs.Add(1)
+		}
 	}
 	return b, "computed", nil
 }
@@ -838,8 +865,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if s.store != nil {
-		s.store.putReplay(key, seed, b) // best effort
+	if s.store != nil && s.store.putReplay(key, seed, b) != nil {
+		s.diskErrs.Add(1) // best effort, as for cells
 	}
 	w.Header().Set("X-Sppd-Cache", "computed")
 	w.Header().Set("Content-Type", "application/json")
@@ -852,17 +879,18 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	inflight := len(s.flight)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"grids":          s.grids.Load(),
-		"cells_computed": s.computed.Load(),
-		"dedup_hits":     s.deduped.Load(),
-		"memory_hits":    s.memHits.Load(),
-		"disk_hits":      s.diskHits.Load(),
-		"replays":        s.replays.Load(),
-		"cache_entries":  entries,
-		"in_flight":      inflight,
-		"workers":        cap(s.sem),
-		"hash_version":   HashVersion,
-		"engine_epoch":   EngineEpoch,
-		"schema_version": ResultSchemaVersion,
+		"grids":             s.grids.Load(),
+		"cells_computed":    s.computed.Load(),
+		"dedup_hits":        s.deduped.Load(),
+		"memory_hits":       s.memHits.Load(),
+		"disk_hits":         s.diskHits.Load(),
+		"replays":           s.replays.Load(),
+		"disk_write_errors": s.diskErrs.Load(),
+		"cache_entries":     entries,
+		"in_flight":         inflight,
+		"workers":           cap(s.sem),
+		"hash_version":      HashVersion,
+		"engine_epoch":      EngineEpoch,
+		"schema_version":    ResultSchemaVersion,
 	})
 }

@@ -478,12 +478,12 @@ func TestRequestHardening(t *testing.T) {
 	}
 
 	for _, path := range []string{
-		"/v1/cells/..%2Fsecret",                          // traversal into the store dir
-		"/v1/cells/..%2F..%2Fsecret",                     // traversal out of the store dir
-		"/v1/cells/" + strings.Repeat("A", 64),           // uppercase: not canonical
-		"/v1/cells/" + strings.Repeat("a", 63),           // wrong length
-		"/v1/cells/" + strings.Repeat("g", 64),           // not hex
-		"/v1/cells/..%2Fsecret/replay",                   // traversal via the replay endpoint
+		"/v1/cells/..%2Fsecret",                // traversal into the store dir
+		"/v1/cells/..%2F..%2Fsecret",           // traversal out of the store dir
+		"/v1/cells/" + strings.Repeat("A", 64), // uppercase: not canonical
+		"/v1/cells/" + strings.Repeat("a", 63), // wrong length
+		"/v1/cells/" + strings.Repeat("g", 64), // not hex
+		"/v1/cells/..%2Fsecret/replay",         // traversal via the replay endpoint
 		"/v1/cells/" + strings.Repeat("A", 64) + "/replay",
 	} {
 		req, err := http.NewRequest("GET", ts.URL+path, nil)
@@ -517,6 +517,22 @@ func TestRequestHardening(t *testing.T) {
 		"seeds over cap": {Points: []sspp.Point{{N: 32, R: 8}}, Seeds: 10},
 		"budget over cap": {Points: []sspp.Point{{N: 32, R: 8}}, Seeds: 1,
 			MaxInteractions: 1 << 30},
+		// Workloads: the engine materializes one event per join or leave, so
+		// the schedule and the population it reaches are capped by MaxN.
+		"step events over cap": {Points: []sspp.Point{{N: 32, R: 8}}, Seeds: 1,
+			Workload: []PhaseSpec{{Kind: "population-step", At: 10, Delta: -500}}},
+		"step population over cap": {Points: []sspp.Point{{N: 32, R: 8}}, Seeds: 1,
+			Workload: []PhaseSpec{{Kind: "population-step", At: 10, Delta: 200}}},
+		"step of 2^20 joins": {Points: []sspp.Point{{N: 32, R: 8}}, Seeds: 1,
+			Workload: []PhaseSpec{{Kind: "population-step", At: 10, Delta: 1 << 20}}},
+		"churn rate over cap": {Points: []sspp.Point{{N: 32, R: 8}}, Seeds: 1,
+			Workload: []PhaseSpec{{Kind: "join-leave-churn", End: 10000, Rate: 1, JoinFrac: 0.5}}},
+		"unbounded churn rate": {Points: []sspp.Point{{N: 32, R: 8}}, Seeds: 1,
+			Workload: []PhaseSpec{{Kind: "join-leave-churn", Rate: 1e300, JoinFrac: 0.5}}},
+		"open-ended churn under the default budget": {Points: []sspp.Point{{N: 32, R: 8}}, Seeds: 1,
+			Workload: []PhaseSpec{{Kind: "replacement-churn", Rate: 0.01}}},
+		"bursts over cap": {Points: []sspp.Point{{N: 32, R: 8}}, Seeds: 1, MaxInteractions: 1000,
+			Workload: []PhaseSpec{{Kind: "churn-bursts", Every: 10, Joins: 1, Leaves: 1}}},
 	} {
 		code, body, _ := submit(t, ts, spec, "")
 		if code != http.StatusBadRequest {
@@ -524,9 +540,76 @@ func TestRequestHardening(t *testing.T) {
 		}
 	}
 
-	// A grid inside every limit still computes.
-	if code, body, _ := submit(t, ts, smallGrid(), ""); code != http.StatusOK {
-		t.Errorf("in-limit grid: status %d, body %s, want 200", code, body)
+	// Grids inside every limit still compute, with and without a bounded
+	// workload.
+	churn := smallGrid()
+	churn.Workload = []PhaseSpec{{Kind: "replacement-churn", Start: 100, End: 2000, Rate: 0.5, Seed: 7}}
+	for _, spec := range []GridSpec{smallGrid(), churn} {
+		if code, body, _ := submit(t, ts, spec, ""); code != http.StatusOK {
+			t.Errorf("in-limit grid %+v: status %d, body %s, want 200", spec, code, body)
+		}
+	}
+}
+
+// TestDiskWriteErrorsCounted: the disk store is best effort, so a failed
+// cell or replay write must not fail the request, but it must show in
+// /v1/stats. Root ignores permission bits, so the writes are made to fail
+// by replacing the store's directories with regular files.
+func TestDiskWriteErrorsCounted(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Options{Workers: 1, Dir: dir})
+	for _, sub := range []string{"cells", "replays"} {
+		path := filepath.Join(dir, sub)
+		if err := os.RemoveAll(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("not a directory"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := func() float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st["disk_write_errors"].(float64)
+	}
+	if got := stats(); got != 0 {
+		t.Fatalf("disk_write_errors = %v before any write, want 0", got)
+	}
+
+	code, body, _ := submit(t, ts, smallGrid(), "")
+	if code != http.StatusOK {
+		t.Fatalf("submit with a broken store: status %d, body %s, want 200", code, body)
+	}
+	if got := stats(); got != 1 {
+		t.Fatalf("disk_write_errors = %v after one dropped cell write, want 1", got)
+	}
+
+	var gr GridResult
+	if err := json.Unmarshal(body, &gr); err != nil {
+		t.Fatal(err)
+	}
+	var cr CellResult
+	if err := json.Unmarshal(gr.Cells[0], &cr); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/cells/" + cr.Hash + "/replay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("replay with a broken store: status %d, want 200", resp.StatusCode)
+	}
+	if got := stats(); got != 2 {
+		t.Fatalf("disk_write_errors = %v after a dropped replay write, want 2", got)
 	}
 }
 

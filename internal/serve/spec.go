@@ -14,12 +14,16 @@
 //
 // spec.go defines the request surface (GridSpec), its decomposition into
 // resolved per-cell configs (CellSpec), and the compilation of a CellSpec
-// back into a one-cell sspp.Grid. hash.go canonically encodes a CellSpec
-// into its content address. server.go serves the HTTP API.
+// back into a one-cell sspp.Grid. The service resolves nothing itself:
+// protocol, backend and clock selectors go through sspp.Resolve, the same
+// resolver every System is built through, so a content address always
+// names the computation the engine runs. hash.go canonically encodes a
+// CellSpec into its content address. server.go serves the HTTP API.
 package serve
 
 import (
 	"fmt"
+	"math"
 
 	"sspp"
 )
@@ -130,12 +134,50 @@ func (p PhaseSpec) compile() (sspp.WorkloadPhase, error) {
 	}
 }
 
+// load bounds what the phase schedules for one trial starting at n agents
+// over a run horizon of horizon interactions: its event count and the most
+// agents it can add. Poisson processes count their expected arrivals. The
+// arithmetic is in float64 so absurd inputs saturate instead of wrapping.
+func (p PhaseSpec) load(n int, horizon uint64) (events, joins float64) {
+	window := func() float64 {
+		end := p.End
+		if end == 0 || end > horizon {
+			end = horizon
+		}
+		if p.Start >= end {
+			return 0
+		}
+		return float64(end - p.Start)
+	}
+	switch p.Kind {
+	case "join":
+		return 1, 1
+	case "replacement-churn":
+		arrivals := math.Max(p.Rate, 0) * window() / float64(max(n, 1))
+		return 2 * arrivals, 0
+	case "join-leave-churn":
+		arrivals := math.Max(p.Rate, 0) * window() / float64(max(n, 1))
+		return arrivals, arrivals * math.Min(math.Max(p.JoinFrac, 0), 1)
+	case "churn-bursts":
+		if p.Every == 0 {
+			return 0, 0
+		}
+		bursts := math.Ceil(window() / float64(p.Every))
+		j, l := float64(max(p.Joins, 0)), float64(max(p.Leaves, 0))
+		return bursts * (j + l), bursts * j
+	case "population-step":
+		return math.Abs(float64(p.Delta)), math.Max(float64(p.Delta), 0)
+	default: // transient-burst, reinjection, leave
+		return 1, 0
+	}
+}
+
 // CellSpec is one fully resolved cell of a GridSpec: every axis value made
-// explicit and every selector resolved ("" → "electleader", "auto" → the
-// concrete backend, "" → "discrete", topology names canonicalized). The
-// resolved form is what gets content-addressed (hash.go): two requests that
-// mean the same cell always hash to the same address, however they spelled
-// their selectors.
+// explicit, protocol, backend and clock resolved by sspp.Resolve — the
+// engine's own resolver, so "auto" names the backend that will actually
+// run — and topology names canonicalized. The resolved form is what gets
+// content-addressed (hash.go): two requests that mean the same cell always
+// hash to the same address, however they spelled their selectors.
 type CellSpec struct {
 	Protocol  string     `json:"protocol"`
 	Backend   string     `json:"backend"`
@@ -154,54 +196,12 @@ type CellSpec struct {
 	Workload        []PhaseSpec `json:"workload,omitempty"`
 }
 
-// protocolCompactable reports whether the named registry protocol has a
-// species form, from the public capability table.
-func protocolCompactable(name string) bool {
-	for _, info := range sspp.Protocols() {
-		if info.Name != name {
-			continue
-		}
-		for _, c := range info.Capabilities {
-			if c == sspp.CapabilityCompactable {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// resolveBackend mirrors the public backend resolution for hashing: the
-// cell's content address must name the backend that will actually run, not
-// the selector. Validation proper is sspp's job (compileGrid + NewEnsemble
-// reject illegal combinations); this only needs the auto rule — species for
-// compactable protocols at populations of SpeciesAutoThreshold or more.
-// Like sspp's resolveBackend, an auto resolution that lands on species for
-// an illegal combination (non-complete topology, synthetic coins) resolves
-// to species anyway and fails per-cell validation, rather than silently
-// degrading a million-agent run to the agent backend.
-func resolveBackend(selector, protocol string, n int) (string, error) {
-	switch selector {
-	case "", sspp.BackendAgent:
-		return sspp.BackendAgent, nil
-	case sspp.BackendSpecies:
-		return sspp.BackendSpecies, nil
-	case sspp.BackendAuto:
-		if protocolCompactable(protocol) && n >= sspp.SpeciesAutoThreshold {
-			return sspp.BackendSpecies, nil
-		}
-		return sspp.BackendAgent, nil
-	default:
-		return "", fmt.Errorf("serve: unknown backend %q (want %q, %q or %q)",
-			selector, sspp.BackendAgent, sspp.BackendSpecies, sspp.BackendAuto)
-	}
-}
-
 // Cells decomposes the grid into resolved cell specs, in declaration order
 // (protocols outermost, then backends, topologies, clocks, points,
 // adversaries — the Ensemble aggregation order with the backend axis
 // added). Resolution errors (unknown protocol, backend or clock, malformed
-// topology) fail the whole grid; semantic validation happens when each cell
-// compiles to a one-cell Ensemble.
+// topology) fail the whole grid; whether a resolved combination is legal is
+// decided when each cell compiles to a one-cell Ensemble.
 func (g *GridSpec) Cells() ([]CellSpec, error) {
 	if len(g.Points) == 0 {
 		return nil, fmt.Errorf("serve: grid spec has no points")
@@ -213,39 +213,16 @@ func (g *GridSpec) Cells() ([]CellSpec, error) {
 	if seeds == 0 {
 		seeds = 5
 	}
-	protos := g.Protocols
-	if len(protos) == 0 {
-		protos = []string{""}
+	orDefault := func(axis []string) []string {
+		if len(axis) == 0 {
+			return []string{""}
+		}
+		return axis
 	}
-	known := make(map[string]bool)
-	for _, info := range sspp.Protocols() {
-		known[info.Name] = true
-	}
-	backends := g.Backends
-	if len(backends) == 0 {
-		backends = []string{""}
-	}
-	topos := g.Topologies
-	if len(topos) == 0 {
-		topos = []string{""}
-	}
-	clocks := g.Clocks
-	if len(clocks) == 0 {
-		clocks = []string{""}
-	}
-	advs := g.Adversaries
-	if len(advs) == 0 {
-		advs = []string{""}
-	}
+	protos, backends, topos := orDefault(g.Protocols), orDefault(g.Backends), orDefault(g.Topologies)
+	clocks, advs := orDefault(g.Clocks), orDefault(g.Adversaries)
 	var out []CellSpec
 	for _, proto := range protos {
-		rproto := proto
-		if rproto == "" {
-			rproto = sspp.ProtocolElectLeader
-		}
-		if !known[rproto] {
-			return nil, fmt.Errorf("serve: unknown protocol %q (GET /v1/protocols lists the registry)", proto)
-		}
 		for _, backend := range backends {
 			for _, topo := range topos {
 				top, err := sspp.ParseTopology(topo)
@@ -253,27 +230,17 @@ func (g *GridSpec) Cells() ([]CellSpec, error) {
 					return nil, err
 				}
 				for _, clock := range clocks {
-					rclock := clock
-					if rclock == "" {
-						rclock = sspp.ClockDiscrete
-					}
-					switch rclock {
-					case sspp.ClockDiscrete, sspp.ClockContinuous, sspp.ClockContinuousExact:
-					default:
-						return nil, fmt.Errorf("serve: unknown clock %q (want %q, %q or %q)",
-							clock, sspp.ClockDiscrete, sspp.ClockContinuous, sspp.ClockContinuousExact)
-					}
 					for _, pt := range g.Points {
-						rbackend, err := resolveBackend(backend, rproto, pt.N)
+						cfg, err := sspp.Resolve(sspp.Config{Protocol: proto, Backend: backend, Clock: clock, N: pt.N})
 						if err != nil {
 							return nil, err
 						}
 						for _, adv := range advs {
 							out = append(out, CellSpec{
-								Protocol:        rproto,
-								Backend:         rbackend,
+								Protocol:        cfg.Protocol,
+								Backend:         cfg.Backend,
 								Topology:        top.Name(),
-								Clock:           rclock,
+								Clock:           cfg.Clock,
 								Point:           pt,
 								Adversary:       adv,
 								Seeds:           seeds,

@@ -240,7 +240,7 @@ var protocolSpecs = map[string]*protocolSpec{
 			return &electProtocol{Protocol: p}, nil
 		},
 		compactClean: func(cfg Config, ev *sim.Events) (sim.CompactModel, error) {
-			// Synthetic coins never reach here: resolveBackend rejects the
+			// Synthetic coins never reach here: checkSpecies rejects the
 			// combination before the species build path runs.
 			return core.CompactClean(cfg.N, cfg.R, core.WithSeed(cfg.Seed), core.WithEvents(ev))
 		},
@@ -384,5 +384,5 @@ func NewCustom(p Protocol) (*System, error) {
 	if p.N() < 2 {
 		return nil, fmt.Errorf("sspp: population size %d < 2", p.N())
 	}
-	return &System{proto: p, events: sim.NewEvents(), cfg: Config{N: p.N()}, clockMode: ClockDiscrete}, nil
+	return &System{proto: p, events: sim.NewEvents(), cfg: Config{N: p.N(), Backend: BackendAgent, Clock: ClockDiscrete}}, nil
 }

@@ -424,7 +424,7 @@ func (s *System) Run(opts ...RunOption) Result {
 	// population size, closed into a segment at every churn event so each
 	// interaction contributes 1/n_live (churn-free runs reduce to exactly
 	// t/n₀, the historical value bit for bit).
-	continuous := s.clockMode == ClockContinuous || s.clockMode == ClockContinuousExact
+	continuous := s.cfg.Clock != ClockDiscrete
 	var timedSched sim.Timed
 	if continuous {
 		if _, ok := sim.AsContinuousStepper(s.proto); !ok {
@@ -653,8 +653,7 @@ func (s *System) StepSched(sched Scheduler, k uint64) {
 	}
 	sim.Steps(s.proto, sched, k)
 	s.clock += k
-	if td, ok := sched.(sim.Timed); ok &&
-		(s.clockMode == ClockContinuous || s.clockMode == ClockContinuousExact) {
+	if td, ok := sched.(sim.Timed); ok && s.cfg.Clock != ClockDiscrete {
 		s.pt = td.Time()
 		return
 	}

@@ -133,16 +133,14 @@ type Config struct {
 // returns nil for protocols without rank outputs, and Inject reports an
 // error for protocols without adversarial-injection support.
 type System struct {
-	proto     sim.Protocol
-	events    *sim.Events
-	cfg       Config
-	spec      *protocolSpec   // nil for NewCustom systems
-	backend   string          // resolved backend (BackendAgent or BackendSpecies)
-	graph     *graph.Graph    // materialized interaction graph; nil for the complete topology
-	clock     uint64          // engine-counted interactions (Clocked protocols report their own)
-	clockMode string          // resolved Config.Clock (ClockDiscrete default)
-	tk        *sim.TimeKeeper // continuous clock on the complete topology, agent backend
-	pt        float64         // accumulated parallel time (see ParallelTime)
+	proto  sim.Protocol
+	events *sim.Events
+	cfg    Config          // resolved (see Resolve): concrete Protocol, Backend and Clock
+	spec   *protocolSpec   // nil for NewCustom systems
+	graph  *graph.Graph    // materialized interaction graph; nil for the complete topology
+	clock  uint64          // engine-counted interactions (Clocked protocols report their own)
+	tk     *sim.TimeKeeper // continuous clock on the complete topology, agent backend
+	pt     float64         // accumulated parallel time (see ParallelTime)
 }
 
 // The simulation clocks accepted by Config.Clock.
@@ -167,17 +165,49 @@ const (
 // continuous clock never perturbs its jump chain.
 const clockSeedSalt = 0x636C_6F63_6BD1_B54A
 
-// resolveClock maps a Config.Clock value to its canonical constant.
-func resolveClock(clock string) (string, error) {
-	switch clock {
-	case "", ClockDiscrete:
-		return ClockDiscrete, nil
-	case ClockContinuous, ClockContinuousExact:
-		return clock, nil
-	default:
-		return "", fmt.Errorf("sspp: unknown clock %q (want %q, %q or %q)",
-			clock, ClockDiscrete, ClockContinuous, ClockContinuousExact)
+// Resolve returns cfg with its selectors made concrete: Protocol ("" →
+// ProtocolElectLeader), Backend ("" → BackendAgent; BackendAuto →
+// BackendSpecies for compactable protocols at N ≥ SpeciesAutoThreshold,
+// BackendAgent otherwise) and Clock ("" → ClockDiscrete). It fails only on
+// unknown names. It does not judge legality: a species resolution with a
+// non-complete topology, synthetic coins or a protocol without a species
+// form is returned as is, and New and NewEnsemble reject it. Configs that
+// resolve alike describe the same computation, valid or not, which is why
+// cmd/sppd content-addresses the resolved form.
+func Resolve(cfg Config) (Config, error) {
+	cfg, _, err := resolve(cfg)
+	return cfg, err
+}
+
+// resolve is Resolve, also returning the protocol's registry entry.
+func resolve(cfg Config) (Config, *protocolSpec, error) {
+	spec, err := specFor(cfg.Protocol)
+	if err != nil {
+		return cfg, nil, err
 	}
+	cfg.Protocol = spec.name
+	switch cfg.Backend {
+	case "":
+		cfg.Backend = BackendAgent
+	case BackendAgent, BackendSpecies:
+	case BackendAuto:
+		cfg.Backend = BackendAgent
+		if _, ok := sim.AsCompactable(spec.zero); ok && cfg.N >= SpeciesAutoThreshold {
+			cfg.Backend = BackendSpecies
+		}
+	default:
+		return cfg, nil, fmt.Errorf("sspp: unknown backend %q (want %q, %q or %q)",
+			cfg.Backend, BackendAgent, BackendSpecies, BackendAuto)
+	}
+	switch cfg.Clock {
+	case "":
+		cfg.Clock = ClockDiscrete
+	case ClockDiscrete, ClockContinuous, ClockContinuousExact:
+	default:
+		return cfg, nil, fmt.Errorf("sspp: unknown clock %q (want %q, %q or %q)",
+			cfg.Clock, ClockDiscrete, ClockContinuous, ClockContinuousExact)
+	}
+	return cfg, spec, nil
 }
 
 // New builds a System running the protocol named by cfg.Protocol (default:
@@ -185,16 +215,18 @@ func resolveClock(clock string) (string, error) {
 // canonical start — for ElectLeader_r the clean post-awakening one (all
 // agents fresh rankers); use Inject for adversarial starts.
 func New(cfg Config) (*System, error) {
-	spec, err := specFor(cfg.Protocol)
+	cfg, spec, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if err := spec.validate(cfg); err != nil {
 		return nil, fmt.Errorf("sspp: %w", err)
 	}
-	backend, err := resolveBackend(cfg, spec)
-	if err != nil {
-		return nil, err
+	onSpecies := cfg.Backend == BackendSpecies
+	if onSpecies {
+		if err := spec.checkSpecies(cfg); err != nil {
+			return nil, err
+		}
 	}
 	g, err := cfg.Topology.materialize(cfg.N, cfg.Seed)
 	if err != nil {
@@ -202,7 +234,7 @@ func New(cfg Config) (*System, error) {
 	}
 	ev := sim.NewEvents()
 	var p sim.Protocol
-	if backend == BackendSpecies && spec.compactClean != nil {
+	if onSpecies && spec.compactClean != nil {
 		// Clean-start fast path: build the species form directly instead of
 		// constructing the agent instance only to compact it away (for
 		// ElectLeader_r that instance costs O(n·r) before the first
@@ -222,21 +254,17 @@ func New(cfg Config) (*System, error) {
 		if p, err = spec.build(cfg, ev); err != nil {
 			return nil, fmt.Errorf("sspp: %w", err)
 		}
-		if backend == BackendSpecies {
+		if onSpecies {
 			if p, err = compactProto(p, cfg.Seed); err != nil {
 				return nil, err
 			}
 		}
 	}
-	clock, err := resolveClock(cfg.Clock)
-	if err != nil {
-		return nil, err
-	}
-	sys := &System{proto: p, events: ev, cfg: cfg, spec: spec, backend: backend, graph: g, clockMode: clock}
-	if clock != ClockDiscrete {
+	sys := &System{proto: p, events: ev, cfg: cfg, spec: spec, graph: g}
+	if cfg.Clock != ClockDiscrete {
 		timeSrc := rng.New(cfg.Seed ^ clockSeedSalt)
 		if cs, ok := sim.AsContinuousStepper(p); ok {
-			cs.StartContinuous(timeSrc, clock == ClockContinuous)
+			cs.StartContinuous(timeSrc, cfg.Clock == ClockContinuous)
 		} else if g == nil {
 			sys.tk = sim.NewTimeKeeper(timeSrc, cfg.N)
 		}
@@ -263,12 +291,7 @@ func (s *System) Capabilities() []string { return capabilitiesOf(s.proto) }
 
 // Backend returns the resolved simulation backend the system runs on
 // (BackendAgent or BackendSpecies).
-func (s *System) Backend() string {
-	if s.backend == "" {
-		return BackendAgent
-	}
-	return s.backend
-}
+func (s *System) Backend() string { return s.cfg.Backend }
 
 // N returns the population size.
 func (s *System) N() int { return s.proto.N() }
@@ -296,7 +319,7 @@ func (s *System) Interactions() uint64 {
 // Poisson process — read from the protocol's own continuous stepper, the
 // TimeKeeper, or the next-reaction scheduler, whichever carries the clock.
 func (s *System) ParallelTime() float64 {
-	if s.clockMode != ClockDiscrete && s.clockMode != "" {
+	if s.cfg.Clock != ClockDiscrete {
 		if cs, ok := sim.AsContinuousStepper(s.proto); ok {
 			return cs.ParallelTime()
 		}
@@ -315,7 +338,7 @@ func (s *System) advanceClock(k uint64) {
 	if k == 0 {
 		return
 	}
-	if s.clockMode != ClockDiscrete && s.clockMode != "" {
+	if s.cfg.Clock != ClockDiscrete {
 		if _, ok := sim.AsContinuousStepper(s.proto); ok {
 			return
 		}

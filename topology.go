@@ -235,7 +235,7 @@ func (s *System) topologize(sched Scheduler) (Scheduler, error) {
 		return sched, nil
 	}
 	if src, ok := sched.(*rng.PRNG); ok {
-		if s.clockMode == ClockContinuous || s.clockMode == ClockContinuousExact {
+		if s.cfg.Clock != ClockDiscrete {
 			// Under the continuous clocks the scheduler carries the event
 			// clock itself: the next-reaction scheduler deals the same
 			// uniform-edge jump chain in distribution and timestamps every

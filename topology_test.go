@@ -253,8 +253,8 @@ func TestEnsembleTopologyAxis(t *testing.T) {
 		}
 		// The ring must be strictly slower than the complete graph for the
 		// broadcast-based namerank — the observable convergence gap.
-		complete, _ := res.TopologyCell(ProtocolNameRank, "complete", Point{N: 16}, "")
-		ring, _ := res.TopologyCell(ProtocolNameRank, "ring", Point{N: 16}, "")
+		complete, _ := res.Cell(CellKey{Protocol: ProtocolNameRank, Topology: "complete", Point: Point{N: 16}})
+		ring, _ := res.Cell(CellKey{Protocol: ProtocolNameRank, Topology: "ring", Point: Point{N: 16}})
 		if ring.Interactions.Mean <= complete.Interactions.Mean {
 			t.Fatalf("ring (%f) not slower than complete (%f)",
 				ring.Interactions.Mean, complete.Interactions.Mean)
