@@ -67,10 +67,10 @@ func (s *System) Inject(a Adversary, seed uint64) error {
 // injectWith is Inject against a caller-owned randomness stream, used by
 // the Ensemble layer so trial randomness stays pre-derived.
 func (s *System) injectWith(a Adversary, src *rng.PRNG) error {
-	inj, ok := sim.AsInjectable(s.proto)
-	if !ok {
-		return fmt.Errorf("sspp: protocol %q does not support adversarial injection", s.ProtocolName())
+	if err := admit(s.cfg, s.proto, use{start: true, faults: true}); err != nil {
+		return err
 	}
+	inj, _ := sim.AsInjectable(s.proto)
 	return inj.Inject(string(a), src)
 }
 
@@ -81,7 +81,8 @@ func (s *System) injectWith(a Adversary, src *rng.PRNG) error {
 // victim indices. The population recovers on its own (experiment T14); see
 // also the InjectTransientAt run option for faults scheduled inside a Run.
 // Protocols without the injectable capability return an error (they used to
-// silently no-op, which made a mis-typed protocol name look fault-tolerant).
+// silently no-op, which made a mis-typed protocol name look fault-tolerant),
+// and so does a negative k on every protocol; k = 0 corrupts nobody.
 func (s *System) InjectTransient(k int, seed uint64) ([]int, error) {
 	return s.injectTransientWith(k, rng.New(seed))
 }
@@ -89,9 +90,12 @@ func (s *System) InjectTransient(k int, seed uint64) ([]int, error) {
 // injectTransientWith is InjectTransient against a caller-owned randomness
 // stream.
 func (s *System) injectTransientWith(k int, src *rng.PRNG) ([]int, error) {
-	inj, ok := sim.AsInjectable(s.proto)
-	if !ok {
-		return nil, fmt.Errorf("sspp: protocol %q does not support transient faults (no injectable capability; see the capability table, DESIGN.md §9)", s.ProtocolName())
+	if k < 0 {
+		return nil, fmt.Errorf("sspp: transient burst size %d < 0", k)
 	}
+	if err := admit(s.cfg, s.proto, use{faults: true}); err != nil {
+		return nil, err
+	}
+	inj, _ := sim.AsInjectable(s.proto)
 	return inj.InjectTransient(k, src), nil
 }

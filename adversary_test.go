@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sspp/internal/rng"
+	"sspp/internal/sim"
 	"sspp/internal/stats/statcheck"
 	"sspp/internal/trials"
 )
@@ -134,6 +135,32 @@ func TestInjectTransientCapabilityTable(t *testing.T) {
 					name, res.Err, res.Interactions)
 			}
 		})
+	}
+}
+
+// TestInjectTransientBurstSize: a negative burst size is an error on every
+// protocol — electleader used to panic slicing Perm(n)[:k], ciw and loosele
+// silently corrupted nobody — while k = 0 stays a no-op on the injectable
+// ones.
+func TestInjectTransientBurstSize(t *testing.T) {
+	for name, cfg := range registryConfigs() {
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if victims, err := sys.InjectTransient(-1, 7); err == nil || victims != nil {
+			t.Errorf("%s: InjectTransient(-1) = %v, %v; want an error", name, victims, err)
+		}
+		if _, injectable := sim.AsInjectable(sys.proto); !injectable {
+			continue
+		}
+		before := sys.Snapshot()
+		if victims, err := sys.InjectTransient(0, 7); err != nil || len(victims) != 0 {
+			t.Errorf("%s: InjectTransient(0) = %v, %v; want no victims", name, victims, err)
+		}
+		if after := sys.Snapshot(); after != before {
+			t.Errorf("%s: InjectTransient(0) changed the population: %+v → %+v", name, before, after)
+		}
 	}
 }
 

@@ -45,29 +45,6 @@ const SpeciesAutoThreshold = 1 << 16
 // stream from the protocol seed; engine runs rebind the scheduler stream.
 const speciesSeedSalt = 0xA5A5_5A5A_0F0F_F0F0
 
-// checkSpecies rejects a species-backend resolution the species form
-// cannot run: a protocol without the compactable capability, synthetic
-// coins (the Appendix B coin state is per-agent identity), or a non-complete
-// topology (state-pair sampling has no agent adjacency; capability table,
-// DESIGN.md §9). An auto resolution fails here too, rather than silently
-// degrading a million-agent run to the agent backend.
-func (spec *protocolSpec) checkSpecies(cfg Config) error {
-	if _, ok := sim.AsCompactable(spec.zero); !ok {
-		return fmt.Errorf("sspp: protocol %q has no species form (missing the compactable capability)", spec.name)
-	}
-	if cfg.SyntheticCoins {
-		return fmt.Errorf("sspp: synthetic-coin mode has no species form "+
-			"(the Appendix B coin state is per-agent identity) — protocol %q with synthetic coins needs Backend: %q",
-			spec.name, BackendAgent)
-	}
-	if !cfg.Topology.IsComplete() {
-		return fmt.Errorf("sspp: the species backend supports only the complete topology "+
-			"(state-pair sampling has no agent adjacency; see the capability table, DESIGN.md §9) — "+
-			"protocol %q with topology %q needs Backend: %q", spec.name, cfg.Topology.Name(), BackendAgent)
-	}
-	return nil
-}
-
 // compactProto converts a freshly built agent-level protocol to its species
 // form. The agent instance only serves as the configuration source; the
 // returned protocol carries the capability set its compact model declares.
@@ -188,6 +165,6 @@ func NewSpecies(model SpeciesModel) (*System, error) {
 	return &System{
 		proto:  species.Capable(sp),
 		events: sim.NewEvents(),
-		cfg:    Config{N: sp.N(), Backend: BackendSpecies, Clock: ClockDiscrete},
+		cfg:    Config{Protocol: customProtocol, N: sp.N(), Backend: BackendSpecies, Clock: ClockDiscrete},
 	}, nil
 }

@@ -15,16 +15,39 @@
 // The first line on stdout is always "sppd listening on <resolved addr>",
 // printed after the listener is bound — scripts (and examples/client) can
 // pass -addr 127.0.0.1:0 and parse the resolved port from it.
+//
+// SIGINT or SIGTERM drains the server: it stops accepting connections,
+// lets in-flight requests (synchronous grid submits, SSE feeds) finish for
+// up to shutdownGrace, and exits 0. Requests still running when the grace
+// period ends are cut off and sppd exits 1.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"sspp/internal/serve"
+)
+
+// Connection timeouts. There is deliberately no write timeout: synchronous
+// grid submits and SSE checkpoint feeds legitimately run for as long as
+// their simulations do.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections idle for this long.
+	idleTimeout = 2 * time.Minute
+	// shutdownGrace is how long a drain waits for in-flight requests.
+	shutdownGrace = 30 * time.Second
 )
 
 func main() {
@@ -52,5 +75,29 @@ func run() error {
 		return err
 	}
 	fmt.Printf("sppd listening on %s\n", ln.Addr())
-	return http.Serve(ln, srv.Handler())
+
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-stop:
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := hs.Shutdown(ctx); err != nil {
+		hs.Close()
+		return fmt.Errorf("drain: %w", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }

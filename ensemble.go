@@ -19,9 +19,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"sspp/internal/rng"
-	"sspp/internal/sim"
 	"sspp/internal/stats"
 	"sspp/internal/trials"
 )
@@ -180,7 +180,42 @@ func NewEnsemble(g Grid, opts ...EnsembleOption) (*Ensemble, error) {
 	if g.TransientK < 0 {
 		return nil, fmt.Errorf("sspp: ensemble grid has negative transient burst size %d", g.TransientK)
 	}
+	start := false
+	for _, a := range g.Adversaries {
+		if a == "" {
+			continue
+		}
+		if !slices.Contains(AdversaryClasses(), a) {
+			return nil, fmt.Errorf("sspp: ensemble grid names unknown adversary class %q", a)
+		}
+		start = true
+	}
+	// Every trial's Config goes through the checks its New makes — resolve,
+	// the protocol's parameter validation, admit — with what the grid does
+	// to the trial, so grid validation never diverges from the trials: a
+	// grid never silently skips its fault model at large n, and a
+	// combination New rejects is rejected here with New's text.
 	ax := g.axes()
+	u := g.use(start)
+	for _, name := range ax.protos {
+		for _, top := range ax.topos {
+			for _, clock := range ax.clocks {
+				for _, pt := range g.Points {
+					cfg, spec, err := resolve(g.trialConfig(name, clock, top, pt))
+					if err != nil {
+						return nil, err
+					}
+					if err := spec.validate(cfg); err != nil {
+						return nil, fmt.Errorf("sspp: ensemble point (n=%d, r=%d) for protocol %q: %w",
+							pt.N, pt.R, spec.name, err)
+					}
+					if err := admit(cfg, spec.zero, u); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+	}
 	// Probe-materialize every non-complete topology at every point, at the
 	// exact protocol seed each trial will use — the random families draw
 	// their graph from that seed, so an unbuildable combination (odd-degree
@@ -208,97 +243,6 @@ func NewEnsemble(g Grid, opts ...EnsembleOption) (*Ensemble, error) {
 						pt.N, s, top.Name())
 				}
 			}
-		}
-	}
-	// The workload's static capability footprint gates grid validation: fault
-	// phases need injectable protocols, churn phases churnable ones on the
-	// complete topology, and the whole mode needs agent-backend trials.
-	wlFaults, wlChurn := false, false
-	if g.Workload != nil {
-		if g.TransientK > 0 {
-			return nil, fmt.Errorf("sspp: ensemble grid sets both Workload and TransientK — express the burst as a workload phase (TransientBurst)")
-		}
-		wlFaults, wlChurn = g.Workload.uses()
-		if wlChurn {
-			for _, top := range ax.topos {
-				if !top.IsComplete() {
-					return nil, fmt.Errorf("sspp: the workload's churn phases require the complete topology; topology %q does not support them (see the capability table, DESIGN.md §10)", top.Name())
-				}
-			}
-		}
-	}
-	for _, name := range ax.protos {
-		spec, err := specFor(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, pt := range g.Points {
-			if err := spec.validate(g.trialConfig(name, "", Complete(), pt)); err != nil {
-				return nil, fmt.Errorf("sspp: ensemble point (n=%d, r=%d) for protocol %q: %w",
-					pt.N, pt.R, spec.name, err)
-			}
-		}
-		if g.TransientK > 0 {
-			if _, ok := sim.AsInjectable(spec.zero); !ok {
-				return nil, fmt.Errorf("sspp: TransientK requires the injectable capability, which protocol %q lacks", spec.name)
-			}
-		}
-		if wlFaults {
-			if _, ok := sim.AsInjectable(spec.zero); !ok {
-				return nil, fmt.Errorf("sspp: the workload's fault phases require the injectable capability, which protocol %q lacks (see the capability table, DESIGN.md §9)", spec.name)
-			}
-		}
-		if wlChurn {
-			if _, ok := sim.AsChurnable(spec.zero); !ok {
-				return nil, fmt.Errorf("sspp: the workload's churn phases require the churnable capability, which protocol %q lacks (see the capability table, DESIGN.md §10)", spec.name)
-			}
-		}
-		// speciesTrials reports whether any of this protocol's trials will
-		// run on the species backend, where agent-identity surfaces
-		// (injection, transient faults) do not exist. Every (topology, clock,
-		// point) goes through Resolve — the resolution every trial's New
-		// makes — so grid validation can never diverge from what the trials
-		// actually do: a grid never silently skips its fault model at large
-		// n, and a species resolution the species form cannot run (a
-		// non-complete topology, say) is rejected here with New's error.
-		speciesTrials := false
-		for _, top := range ax.topos {
-			for _, clock := range ax.clocks {
-				for _, pt := range g.Points {
-					cfg, err := Resolve(g.trialConfig(name, clock, top, pt))
-					if err != nil {
-						return nil, err
-					}
-					if cfg.Backend == BackendSpecies {
-						if err := spec.checkSpecies(cfg); err != nil {
-							return nil, err
-						}
-						speciesTrials = true
-					}
-				}
-			}
-		}
-		if speciesTrials {
-			if g.Workload != nil {
-				return nil, fmt.Errorf("sspp: ensemble workloads require the agent backend (protocol %q would run trials on the species backend)", spec.name)
-			}
-			if g.TransientK > 0 {
-				return nil, fmt.Errorf("sspp: the species backend does not support transient faults (no agent identities; protocol %q would run on it)", spec.name)
-			}
-			for _, a := range g.Adversaries {
-				if a != "" {
-					return nil, fmt.Errorf("sspp: the species backend does not support adversarial starts (class %q; protocol %q would run on it)", a, spec.name)
-				}
-			}
-		}
-	}
-	known := make(map[Adversary]bool)
-	for _, c := range AdversaryClasses() {
-		known[c] = true
-	}
-	for _, a := range g.Adversaries {
-		if a != "" && !known[a] {
-			return nil, fmt.Errorf("sspp: ensemble grid names unknown adversary class %q", a)
 		}
 	}
 	e := &Ensemble{grid: g}
@@ -643,6 +587,14 @@ func (ax *gridAxes) at(g *Grid, ci int) (Config, Adversary) {
 	return cfg, ax.advs[ci%len(ax.advs)]
 }
 
+// use is what every trial of the grid does with its system; start reports
+// an adversarial start.
+func (g *Grid) use(start bool) use {
+	faults, churn := g.Workload.uses()
+	return use{start: start, faults: faults || g.TransientK > 0, churn: churn,
+		transientK: g.TransientK > 0, workload: g.Workload != nil}
+}
+
 // trialConfig is the Config every trial at the given coordinates builds,
 // before its protocol seed is set.
 func (g *Grid) trialConfig(proto, clock string, top Topology, pt Point) Config {
@@ -823,21 +775,14 @@ func (e *Ensemble) TrialRecording(ci, s int) (*Recording, uint64, error) {
 		return nil, 0, fmt.Errorf("sspp: seed index %d out of range [0, %d)", s, g.Seeds)
 	}
 	cfg, class := ax.at(&g, ci)
-	if class != "" {
-		return nil, 0, fmt.Errorf("sspp: trial recording requires a clean start (cell %d starts from adversary class %q, drawn from a stream the public replay cannot re-derive)", ci, class)
-	}
-	if g.TransientK > 0 || g.Workload != nil {
-		return nil, 0, fmt.Errorf("sspp: trial recording does not cover TransientK or Workload grids (their fault streams are not part of the schedule)")
-	}
-	if !cfg.Topology.IsComplete() {
-		return nil, 0, fmt.Errorf("sspp: trial recording requires the complete topology (cell %d uses %q; capture edge-indexed schedules with NewRecorder directly)", ci, cfg.Topology.Name())
-	}
-	cfg, err := Resolve(cfg)
+	cfg, spec, err := resolve(cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	if cfg.Backend != BackendAgent {
-		return nil, 0, fmt.Errorf("sspp: trial recording requires the agent backend (cell %d resolves to %q, which consumes scheduler randomness in bulk draws, not pairs)", ci, cfg.Backend)
+	u := g.use(class != "")
+	u.record, u.replay = true, true
+	if err := admit(cfg, spec.zero, u); err != nil {
+		return nil, 0, err
 	}
 	st := deriveSeedStreams(g.BaseSeed, g.Seeds)[s]
 	schedSrc := st.sched

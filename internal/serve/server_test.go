@@ -253,6 +253,48 @@ func TestDiskStoreSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestCorruptDiskCellIsRecomputed: a truncated cell file on disk (a crash
+// mid-write on a filesystem that reordered it, or a damaged volume) is a
+// miss, not a cache hit: a restarted server neither serves it on
+// /v1/cells nor embeds it in a grid, and recomputes the same bytes.
+func TestCorruptDiskCellIsRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := newTestServer(t, Options{Workers: 2, Dir: dir})
+	code, cold, _ := submit(t, ts1, smallGrid(), "")
+	if code != http.StatusOK {
+		t.Fatalf("cold submit: status %d", code)
+	}
+	spec := smallGrid()
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cells[0].Hash()
+	if err := os.WriteFile(filepath.Join(dir, "cells", key+".json"), []byte(`{"schema_version":1,"hash":"tru`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newTestServer(t, Options{Workers: 2, Dir: dir})
+	resp, err := http.Get(ts2.URL + "/v1/cells/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("truncated cell served on /v1/cells: status %d, want 404", resp.StatusCode)
+	}
+	code, again, resp := submit(t, ts2, smallGrid(), "")
+	if code != http.StatusOK {
+		t.Fatalf("submit over a truncated cell: status %d, body %s", code, again)
+	}
+	if got := resp.Header.Get("X-Sppd-Cache"); got != "computed=1 dedup=0 memory=0 disk=0" {
+		t.Fatalf("provenance = %q, want a recompute", got)
+	}
+	if !bytes.Equal(cold, again) {
+		t.Fatalf("recomputed grid differs from the first compute")
+	}
+}
+
 func TestCellEndpointAndValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 

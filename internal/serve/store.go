@@ -1,12 +1,14 @@
 // store.go is the optional on-disk layer under the in-memory LRU: cell
 // results and trial recordings persisted as plain files named by content
 // address, so a restarted server (or a colleague pointed at the same
-// directory) serves warm bytes without re-simulating. Writes are atomic
-// (temp file + rename in the same directory), so a crashed write can never
-// leave a truncated result that a later lookup would serve.
+// directory) serves warm bytes without re-simulating. Writes are atomic and
+// durable (temp file, fsync, rename in the same directory), and reads check
+// that the bytes decode to the result the address names, so a truncated or
+// foreign file is a miss — removed and recomputed — never served.
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,10 +41,15 @@ func (d *diskStore) replayPath(key string, seed int) string {
 	return filepath.Join(d.dir, "replays", fmt.Sprintf("%s-%d.json", key, seed))
 }
 
-// read returns the bytes at path, or nil if the file does not exist.
-func (d *diskStore) read(path string) []byte {
+// read returns the bytes at path when valid accepts them, or nil. A file
+// valid rejects is removed, so the recompute's write replaces it.
+func (d *diskStore) read(path string, valid func([]byte) bool) []byte {
 	b, err := os.ReadFile(path)
 	if err != nil {
+		return nil
+	}
+	if !valid(b) {
+		os.Remove(path)
 		return nil
 	}
 	return b
@@ -62,6 +69,11 @@ func (d *diskStore) write(path string, b []byte) error {
 		os.Remove(name)
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(name)
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)
 		return err
@@ -69,14 +81,26 @@ func (d *diskStore) write(path string, b []byte) error {
 	return os.Rename(name, path)
 }
 
-// getCell returns the persisted result bytes for the address (nil if absent).
-func (d *diskStore) getCell(key string) []byte { return d.read(d.cellPath(key)) }
+// getCell returns the persisted result bytes for the address: nil if absent
+// or not a CellResult carrying that address.
+func (d *diskStore) getCell(key string) []byte {
+	return d.read(d.cellPath(key), func(b []byte) bool {
+		var cr CellResult
+		return json.Unmarshal(b, &cr) == nil && cr.Hash == key
+	})
+}
 
 // putCell persists the result bytes for the address.
 func (d *diskStore) putCell(key string, b []byte) error { return d.write(d.cellPath(key), b) }
 
-// getReplay returns the persisted replay bytes (nil if absent).
-func (d *diskStore) getReplay(key string, seed int) []byte { return d.read(d.replayPath(key, seed)) }
+// getReplay returns the persisted replay bytes: nil if absent or not a
+// ReplayResult carrying that address and seed.
+func (d *diskStore) getReplay(key string, seed int) []byte {
+	return d.read(d.replayPath(key, seed), func(b []byte) bool {
+		var rr ReplayResult
+		return json.Unmarshal(b, &rr) == nil && rr.Hash == key && rr.Seed == seed
+	})
+}
 
 // putReplay persists the replay bytes.
 func (d *diskStore) putReplay(key string, seed int, b []byte) error {

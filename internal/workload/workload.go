@@ -283,20 +283,16 @@ func Validate(events []Event, n0 int, caps Caps) error {
 			return fmt.Errorf("workload: schedule not sorted (event %d at %d after %d)", i, ev.At, events[i-1].At)
 		}
 		switch ev.Kind {
-		case KindTransient:
-			if !caps.Injectable {
-				return fmt.Errorf("workload: transient faults require the injectable capability, which protocol %q lacks (see the capability table, DESIGN.md §9)", caps.Protocol)
+		case KindTransient, KindInject:
+			if err := caps.Admit(true, false); err != nil {
+				return err
 			}
-			if ev.K < 1 {
+			if ev.Kind == KindTransient && ev.K < 1 {
 				return fmt.Errorf("workload: transient burst at %d has size %d < 1", ev.At, ev.K)
 			}
-		case KindInject:
-			if !caps.Injectable {
-				return fmt.Errorf("workload: re-injections require the injectable capability, which protocol %q lacks (see the capability table, DESIGN.md §9)", caps.Protocol)
-			}
 		case KindJoin, KindLeave:
-			if !caps.Churnable {
-				return fmt.Errorf("workload: churn requires the churnable capability, which protocol %q lacks (see the capability table, DESIGN.md §10)", caps.Protocol)
+			if err := caps.Admit(false, true); err != nil {
+				return err
 			}
 			if ev.Kind == KindLeave {
 				n--
@@ -322,6 +318,21 @@ func Validate(events []Event, n0 int, caps Caps) error {
 					n, ev.At, caps.Protocol, caps.MaxN, replacementHint(caps))
 			}
 		}
+	}
+	return nil
+}
+
+// Admit checks the two capability rows of the disruption model: injected
+// faults (transient bursts and re-injections here; Inject, InjectTransient
+// and Grid.TransientK in package sspp, which asks Admit too) need the
+// injectable capability, churn the churnable one. It is the only code that
+// words these rows.
+func (caps Caps) Admit(faults, churn bool) error {
+	if faults && !caps.Injectable {
+		return fmt.Errorf("workload: protocol %q lacks the injectable capability that adversarial injection and transient faults need (see the capability table, DESIGN.md §9)", caps.Protocol)
+	}
+	if churn && !caps.Churnable {
+		return fmt.Errorf("workload: churn requires the churnable capability, which protocol %q lacks (see the capability table, DESIGN.md §10)", caps.Protocol)
 	}
 	return nil
 }

@@ -240,7 +240,7 @@ var protocolSpecs = map[string]*protocolSpec{
 			return &electProtocol{Protocol: p}, nil
 		},
 		compactClean: func(cfg Config, ev *sim.Events) (sim.CompactModel, error) {
-			// Synthetic coins never reach here: checkSpecies rejects the
+			// Synthetic coins never reach here: admit rejects the
 			// combination before the species build path runs.
 			return core.CompactClean(cfg.N, cfg.R, core.WithSeed(cfg.Seed), core.WithEvents(ev))
 		},
@@ -371,6 +371,9 @@ type Protocol interface {
 	Correct() bool
 }
 
+// customProtocol is the protocol name of NewCustom and NewSpecies systems.
+const customProtocol = "custom"
+
 // NewCustom wraps a user-supplied protocol in a System, so it runs through
 // the same engine as the registry protocols: composable Run options,
 // pluggable schedulers, stop predicates (SafeSet falls back to confirmed
@@ -384,5 +387,5 @@ func NewCustom(p Protocol) (*System, error) {
 	if p.N() < 2 {
 		return nil, fmt.Errorf("sspp: population size %d < 2", p.N())
 	}
-	return &System{proto: p, events: sim.NewEvents(), cfg: Config{N: p.N(), Backend: BackendAgent, Clock: ClockDiscrete}}, nil
+	return &System{proto: p, events: sim.NewEvents(), cfg: Config{Protocol: customProtocol, N: p.N(), Backend: BackendAgent, Clock: ClockDiscrete}}, nil
 }

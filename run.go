@@ -8,7 +8,6 @@ package sspp
 
 import (
 	"context"
-	"fmt"
 
 	"sspp/internal/rng"
 	"sspp/internal/sim"
@@ -326,26 +325,11 @@ func (s *System) Run(opts ...RunOption) Result {
 		max = s.DefaultBudget()
 	}
 	// Compile the attached workload against the starting population and the
-	// resolved budget, merge it with any InjectTransientAt bursts, and
-	// validate the whole schedule against the protocol's capability set up
-	// front — a run never fires a disruption its protocol cannot absorb.
+	// resolved budget and merge it with any InjectTransientAt bursts.
 	if spec.wl != nil {
 		spec.events = append(spec.events, workload.Compile(spec.wl.phases, n0, max)...)
 	}
 	workload.SortEvents(spec.events)
-	if len(spec.events) > 0 {
-		if err := workload.Validate(spec.events, n0, s.workloadCaps()); err != nil {
-			return Result{Condition: spec.cond.name, ParallelTime: -1, Err: err}
-		}
-		if workload.UsesChurn(spec.events) && s.graph != nil {
-			return Result{
-				Condition:    spec.cond.name,
-				ParallelTime: -1,
-				Err: fmt.Errorf("sspp: churn requires the complete topology; topology %q does not support it (see the capability table, DESIGN.md §10)",
-					s.graph.Name()),
-			}
-		}
-	}
 	pollDefaulted := spec.poll == 0
 	poll := spec.poll
 	if pollDefaulted {
@@ -359,45 +343,35 @@ func (s *System) Run(opts ...RunOption) Result {
 		}
 		sched = rng.New(seed)
 	}
-	// Non-complete topologies sample ordered pairs from the interaction
-	// graph's edge set: a uniform PRNG stream is re-bound as the edge-index
-	// source, topology-aware and edge-replayed schedules pass through, and
-	// anything dealing from [n]² fails the run up front rather than
-	// silently simulating the complete graph. Complete-topology systems
-	// keep the historical scheduler untouched.
-	sched, terr := s.topologize(sched)
-	if terr != nil {
-		return Result{Condition: spec.cond.name, ParallelTime: -1, Err: terr}
+	// Everything is checked up front, so a run never fires a disruption its
+	// protocol cannot absorb or silently mis-models its schedule: admission
+	// of the schedule's fault and churn events and of trace recording, the
+	// schedule's population trajectory against the churn bounds, the
+	// scheduler against the interaction graph (a uniform stream is re-bound
+	// to sample a non-complete topology's edge set, anything dealing from
+	// [n]² fails), and the scheduler against a count-based backend (only
+	// uniform PRNG streams can seed its state-pair draws).
+	err := admit(s.cfg, s.proto, use{
+		faults: workload.UsesFaults(spec.events),
+		churn:  workload.UsesChurn(spec.events),
+		record: spec.traceDst != nil,
+	})
+	if err == nil && len(spec.events) > 0 {
+		err = workload.Validate(spec.events, n0, workloadCaps(s.proto, s.ProtocolName(), true))
 	}
-	// Count-based backends (the species backend) have no agent identities:
-	// they draw state pairs from a uniform stream themselves and step in
-	// bulk. Only uniform PRNG schedulers can seed that stream; anything else
-	// (batch, weighted, replayed, user types) fails the run up front rather
-	// than silently mis-modelling the schedule.
-	if _, err := sim.CountSource(s.proto, sched); err != nil {
+	if err == nil {
+		sched, err = s.topologize(sched)
+	}
+	if err == nil {
+		_, err = sim.CountSource(s.proto, sched)
+	}
+	if err != nil {
 		return Result{Condition: spec.cond.name, ParallelTime: -1, Err: err}
 	}
-	_, countBased := sim.AsCountBased(s.proto)
-	// Trace recording needs the agent backend on the complete topology: the
-	// species backend draws state pairs internally (no agent pairs exist to
-	// record), and edge-indexed schedules go through the Recording format.
+	// A trace recorder wraps the scheduler and records every dealt pair.
 	var tracer *traceRecorder
 	stepSched := sched
 	if spec.traceDst != nil {
-		if countBased {
-			return Result{
-				Condition:    spec.cond.name,
-				ParallelTime: -1,
-				Err:          fmt.Errorf("sspp: trace recording requires the agent backend (record there, then replay on either backend)"),
-			}
-		}
-		if s.graph != nil {
-			return Result{
-				Condition:    spec.cond.name,
-				ParallelTime: -1,
-				Err:          fmt.Errorf("sspp: trace recording requires the complete topology (capture edge-indexed schedules with NewRecorder and archive them via Recording.Encode)"),
-			}
-		}
 		tracer = newTraceRecorder(s, sched)
 		stepSched = tracer
 	}
@@ -608,25 +582,6 @@ func (s *System) Run(opts ...RunOption) Result {
 		}
 	}
 	return finish()
-}
-
-// workloadCaps probes the running protocol's disruption capabilities for
-// schedule validation. The count-based churn capability wins over the
-// agent-level one: species systems carry the churn method set structurally
-// and gate real support behind CanChurn.
-func (s *System) workloadCaps() workload.Caps {
-	caps := workload.Caps{Protocol: s.ProtocolName()}
-	_, caps.Injectable = sim.AsInjectable(s.proto)
-	if cc, ok := sim.AsCountChurnable(s.proto); ok {
-		if cc.CanChurn() {
-			caps.Churnable = true
-			caps.MinN, caps.MaxN = cc.ChurnBounds()
-		}
-	} else if ch, ok := sim.AsChurnable(s.proto); ok {
-		caps.Churnable = true
-		caps.MinN, caps.MaxN = ch.ChurnBounds()
-	}
-	return caps
 }
 
 // Step executes k scheduler-driven interactions with the given scheduler

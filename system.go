@@ -135,7 +135,7 @@ type Config struct {
 type System struct {
 	proto  sim.Protocol
 	events *sim.Events
-	cfg    Config          // resolved (see Resolve): concrete Protocol, Backend and Clock
+	cfg    Config          // resolved (see Resolve): concrete Protocol ("custom" for NewCustom), Backend and Clock
 	spec   *protocolSpec   // nil for NewCustom systems
 	graph  *graph.Graph    // materialized interaction graph; nil for the complete topology
 	clock  uint64          // engine-counted interactions (Clocked protocols report their own)
@@ -171,9 +171,9 @@ const clockSeedSalt = 0x636C_6F63_6BD1_B54A
 // BackendAgent otherwise) and Clock ("" → ClockDiscrete). It fails only on
 // unknown names. It does not judge legality: a species resolution with a
 // non-complete topology, synthetic coins or a protocol without a species
-// form is returned as is, and New and NewEnsemble reject it. Configs that
-// resolve alike describe the same computation, valid or not, which is why
-// cmd/sppd content-addresses the resolved form.
+// form is returned as is, and New and NewEnsemble reject it (admit.go).
+// Configs that resolve alike describe the same computation, valid or not,
+// which is why cmd/sppd content-addresses the resolved form.
 func Resolve(cfg Config) (Config, error) {
 	cfg, _, err := resolve(cfg)
 	return cfg, err
@@ -222,16 +222,14 @@ func New(cfg Config) (*System, error) {
 	if err := spec.validate(cfg); err != nil {
 		return nil, fmt.Errorf("sspp: %w", err)
 	}
-	onSpecies := cfg.Backend == BackendSpecies
-	if onSpecies {
-		if err := spec.checkSpecies(cfg); err != nil {
-			return nil, err
-		}
+	if err := admit(cfg, spec.zero, use{}); err != nil {
+		return nil, err
 	}
 	g, err := cfg.Topology.materialize(cfg.N, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sspp: %w", err)
 	}
+	onSpecies := cfg.Backend == BackendSpecies
 	ev := sim.NewEvents()
 	var p sim.Protocol
 	if onSpecies && spec.compactClean != nil {
@@ -276,12 +274,7 @@ func New(cfg Config) (*System, error) {
 
 // ProtocolName returns the registry name of the system's protocol
 // ("custom" for NewCustom systems).
-func (s *System) ProtocolName() string {
-	if s.spec != nil {
-		return s.spec.name
-	}
-	return "custom"
-}
+func (s *System) ProtocolName() string { return s.cfg.Protocol }
 
 // Capabilities returns the optional engine capabilities the system's
 // protocol implements (the Capability* constants). Under the species

@@ -177,14 +177,15 @@ func (t Topology) String() string { return t.Name() }
 
 // materialize builds the interaction graph for a population of n agents,
 // deriving the graph seed from the protocol seed. Returns (nil, nil) for
-// the complete topology.
+// the complete topology. Errors name the topology and leave the "sspp:"
+// prefix to the caller, which NewEnsemble follows with the failing point.
 func (t Topology) materialize(n int, seed uint64) (*graph.Graph, error) {
 	if t.build == nil {
 		return nil, nil
 	}
 	g, err := t.build(n, seed^topoSeedSalt)
 	if err != nil {
-		return nil, fmt.Errorf("sspp: topology %q: %w", t.Name(), err)
+		return nil, fmt.Errorf("topology %q: %w", t.Name(), err)
 	}
 	return g, nil
 }

@@ -47,7 +47,11 @@ func NewWorkload(phases ...WorkloadPhase) *Workload {
 // uses reports the workload's static capability footprint — whether its
 // phases can emit fault events and churn events — without expanding any
 // arrival process (ensemble grid validation runs before any trial exists).
+// A nil workload uses nothing.
 func (w *Workload) uses() (faults, churn bool) {
+	if w == nil {
+		return false, false
+	}
 	return workload.PhasesUse(w.phases)
 }
 
