@@ -347,11 +347,16 @@ func newCompactModel(p *Protocol) *compactModel {
 // CompactClean interns the single clean-ranker state).
 func (m *compactModel) modelWith(init func() ([]uint64, []int64)) sim.CompactModel {
 	return sim.CompactModel{
-		Init:    init,
-		React:   m.react,
-		Leader:  func(key uint64) bool { return rankOutputOf(&m.tab[key]) == 1 },
-		Rank:    func(key uint64) int32 { return rankOutputOf(&m.tab[key]) },
-		SafeSet: m.safeSet,
+		// Keys are recycled table ids, and the table's live entries never
+		// exceed the occupied states plus the two successors a reaction
+		// interns before the engine reaps the pair it consumed: at most
+		// n + 2, so every id stays below it (pinned by compact_bound_test.go).
+		StateSpace: uint64(m.n) + 2,
+		Init:       init,
+		React:      m.react,
+		Leader:     func(key uint64) bool { return rankOutputOf(&m.tab[key]) == 1 },
+		Rank:       func(key uint64) int32 { return rankOutputOf(&m.tab[key]) },
+		SafeSet:    m.safeSet,
 		Churn: &sim.CompactChurn{
 			MinN: m.n,
 			MaxN: m.n,

@@ -2,7 +2,7 @@
 // leaves act on the state multiset directly (agent identities do not exist in
 // species form), and the population size n becomes mutable mid-run. The
 // stepping paths already recompute the pair mass n(n−1) per call, so the only
-// extra machinery is resizing bookkeeping: growing the dense lookup table
+// extra machinery is resizing bookkeeping: widening the declared key space
 // when the model's key space expands with n, and applying the model's Rescale
 // remap when a shrink strands keys the new size makes invalid (e.g. CIW ranks
 // above the new n, which could otherwise never self-correct).
@@ -32,7 +32,8 @@ func (s *System) ChurnBounds() (minN, maxN int) {
 
 // JoinState adds one agent in the state the model's Join hook picks for the
 // adversary class. The hook sees the pre-join configuration but the post-join
-// size, matching the agent-level Churnable contract.
+// size, matching the agent-level Churnable contract. A join state outside the
+// rescaled state space is refused before the system changes.
 func (s *System) JoinState(class string, src *rng.PRNG) error {
 	ch := s.model.Churn
 	if ch == nil {
@@ -42,10 +43,12 @@ func (s *System) JoinState(class string, src *rng.PRNG) error {
 	if err != nil {
 		return err
 	}
-	s.setN(s.n + 1)
-	if s.dense != nil && key >= uint64(len(s.dense)) {
-		return fmt.Errorf("species: join state %#x outside the rescaled state space %d", key, len(s.dense))
+	space, remap := s.rescale(s.n + 1)
+	if outside(key, space) {
+		s.rescale(s.n)
+		return fmt.Errorf("species: join state %#x outside the rescaled state space %d", key, space)
 	}
+	s.resize(s.n+1, space, remap)
 	s.add(key, 1)
 	return nil
 }
@@ -77,33 +80,48 @@ func (s *System) LeaveState(src *rng.PRNG) (uint64, error) {
 		return 0, fmt.Errorf("species: leave sampling ran past the population (corrupted counts)")
 	}
 	s.add(key, -1)
-	s.setN(s.n - 1)
+	space, remap := s.rescale(s.n - 1)
+	s.resize(s.n-1, space, remap)
 	s.reap(key)
 	return key, nil
 }
 
-// setN moves the population size to nNew: it grows the key→slot lookup for
-// the rescaled state space, lets the model update any internal size state its
-// React closure reads, and applies the model's remap to keys the new size
-// strands.
-func (s *System) setN(nNew int) {
+// rescale lets the model update any internal size state its React closure
+// reads for population size nNew (its Rescale hook), and returns the state
+// space keys must then lie in with the model's remap of the keys the new
+// size strands. The declared space only widens, and stays 0 when the model
+// declares none. Calling rescale(s.n) undoes a rescale the caller abandons.
+func (s *System) rescale(nNew int) (space uint64, remap func(uint64) uint64) {
+	space = s.space
 	if ch := s.model.Churn; ch != nil && ch.Rescale != nil {
-		space, remap := ch.Rescale(nNew)
-		s.growSpace(space)
-		if remap != nil {
-			s.remapKeys(remap)
+		var next uint64
+		next, remap = ch.Rescale(nNew)
+		if space > 0 {
+			space = max(space, next)
 		}
+	}
+	return space, remap
+}
+
+// resize moves the population size to nNew after rescale returned space
+// and remap: it widens the declared space and applies the remap.
+func (s *System) resize(nNew int, space uint64, remap func(uint64) uint64) {
+	s.growSpace(space)
+	if remap != nil {
+		s.remapKeys(remap)
 	}
 	s.n = nNew
 }
 
-// growSpace widens the dense lookup table to cover [0, space), migrating to
-// the hash map when the space outgrows the dense bound.
+// growSpace widens the declared state space to [0, space), migrating the
+// lookup to the hash map when the space outgrows the dense bound. The dense
+// table itself grows only as keys arrive (allocSlot).
 func (s *System) growSpace(space uint64) {
-	if s.dense == nil || space <= uint64(len(s.dense)) {
+	if space <= s.space {
 		return
 	}
-	if space > maxDense {
+	s.space = space
+	if s.sparse == nil && space > maxDense {
 		s.sparse = make(map[uint64]int32, s.occupied)
 		for key, slot := range s.dense {
 			if slot >= 0 {
@@ -111,15 +129,7 @@ func (s *System) growSpace(space uint64) {
 			}
 		}
 		s.dense = nil
-		return
 	}
-	old := len(s.dense)
-	grown := make([]int32, space)
-	copy(grown, s.dense)
-	for i := old; i < int(space); i++ {
-		grown[i] = -1
-	}
-	s.dense = grown
 }
 
 // remapKeys merges the counts of every occupied state the remap moves into
@@ -149,7 +159,8 @@ func (s *System) remapKeys(remap func(uint64) uint64) {
 // re-applied — the recorded deltas already include any clamp merges the
 // original event performed, so re-running it would double-apply them; Rescale
 // is still called so the model's internal size state and the key space stay
-// in sync with the new n.
+// in sync with the new n. Every delta is validated before any is applied, so
+// a rejected event leaves the system unchanged.
 func (s *System) ApplyDeltas(deltas []workload.KeyDelta) error {
 	var shift int64
 	for _, d := range deltas {
@@ -162,21 +173,26 @@ func (s *System) ApplyDeltas(deltas []workload.KeyDelta) error {
 	if nNew < 1 {
 		return fmt.Errorf("species: recorded deltas drop the population to %d", nNew)
 	}
+	space := s.space
+	if nNew != s.n {
+		space, _ = s.rescale(nNew)
+	}
+	for _, d := range deltas {
+		if d.Delta > 0 && outside(d.Key, space) {
+			if nNew != s.n {
+				s.rescale(s.n)
+			}
+			return fmt.Errorf("species: recorded delta state %#x outside the rescaled state space %d", d.Key, space)
+		}
+	}
 	for _, d := range deltas {
 		if d.Delta < 0 {
 			s.add(d.Key, d.Delta)
 		}
 	}
-	if ch := s.model.Churn; ch != nil && ch.Rescale != nil && nNew != s.n {
-		space, _ := ch.Rescale(nNew)
-		s.growSpace(space)
-	}
-	s.n = nNew
+	s.resize(nNew, space, nil)
 	for _, d := range deltas {
 		if d.Delta > 0 {
-			if s.dense != nil && d.Key >= uint64(len(s.dense)) {
-				return fmt.Errorf("species: recorded delta state %#x outside the rescaled state space %d", d.Key, len(s.dense))
-			}
 			s.add(d.Key, d.Delta)
 		}
 	}

@@ -118,6 +118,87 @@ func TestJoinStateByClass(t *testing.T) {
 	selfCheck(t, s)
 }
 
+// TestRejectedChurnKeyLeavesSystemIntact: a join state or a recorded delta
+// outside the rescaled state space is refused before anything changes —
+// the population size, the counts and the model's own size state — so the
+// system keeps stepping and churning as if the event had never fired.
+func TestRejectedChurnKeyLeavesSystemIntact(t *testing.T) {
+	m := toyChurn(4) // states in [1, 4], space 5
+	join := m.Churn.Join
+	m.Churn.Join = func(class string, n int, v sim.CountView, src *rng.PRNG) (uint64, error) {
+		if class == "beyond" {
+			return uint64(n) + 5, nil
+		}
+		return join(class, n, v, src)
+	}
+	s := mustSystem(t, m)
+	s.BindSource(rng.New(14))
+	intact := func(what string, wantN int) {
+		t.Helper()
+		if err := s.SelfCheck(); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+		if s.N() != wantN {
+			t.Fatalf("after %s: n=%d, want %d", what, s.N(), wantN)
+		}
+		// The model's size state must match n again: React wraps the top
+		// rank at that size, so a (top, top) pair must yield rank 1, not a
+		// rank past n.
+		top := uint64(wantN)
+		var moves []workload.KeyDelta
+		s.Each(func(key uint64, c int64) bool {
+			take := min(c, 2-int64(len(moves)))
+			moves = append(moves, workload.KeyDelta{Key: key, Delta: -take})
+			return len(moves) < 2 && take < 2
+		})
+		moves = append(moves, workload.KeyDelta{Key: top, Delta: 2})
+		if err := s.ApplyDeltas(moves); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+		ones := s.Count(1)
+		if err := s.ApplyPair(top, top); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+		if s.Count(1) != ones+1 {
+			t.Fatalf("after %s: the top rank %d did not wrap to 1", what, top)
+		}
+	}
+
+	if err := s.JoinState("beyond", rng.New(15)); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("out-of-space join accepted: %v", err)
+	}
+	intact("a refused join", 4)
+	if err := s.ApplyDeltas([]workload.KeyDelta{{Key: s.stateOf(t), Delta: -1}, {Key: 9, Delta: 1}}); err == nil ||
+		!strings.Contains(err.Error(), "outside") {
+		t.Fatalf("out-of-space replacement delta accepted: %v", err)
+	}
+	intact("a refused replacement delta", 4)
+	if err := s.ApplyDeltas([]workload.KeyDelta{{Key: s.stateOf(t), Delta: -1}, {Key: 2, Delta: 1}, {Key: 7, Delta: 1}}); err == nil ||
+		!strings.Contains(err.Error(), "outside") {
+		t.Fatalf("out-of-space growth delta accepted: %v", err)
+	}
+	intact("a refused growth delta", 4)
+	if err := s.JoinState("top", rng.New(16)); err != nil {
+		t.Fatal(err)
+	}
+	intact("a top join", 5)
+}
+
+// stateOf returns an occupied state of s.
+func (s *System) stateOf(t *testing.T) uint64 {
+	t.Helper()
+	var key uint64
+	found := false
+	s.Each(func(k uint64, _ int64) bool {
+		key, found = k, true
+		return false
+	})
+	if !found {
+		t.Fatal("no occupied state")
+	}
+	return key
+}
+
 func TestLeaveStateFollowsCounts(t *testing.T) {
 	s := mustSystem(t, toyChurn(16)) // all 16 agents in state 1
 	key, err := s.LeaveState(rng.New(6))

@@ -47,10 +47,13 @@ type System struct {
 	isLeader []bool
 	free     []int32
 
-	// Key → slot lookup: dense array for models declaring a small
-	// StateSpace, hash map otherwise.
+	// Key → slot lookup: a dense array for models declaring a StateSpace
+	// up to maxDense, a hash map (non-nil) otherwise. The dense array grows
+	// on demand, doubling up to the declared space, so a large space costs
+	// only as much as the keys in use.
 	dense  []int32
 	sparse map[uint64]int32
+	space  uint64 // declared state space (0: undeclared); keys must lie below it
 
 	occupied int
 	leaders  int64
@@ -96,14 +99,10 @@ func NewSystem(model sim.CompactModel, defaultSeed uint64) (*System, error) {
 	s := &System{
 		model:    model,
 		diagonal: model.Diagonal,
+		space:    model.StateSpace,
 		src:      rng.New(defaultSeed),
 	}
-	if model.StateSpace > 0 && model.StateSpace <= maxDense {
-		s.dense = make([]int32, model.StateSpace)
-		for i := range s.dense {
-			s.dense[i] = -1
-		}
-	} else {
+	if s.space == 0 || s.space > maxDense {
 		s.sparse = make(map[uint64]int32, len(keys))
 	}
 	for i, key := range keys {
@@ -114,7 +113,7 @@ func NewSystem(model sim.CompactModel, defaultSeed uint64) (*System, error) {
 		if s.slotOf(key) >= 0 {
 			return nil, fmt.Errorf("species: Init repeats state %#x", key)
 		}
-		if s.dense != nil && key >= uint64(len(s.dense)) {
+		if outside(key, s.space) {
 			return nil, fmt.Errorf("species: Init state %#x outside declared state space %d", key, model.StateSpace)
 		}
 		s.n += int(c)
@@ -147,7 +146,7 @@ var _ sim.SafeSetter = safeSetSystem{}
 
 // slotOf returns the slot tracking key, or -1.
 func (s *System) slotOf(key uint64) int32 {
-	if s.dense != nil {
+	if s.sparse == nil {
 		if key >= uint64(len(s.dense)) {
 			return -1
 		}
@@ -164,8 +163,8 @@ func (s *System) slotOf(key uint64) int32 {
 // (NewSystem validates Init; React outputs surface here), reported with
 // the offending key rather than a raw index panic deep in the sampler.
 func (s *System) allocSlot(key uint64) int32 {
-	if s.dense != nil && key >= uint64(len(s.dense)) {
-		panic(fmt.Sprintf("species: React produced state key %#x outside the declared state space %d", key, len(s.dense)))
+	if outside(key, s.space) {
+		panic(fmt.Sprintf("species: React produced state key %#x outside the declared state space %d", key, s.space))
 	}
 	var slot int32
 	if len(s.free) > 0 {
@@ -181,12 +180,32 @@ func (s *System) allocSlot(key uint64) int32 {
 		s.isLeader = append(s.isLeader, s.model.Leader != nil && s.model.Leader(key))
 		s.samp.ensure(len(s.keys))
 	}
-	if s.dense != nil {
+	if s.sparse == nil {
+		if key >= uint64(len(s.dense)) {
+			s.growDense(key)
+		}
 		s.dense[key] = slot
 	} else {
 		s.sparse[key] = slot
 	}
 	return slot
+}
+
+// outside reports whether key lies outside a declared state space (0:
+// undeclared, every key allowed).
+func outside(key, space uint64) bool { return space > 0 && key >= space }
+
+// growDense extends the dense table to cover key < space: at least double
+// its length, capped at the declared space, with the new entries empty.
+func (s *System) growDense(key uint64) {
+	size := max(2*uint64(len(s.dense)), key+1, 16)
+	size = min(size, s.space)
+	grown := make([]int32, size)
+	copy(grown, s.dense)
+	for i := len(s.dense); i < len(grown); i++ {
+		grown[i] = -1
+	}
+	s.dense = grown
 }
 
 // add shifts the count of state key by delta, maintaining the occupied and
@@ -220,7 +239,7 @@ func (s *System) add(key uint64, delta int64) {
 		s.samp.set(slot, c)
 	}
 	if c == 0 {
-		if s.dense != nil {
+		if s.sparse == nil {
 			s.dense[key] = -1
 		} else {
 			delete(s.sparse, key)
@@ -448,11 +467,12 @@ func (s *System) ApplyPair(a, b uint64) error {
 }
 
 // SelfCheck audits every maintained invariant against a recount: counts sum
-// to n and are non-negative, the occupied and leader tallies match, and the
-// sampler's live weights and totals agree with the counts. Tests call it
+// to n and are non-negative, the occupied and leader tallies match, the
+// sampler's live weights and totals agree with the counts, and its side
+// buffer and Fenwick tree agree with the recounted excesses. Tests call it
 // after randomized operation sequences.
 func (s *System) SelfCheck() error {
-	var sum, leaders, wantTotal, sideTotal int64
+	var sum, leaders, wantTotal int64
 	occupied := 0
 	for slot, c := range s.counts {
 		if c < 0 {
@@ -476,12 +496,6 @@ func (s *System) SelfCheck() error {
 			return fmt.Errorf("species: slot %d sampler weight %d, want %d", slot, s.samp.live[slot], w)
 		}
 		wantTotal += w
-		if ex := s.samp.live[slot] - s.samp.base[slot]; ex > 0 {
-			sideTotal += ex
-			if !s.samp.inSide[slot] {
-				return fmt.Errorf("species: slot %d has excess %d but is not in the side buffer", slot, ex)
-			}
-		}
 	}
 	if sum != int64(s.n) {
 		return fmt.Errorf("species: counts sum to %d, want n=%d", sum, s.n)
@@ -495,8 +509,5 @@ func (s *System) SelfCheck() error {
 	if s.samp.total != wantTotal {
 		return fmt.Errorf("species: sampler total %d, recount %d", s.samp.total, wantTotal)
 	}
-	if s.samp.sideTotal != sideTotal {
-		return fmt.Errorf("species: sampler side total %d, recount %d", s.samp.sideTotal, sideTotal)
-	}
-	return nil
+	return s.samp.audit()
 }

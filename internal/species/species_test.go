@@ -363,11 +363,50 @@ func TestReactOutsideStateSpacePanics(t *testing.T) {
 		if r == nil {
 			t.Fatal("out-of-space React key did not panic")
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "state space") {
-			t.Fatalf("panic %v does not name the contract", r)
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "state space") || !strings.Contains(msg, "0x5 ") {
+			t.Fatalf("panic %v does not name the contract and the key", r)
 		}
 	}()
 	s.StepMany(10)
+}
+
+// TestDenseTableGrowsOnDemand: a declared state space costs only the keys
+// in use — the dense table starts small, doubles as larger keys arrive,
+// never outgrows the declared space, and keeps every lookup exact.
+func TestDenseTableGrowsOnDemand(t *testing.T) {
+	const space = 1 << 20
+	s, err := NewSystem(toyDiagonal(space-1, 4096), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.dense) > 16 || s.sparse != nil {
+		t.Fatalf("fresh system holds a dense table of %d entries (sparse %v)", len(s.dense), s.sparse != nil)
+	}
+	var top uint64
+	for s.Clock() < 1_000_000 {
+		s.StepMany(10_000)
+		s.Each(func(key uint64, _ int64) bool { top = max(top, key); return true })
+		if uint64(len(s.dense)) <= top || len(s.dense) > max(16, 2*int(top)+2) {
+			t.Fatalf("dense table of %d entries for keys up to %d", len(s.dense), top)
+		}
+		if err := s.SelfCheck(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := toyDiagonal(20, 64)
+	m.StateSpace = 20 // React's rank 20 lies outside
+	s, err = NewSystem(m, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.StepMany(100_000)
+		return nil
+	}()
+	if msg, ok := got.(string); !ok || !strings.Contains(msg, "0x14 outside the declared state space 20") {
+		t.Fatalf("panic %v, want the out-of-space key 0x14 named", got)
+	}
 }
 
 // TestReactAllMatchesPairLaw: in the non-diagonal path, the responder draw
