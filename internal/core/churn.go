@@ -22,6 +22,6 @@ func (p *Protocol) ReplaceAgent(i int) {
 	if p.synthetic {
 		p.samplers[i] = a.Coin.Sample
 	}
-	p.reinitRanker(i)
+	p.dyn.reinitRanker(a)
 	p.track(i)
 }

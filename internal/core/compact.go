@@ -15,6 +15,8 @@
 // agent-level instance and a species run of its compact model consume the
 // identical random sequence, which is what makes the exact-mirror
 // equivalence test (compact_test.go) bit-for-bit rather than statistical.
+// Likewise the safe set is not written again here: safeSet gathers the
+// inputs of the one Lemma 6.1 predicate (correct.go) in a pass over counts.
 
 package core
 
@@ -22,7 +24,6 @@ import (
 	"fmt"
 
 	"sspp/internal/coin"
-	"sspp/internal/detect"
 	"sspp/internal/reset"
 	"sspp/internal/rng"
 	"sspp/internal/sim"
@@ -53,13 +54,17 @@ type compactModel struct {
 	u, v Agent // React's working copies
 	jw   Agent // Join's working copy
 
-	// Safe-set scratch: epoch-tagged rank-distinctness array plus the
-	// coherence-walk buffers, mirroring Protocol's (correct.go).
+	// Safe-set scratch: the epoch-tagged rank-distinctness array, the
+	// per-generation counts and verifier set that one CountView pass
+	// (admit, pre-bound so polls do not allocate) builds for the shared
+	// predicate, and that predicate's buffers (correct.go).
 	rankEpoch []uint64
 	epoch     uint64
-	cohRanks  []int32
-	cohStates []*detect.State
-	coh       *detect.CohScratch
+	genCount  [verify.Generations]int
+	probCount [verify.Generations]int
+	set       []*Agent
+	admit     func(key uint64, c int64) bool
+	walk      safeWalk
 }
 
 // keyOf interns a's canonical encoding and returns its key, deep-copying the
@@ -139,89 +144,46 @@ func (m *compactModel) join(class string, _ int, _ sim.CountView, _ *rng.PRNG) (
 	return m.keyOf(jw), nil
 }
 
-// safeSet mirrors Protocol.InSafeSet (correct.go) over the count multiset:
-// all agents verifiers with a distinct in-range rank, no detector in ⊤, at
-// most two adjacent generations with the behind one off probation, then the
-// per-generation message-coherence walk. detect.Coherent is order-
-// independent, so the unspecified CountView iteration order is safe.
+// safeSet is Lemma 6.1's safe set over the count multiset. One CountView
+// pass admits every state holding a single verifier with a distinct
+// in-range rank and no detector in ⊤, counting generations and probation as
+// it goes; the shared predicate (safeWalk.safe) then decides the generation
+// and message-coherence clauses. The pass stops at the first state it
+// rejects, so the population was fully admitted exactly when it collected n
+// states. detect.Coherent is order-independent, so the unspecified
+// CountView iteration order is safe.
 func (m *compactModel) safeSet(v sim.CountView) bool {
 	if v.N() != m.n {
 		return false
 	}
 	m.epoch++
-	var genCount, probCount [verify.Generations]int64
-	ok := true
-	v.Each(func(key uint64, c int64) bool {
-		a := &m.tab[key]
-		// A duplicated full state duplicates its rank, so c must be 1.
-		if c != 1 || a.Role != RoleVerifying || a.SV == nil {
-			ok = false
-			return false
-		}
-		r := a.Rank
-		if r < 1 || int(r) > m.n || m.rankEpoch[r-1] == m.epoch {
-			ok = false
-			return false
-		}
-		m.rankEpoch[r-1] = m.epoch
-		if a.SV.DC != nil && a.SV.DC.Err {
-			ok = false
-			return false
-		}
-		g := a.SV.Generation % verify.Generations
-		genCount[g]++
-		if a.SV.Probation != 0 {
-			probCount[g]++
-		}
-		return true
-	})
-	if !ok {
+	m.genCount, m.probCount = [verify.Generations]int{}, [verify.Generations]int{}
+	m.set = m.set[:0]
+	v.Each(m.admit)
+	return len(m.set) == m.n && m.walk.safe(m.dyn.vp.Detect, &m.genCount, &m.probCount, m.set)
+}
+
+// admitState is safeSet's per-state check (bound to m.admit).
+func (m *compactModel) admitState(key uint64, c int64) bool {
+	a := &m.tab[key]
+	// A duplicated full state duplicates its rank, so c must be 1.
+	if c != 1 || a.Role != RoleVerifying || a.SV == nil {
 		return false
 	}
-	distinct := 0
-	for g := 0; g < verify.Generations; g++ {
-		if genCount[g] > 0 {
-			distinct++
-		}
-	}
-	switch distinct {
-	case 1:
-	case 2:
-		adjacent := false
-		for g := 0; g < verify.Generations; g++ {
-			next := (g + 1) % verify.Generations
-			if genCount[g] > 0 && genCount[next] > 0 && probCount[g] == 0 {
-				adjacent = true
-				break
-			}
-		}
-		if !adjacent {
-			return false
-		}
-	default:
+	r := a.Rank
+	if r < 1 || int(r) > m.n || m.rankEpoch[r-1] == m.epoch {
 		return false
 	}
-	if m.coh == nil {
-		m.coh = detect.NewCohScratch()
+	m.rankEpoch[r-1] = m.epoch
+	if a.SV.DC != nil && a.SV.DC.Err {
+		return false
 	}
-	for gen := uint8(0); gen < verify.Generations; gen++ {
-		if genCount[gen] == 0 {
-			continue
-		}
-		m.cohRanks = m.cohRanks[:0]
-		m.cohStates = m.cohStates[:0]
-		v.Each(func(key uint64, _ int64) bool {
-			a := &m.tab[key]
-			if a.SV.Generation%verify.Generations == gen {
-				m.cohRanks = append(m.cohRanks, a.Rank)
-				m.cohStates = append(m.cohStates, a.SV.DC)
-			}
-			return true
-		})
-		if !detect.Coherent(m.dyn.vp.Detect, m.cohRanks, m.cohStates, m.coh) {
-			return false
-		}
+	g := a.SV.Generation % verify.Generations
+	m.genCount[g]++
+	if a.SV.Probation != 0 {
+		m.probCount[g]++
 	}
+	m.set = append(m.set, a)
 	return true
 }
 
@@ -293,53 +255,34 @@ func (m *compactModel) cleanModel() sim.CompactModel {
 // without an instance. Split from CompactClean so the equivalence test can
 // reach the intern table, mirroring newCompactModel's role for Compact.
 func newCleanCompactModel(n, r int, opts ...Option) (*compactModel, error) {
-	cfg := config{seed: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg, dyn, err := resolve(n, r, opts)
 	if cfg.synthetic {
 		return nil, fmt.Errorf("core: synthetic-coin mode has no species form (per-agent coin state); run the agent backend")
 	}
-	consts := DefaultConstants(n, r)
-	if cfg.consts != nil {
-		consts = *cfg.consts
-	}
-	if err := consts.Validate(n); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	dp := detect.NewParamsWithRefresh(n, r, consts.DetectRefresh)
-	dp.SetNoBalance(consts.DisableLoadBalance)
-	return &compactModel{
-		dyn: dynamics{
-			n:       n,
-			consts:  consts,
-			vp:      verify.Params{PMax: consts.PMax, Detect: dp, HardOnly: consts.DisableSoftReset},
-			events:  cfg.events,
-			scratch: detect.NewScratch(),
-		},
-		n:         n,
-		sample:    coin.FromPRNG(rng.New(cfg.seed)),
-		intern:    make(map[string]uint64),
-		rankEpoch: make([]uint64, n),
-	}, nil
+	return dyn.compactModel(coin.FromPRNG(rng.New(cfg.seed))), nil
 }
 
 // newCompactModel builds the interning machinery for a species run of p.
 // Split from Compact so the exact-mirror test can reach the intern table.
 func newCompactModel(p *Protocol) *compactModel {
-	return &compactModel{
-		dyn: dynamics{
-			n:       p.dyn.n,
-			consts:  p.dyn.consts,
-			vp:      p.dyn.vp,
-			events:  p.dyn.events,
-			scratch: detect.NewScratch(),
-		},
-		n:         p.n,
-		sample:    coin.FromPRNG(p.src),
+	return p.dyn.compactModel(coin.FromPRNG(p.src))
+}
+
+// compactModel builds an empty intern table over dynamics detached from d,
+// drawing protocol randomness from sample.
+func (d *dynamics) compactModel(sample coin.Sampler) *compactModel {
+	m := &compactModel{
+		dyn:       d.detached(),
+		n:         d.n,
+		sample:    sample,
 		intern:    make(map[string]uint64),
-		rankEpoch: make([]uint64, p.n),
+		rankEpoch: make([]uint64, d.n),
 	}
+	m.admit = m.admitState
+	return m
 }
 
 // modelWith assembles the sim.CompactModel view over m with the given

@@ -117,10 +117,10 @@ type Protocol struct {
 	rankOOR    int                     // agents with out-of-range rank output
 	leaderSum  int                     // Σ of indices of rank-1 agents
 
-	// Reusable buffers of the safe-set coherence check (correct.go).
-	coh       *detect.CohScratch
-	cohRanks  []int32
-	cohStates []*detect.State
+	// ptrs points at every agent: the verifier set InSafeSet hands to the
+	// shared Lemma 6.1 predicate, whose buffers walk keeps (correct.go).
+	ptrs []*Agent
+	walk safeWalk
 }
 
 var _ sim.Protocol = (*Protocol)(nil)
@@ -167,6 +167,45 @@ func ValidateParams(n, r int) error {
 // post-awakening one: every agent a fresh ranker (use the adversary package
 // or the Force* mutators for other starting configurations).
 func New(n, r int, opts ...Option) (*Protocol, error) {
+	cfg, dyn, err := resolve(n, r, opts)
+	if err != nil {
+		return nil, err
+	}
+	p := &Protocol{
+		n:         n,
+		r:         r,
+		dyn:       dyn,
+		agents:    make([]Agent, n),
+		samplers:  make([]coin.Sampler, n),
+		synthetic: cfg.synthetic,
+		src:       rng.New(cfg.seed),
+		rankCount: make([]int32, n),
+		ptrs:      make([]*Agent, n),
+	}
+	width := coin.WidthFor(int(dyn.consts.Ranking.IDSpace))
+	prngSampler := coin.FromPRNG(p.src)
+	for i := range p.agents {
+		a := &p.agents[i]
+		p.ptrs[i] = a
+		a.Coin = coin.NewState(width, uint64(i)+cfg.seed*0x9E37)
+		if cfg.synthetic {
+			p.samplers[i] = a.Coin.Sample
+		} else {
+			p.samplers[i] = prngSampler
+		}
+		p.dyn.reinitRanker(a)
+	}
+	p.recount()
+	return p, nil
+}
+
+// resolve applies New's options for (n, r) — the seed default, the
+// constant override and its validation — and builds the transition
+// machinery they configure. New and CompactClean both start here, so the
+// agent and species forms cannot configure the protocol differently. The
+// config is returned even with an error, for callers that check an option
+// before the constants.
+func resolve(n, r int, opts []Option) (config, dynamics, error) {
 	cfg := config{seed: 1}
 	for _, o := range opts {
 		o(&cfg)
@@ -176,41 +215,17 @@ func New(n, r int, opts ...Option) (*Protocol, error) {
 		consts = *cfg.consts
 	}
 	if err := consts.Validate(n); err != nil {
-		return nil, err
+		return cfg, dynamics{}, err
 	}
 	dp := detect.NewParamsWithRefresh(n, r, consts.DetectRefresh)
 	dp.SetNoBalance(consts.DisableLoadBalance)
-	p := &Protocol{
-		n: n,
-		r: r,
-		dyn: dynamics{
-			n:       n,
-			consts:  consts,
-			vp:      verify.Params{PMax: consts.PMax, Detect: dp, HardOnly: consts.DisableSoftReset},
-			events:  cfg.events,
-			scratch: detect.NewScratch(),
-		},
-		agents:    make([]Agent, n),
-		samplers:  make([]coin.Sampler, n),
-		synthetic: cfg.synthetic,
-		src:       rng.New(cfg.seed),
-		rankCount: make([]int32, n),
+	d := dynamics{
+		n:      n,
+		consts: consts,
+		vp:     verify.Params{PMax: consts.PMax, Detect: dp, HardOnly: consts.DisableSoftReset},
+		events: cfg.events,
 	}
-	width := coin.WidthFor(int(consts.Ranking.IDSpace))
-	prngSampler := coin.FromPRNG(p.src)
-	for i := range p.agents {
-		p.agents[i].Coin = coin.NewState(width, uint64(i)+cfg.seed*0x9E37)
-		if cfg.synthetic {
-			p.samplers[i] = p.agents[i].Coin.Sample
-		} else {
-			p.samplers[i] = prngSampler
-		}
-	}
-	for i := range p.agents {
-		p.reinitRanker(i)
-	}
-	p.recount()
-	return p, nil
+	return cfg, d.detached(), nil
 }
 
 // N returns the population size.
@@ -235,15 +250,6 @@ func (p *Protocol) Events() *sim.Events { return p.dyn.events }
 // Agent returns agent i's state for inspection. Mutations should go through
 // the Force* methods, which keep states type-valid.
 func (p *Protocol) Agent(i int) *Agent { return &p.agents[i] }
-
-// reinitRanker is the Reset routine (Protocol 6) on agent i (dynamics.go).
-func (p *Protocol) reinitRanker(i int) { p.dyn.reinitRanker(&p.agents[i]) }
-
-// triggerReset is TriggerReset (Protocol 5) on agent i (dynamics.go).
-func (p *Protocol) triggerReset(i int) { p.dyn.triggerReset(&p.agents[i], p.clock) }
-
-// becomeVerifier is Protocol 1 lines 7–8 on agent i (dynamics.go).
-func (p *Protocol) becomeVerifier(i int) { p.dyn.becomeVerifier(&p.agents[i], p.clock) }
 
 // Interact applies one ElectLeader_r interaction (Protocol 1) to the ordered
 // pair (a, b). Only the two participating agents can change, so the

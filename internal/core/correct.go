@@ -1,6 +1,8 @@
 // correct.go defines the output mapping and correctness predicates of
 // ElectLeader_r, plus the checkable core of the safe-set predicate of
-// Lemma 6.1.
+// Lemma 6.1: safeWalk.safe holds its generation and message-coherence
+// clauses once, for the agent form (InSafeSet) and the species form
+// (compactModel.safeSet) alike.
 
 package core
 
@@ -73,75 +75,71 @@ func (p *Protocol) AllVerifiers() bool {
 // AnyTop reports whether any verifier's collision detector is in ⊤. O(1).
 func (p *Protocol) AnyTop() bool { return p.topCount > 0 }
 
-// InSafeSet implements the checkable core of Lemma 6.1's safe set: all
-// agents are verifiers with a correct ranking; the generations present span
-// at most two adjacent values {i, i+1 (mod 6)}; every generation-i agent has
-// probation timer 0; no collision detector is in ⊤; and, standing in for
-// condition (b)'s reachability clause, each generation's message system is
-// coherent (detect.CheckCoherence): every circulating message has one holder
-// and matches its governor's observation, which together with the correct
-// ranking implies no ⊤ can ever be raised again.
+// InSafeSet reports whether the population is in Lemma 6.1's safe set. The
+// per-agent clauses — every agent a verifier, a correct ranking, no
+// detector in ⊤ — are O(1) gates on the incremental counters: during
+// stabilization the poll almost always fails here without touching any
+// agent state. Only a configuration that passes them pays for the shared
+// generation and message-coherence clauses (safeWalk.safe).
 func (p *Protocol) InSafeSet() bool {
-	// Cheap gates, all O(1) from the incremental counters: during
-	// stabilization the poll almost always fails here without touching any
-	// agent state.
 	if p.roleCount[RoleVerifying] != p.n || p.rankOOR != 0 || p.rankExcess != 0 || p.topCount > 0 {
 		return false
 	}
-	distinct := 0
-	for g := 0; g < verify.Generations; g++ {
-		if p.genCount[g] > 0 {
-			distinct++
-		}
-	}
-	switch distinct {
-	case 1:
-	case 2:
-		// The two generations must be adjacent: find g with both g and g+1
-		// present; all generation-g (behind) agents must be off probation.
-		ok := false
-		for g := 0; g < verify.Generations; g++ {
-			next := (g + 1) % verify.Generations
-			if p.genCount[g] > 0 && p.genCount[next] > 0 && p.probCount[g] == 0 {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	default:
-		return false
-	}
-	// Only a configuration that passed every cheap gate pays for the full
-	// message-coherence walk.
-	return p.messagesCoherent()
+	return p.walk.safe(p.dyn.vp.Detect, &p.genCount, &p.probCount, p.ptrs)
 }
 
-// messagesCoherent checks per-generation message coherence among verifiers
-// (see InSafeSet). Cross-generation relations are irrelevant: agents of
-// different generations never run DetectCollision_r together, and adopting
-// the successor generation rebuilds the detection state from scratch. The
-// check reuses scratch buffers held on the Protocol, so repeated polls do
-// not allocate.
-func (p *Protocol) messagesCoherent() bool {
-	if p.coh == nil {
-		p.coh = detect.NewCohScratch()
-	}
-	for gen := uint8(0); gen < verify.Generations; gen++ {
-		if p.genCount[gen] == 0 {
+// safeWalk is the reusable scratch of the Lemma 6.1 predicate: the detect
+// coherence buffers and one generation's (rank, detection state) lists.
+// Each form of the protocol owns one, so repeated polls do not allocate.
+type safeWalk struct {
+	coh    *detect.CohScratch
+	ranks  []int32
+	states []*detect.State
+}
+
+// safe decides the clauses of Lemma 6.1's safe set that both forms of the
+// protocol share, over a set of verifiers that already passed the per-agent
+// clauses (each form checks those its own way). genCount and probCount give,
+// per generation (mod 6), the verifiers present and those on probation.
+//
+// The generations present must be one value, or two adjacent values
+// {g, g+1} with every generation-g (behind) agent off probation. Then,
+// standing in for condition (b)'s reachability clause, each generation's
+// message system must be coherent (detect.Coherent): every circulating
+// message has one holder and matches its governor's observation, which
+// together with the correct ranking implies no ⊤ can ever be raised again.
+// Cross-generation relations are irrelevant: agents of different
+// generations never run DetectCollision_r together, and adopting the
+// successor generation rebuilds the detection state from scratch.
+func (w *safeWalk) safe(dp *detect.Params, genCount, probCount *[verify.Generations]int, set []*Agent) bool {
+	present, behindOff := 0, false
+	for g, c := range genCount {
+		if c == 0 {
 			continue
 		}
-		p.cohRanks = p.cohRanks[:0]
-		p.cohStates = p.cohStates[:0]
-		for i := range p.agents {
-			a := &p.agents[i]
+		present++
+		if genCount[(g+1)%verify.Generations] > 0 && probCount[g] == 0 {
+			behindOff = true
+		}
+	}
+	if present == 0 || present > 2 || present == 2 && !behindOff {
+		return false
+	}
+	if w.coh == nil {
+		w.coh = detect.NewCohScratch()
+	}
+	for gen := uint8(0); gen < verify.Generations; gen++ {
+		if genCount[gen] == 0 {
+			continue
+		}
+		w.ranks, w.states = w.ranks[:0], w.states[:0]
+		for _, a := range set {
 			if a.SV.Generation%verify.Generations == gen {
-				p.cohRanks = append(p.cohRanks, a.Rank)
-				p.cohStates = append(p.cohStates, a.SV.DC)
+				w.ranks = append(w.ranks, a.Rank)
+				w.states = append(w.states, a.SV.DC)
 			}
 		}
-		if !detect.Coherent(p.dyn.vp.Detect, p.cohRanks, p.cohStates, p.coh) {
+		if !detect.Coherent(dp, w.ranks, w.states, w.coh) {
 			return false
 		}
 	}

@@ -8,10 +8,7 @@
 
 package core
 
-import (
-	"sspp/internal/ranking"
-	"sspp/internal/verify"
-)
+import "sspp/internal/verify"
 
 // untrack removes agent i's current summary from the counters. It must be
 // called before any mutation of agent i and paired with a track call after.
@@ -117,15 +114,3 @@ func (p *Protocol) snapshotCounters() counterSnapshot {
 		leaderSum:  p.leaderSum,
 	}
 }
-
-// releaseAR returns agent i's ranker state to the free list (dynamics.go).
-func (p *Protocol) releaseAR(i int) { p.dyn.releaseAR(&p.agents[i]) }
-
-// releaseSV returns agent i's verifier state to the free list (dynamics.go).
-func (p *Protocol) releaseSV(i int) { p.dyn.releaseSV(&p.agents[i]) }
-
-// popAR pops a recycled ranker state, or nil when the free list is empty.
-func (p *Protocol) popAR() *ranking.State { return p.dyn.popAR() }
-
-// popSV pops a recycled verifier state, or nil when the free list is empty.
-func (p *Protocol) popSV() *verify.State { return p.dyn.popSV() }

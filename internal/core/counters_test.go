@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sspp/internal/detect"
 	"sspp/internal/rng"
 	"sspp/internal/verify"
 )
@@ -60,6 +61,28 @@ func scanAnyTop(p *Protocol) bool {
 		}
 	}
 	return false
+}
+
+// messagesCoherent is the reference for the message-coherence clause of
+// InSafeSet: per generation, detect.CheckCoherence (the map-based,
+// error-reporting check) over that generation's verifiers. It is written
+// independently of the shared predicate (correct.go), which it
+// cross-checks.
+func (p *Protocol) messagesCoherent() bool {
+	for gen := uint8(0); gen < verify.Generations; gen++ {
+		var ranks []int32
+		var states []*detect.State
+		for i := 0; i < p.N(); i++ {
+			if a := p.Agent(i); a.Role == RoleVerifying && a.SV.Generation%verify.Generations == gen {
+				ranks = append(ranks, a.Rank)
+				states = append(states, a.SV.DC)
+			}
+		}
+		if detect.CheckCoherence(p.VerifyParams().Detect, ranks, states) != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // checkCounters asserts that every incremental predicate agrees with its

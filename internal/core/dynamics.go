@@ -34,6 +34,15 @@ type dynamics struct {
 	svFree []*verify.State
 }
 
+// detached returns dynamics with d's constants, parameters and event sink
+// over its own detect scratch and empty free lists. It is the one place the
+// machinery is assembled: New builds it from the resolved options, and a
+// species form detaches from its template so that a species run never
+// disturbs the template instance's recycling pools.
+func (d *dynamics) detached() dynamics {
+	return dynamics{n: d.n, consts: d.consts, vp: d.vp, events: d.events, scratch: detect.NewScratch()}
+}
+
 // releaseAR returns a's ranker state to the free list.
 func (d *dynamics) releaseAR(a *Agent) {
 	if a.AR != nil {

@@ -23,13 +23,13 @@ func (p *Protocol) ForceVerifier(i int, rank int32) {
 		rank = int32(p.n)
 	}
 	p.untrack(i)
-	p.releaseAR(i)
 	a := &p.agents[i]
+	p.dyn.releaseAR(a)
 	a.Role = RoleVerifying
 	a.Rank = rank
 	sv := a.SV // reuse the agent's own state in place when it has one
 	if sv == nil {
-		sv = p.popSV()
+		sv = p.dyn.popSV()
 	}
 	a.SV = verify.ReinitInto(p.dyn.vp, rank, sv)
 	a.Countdown = 0
@@ -40,7 +40,7 @@ func (p *Protocol) ForceVerifier(i int, rank int32) {
 // ForceRanker makes agent i a fresh ranker (the Reset routine's output).
 func (p *Protocol) ForceRanker(i int) {
 	p.untrack(i)
-	p.reinitRanker(i)
+	p.dyn.reinitRanker(&p.agents[i])
 	p.track(i)
 }
 
@@ -49,9 +49,9 @@ func (p *Protocol) ForceRanker(i int) {
 // experiment counters).
 func (p *Protocol) ForceTriggered(i int) {
 	p.untrack(i)
-	p.releaseAR(i)
-	p.releaseSV(i)
 	a := &p.agents[i]
+	p.dyn.releaseAR(a)
+	p.dyn.releaseSV(a)
 	a.Role = RoleResetting
 	a.Reset = reset.Triggered(p.dyn.consts.Reset)
 	a.Rank = 0
@@ -68,9 +68,9 @@ func (p *Protocol) ForceDormant(i int, delay int32) {
 		delay = p.dyn.consts.Reset.DMax
 	}
 	p.untrack(i)
-	p.releaseAR(i)
-	p.releaseSV(i)
 	a := &p.agents[i]
+	p.dyn.releaseAR(a)
+	p.dyn.releaseSV(a)
 	a.Role = RoleResetting
 	a.Reset = reset.State{Count: 0, Delay: delay}
 	a.Rank = 0

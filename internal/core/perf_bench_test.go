@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sspp/internal/rng"
+	"sspp/internal/species"
 )
 
 // BenchmarkInteractSteadyState measures one ElectLeader_r interaction on a
@@ -125,6 +126,39 @@ func TestInSafeSetPollZeroAllocs(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("InSafeSet allocated %.2f allocs/op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestCompactSafeSetPollAllocs pins the species form of the same poll: on a
+// safe configuration, the count-side safe set (one CountView pass, then the
+// shared predicate) must not allocate either.
+func TestCompactSafeSetPollAllocs(t *testing.T) {
+	for _, tc := range []struct{ n, r int }{{64, 8}, {256, 64}} {
+		t.Run(fmt.Sprintf("n=%d/r=%d", tc.n, tc.r), func(t *testing.T) {
+			p, err := New(tc.n, tc.r, WithSeed(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.n; i++ {
+				p.ForceVerifier(i, int32(i+1))
+			}
+			m := newCompactModel(p)
+			sp, err := species.NewSystem(m.model(p), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.safeSet(sp) {
+				t.Fatal("configuration should be safe")
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if !m.safeSet(sp) {
+					t.Fatal("should be safe")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("compact safe set allocated %.2f allocs/op, want 0", allocs)
 			}
 		})
 	}
