@@ -3,7 +3,11 @@
 // for a packed key, so the model interns canonical encodings (key.go) in a
 // table it owns — the NameRank pattern (internal/baseline/compact.go) — and
 // runs the exact same pair dynamics (dynamics.go) over deep copies of the
-// interned states. Unlike the baselines, ElectLeader_r's reachable state
+// interned states. The table is indexed by a fixed 64-bit hash of the
+// encoding in a lazily grown open-addressed index (intern.go) and holds no
+// strings: on a hash-tag match the archived state is re-encoded and the
+// bytes compared, so the encoding stays the one definition of state
+// equality. Unlike the baselines, ElectLeader_r's reachable state
 // space is effectively unbounded (probation timers, countdowns and message
 // multisets make almost every interaction mint fresh states), so the model
 // also wires the engine's Release hook: dead table entries are evicted and
@@ -21,6 +25,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"sspp/internal/coin"
@@ -33,7 +38,7 @@ import (
 var _ sim.Compactable = (*Protocol)(nil)
 
 // compactModel is the interning machinery behind Compact: a table of
-// canonical agent states indexed by key, the intern map from canonical
+// canonical agent states indexed by key, the hash index from canonical
 // encoding to key, and the scratch that keeps the per-interaction deep
 // copies allocation-free once warm.
 type compactModel struct {
@@ -45,11 +50,12 @@ type compactModel struct {
 	sample coin.Sampler
 	clock  uint64
 
-	tab    []Agent           // interned canonical states, indexed by key
-	names  []string          // canonical encodings, parallel to tab
-	intern map[string]uint64 // canonical encoding → key
-	free   []uint64          // recycled keys (released table slots)
-	enc    []byte            // encoding scratch
+	tab    []Agent     // interned canonical states, indexed by key
+	hashes []uint64    // hashKey of each entry's encoding, parallel to tab
+	index  internIndex // hash → key (intern.go)
+	free   []uint64    // recycled keys (released table slots)
+	enc    []byte      // encoding scratch: the state being interned
+	cmp    []byte      // encoding scratch: a filed entry, re-encoded
 
 	u, v Agent // React's working copies
 	jw   Agent // Join's working copy
@@ -67,40 +73,76 @@ type compactModel struct {
 	walk      safeWalk
 }
 
-// keyOf interns a's canonical encoding and returns its key, deep-copying the
-// state into the table on first sight. Keys of released states are reused,
-// so a key is only meaningful while its state stays occupied — exactly the
-// engine's contract for Release-bearing models.
-func (m *compactModel) keyOf(a *Agent) uint64 {
+// probe encodes a and looks it up: the encoding's hash, and the key of an
+// equal interned state if there is one.
+func (m *compactModel) probe(a *Agent) (h, id uint64, ok bool) {
 	m.enc = appendAgentKey(m.enc[:0], a)
-	if id, ok := m.intern[string(m.enc)]; ok {
-		return id
+	h = hashKey(m.enc)
+	id, ok = m.index.find(h, m.sameEnc)
+	return h, id, ok
+}
+
+// sameEnc reports whether table entry id encodes to m.enc. Equality is
+// decided by the canonical encoding alone, re-derived from the archived
+// state, so the hash only ever narrows the candidates.
+func (m *compactModel) sameEnc(id uint64) bool {
+	m.cmp = appendAgentKey(m.cmp[:0], &m.tab[id])
+	return bytes.Equal(m.cmp, m.enc)
+}
+
+// intern returns a's key and whether it is fresh. A fresh key is the most
+// recently released one, else the next table slot, and is filed under the
+// encoding's hash; its table entry is empty, for the caller to fill. Keys
+// of released states are reused, so a key is only meaningful while its
+// state stays occupied — exactly the engine's contract for Release-bearing
+// models.
+func (m *compactModel) intern(a *Agent) (uint64, bool) {
+	h, id, ok := m.probe(a)
+	if ok {
+		return id, false
 	}
-	var id uint64
 	if k := len(m.free); k > 0 {
 		id = m.free[k-1]
 		m.free = m.free[:k-1]
 	} else {
 		id = uint64(len(m.tab))
 		m.tab = append(m.tab, Agent{})
-		m.names = append(m.names, "")
+		m.hashes = append(m.hashes, 0)
 	}
-	m.dyn.copyAgentInto(&m.tab[id], a)
-	name := string(m.enc)
-	m.intern[name] = id
-	m.names[id] = name
+	m.hashes[id] = h
+	m.index.insert(h, id)
+	return id, true
+}
+
+// keyOf interns a and returns its key, deep-copying the state into the
+// table on first sight: a stays as it was.
+func (m *compactModel) keyOf(a *Agent) uint64 {
+	id, fresh := m.intern(a)
+	if fresh {
+		m.dyn.copyAgentInto(&m.tab[id], a)
+	}
 	return id
 }
 
-// release evicts key's table entry: the intern mapping dies, the per-role
-// states return to the free lists, and the key becomes reusable.
+// take is keyOf for the model's own working copies: on first sight the
+// state's per-role buffers move into the table instead of being copied, and
+// a loses them (its next copyAgentInto pops recycled ones).
+func (m *compactModel) take(a *Agent) uint64 {
+	id, fresh := m.intern(a)
+	if fresh {
+		m.tab[id] = *a
+		a.AR, a.SV = nil, nil
+	}
+	return id
+}
+
+// release evicts key's table entry: it is unfiled from the index, the
+// per-role states return to the free lists, and the key becomes reusable.
+// Releasing a key that is not live is a no-op.
 func (m *compactModel) release(key uint64) {
-	name := m.names[key]
-	if name == "" {
+	if !m.index.remove(m.hashes[key], key) {
 		return
 	}
-	delete(m.intern, name)
-	m.names[key] = ""
 	a := &m.tab[key]
 	m.dyn.releaseAR(a)
 	m.dyn.releaseSV(a)
@@ -110,7 +152,8 @@ func (m *compactModel) release(key uint64) {
 
 // react applies one ElectLeader_r interaction to the ordered state pair: the
 // interned states are deep-copied into working agents, the shared pair
-// dynamics run, and the successors are interned. The engine's source is
+// dynamics run, and the successors are interned, moving the working copies'
+// buffers into the table when they are fresh. The engine's source is
 // ignored — see the package comment.
 //
 //sspp:hotpath
@@ -119,7 +162,7 @@ func (m *compactModel) react(a, b uint64, _ *rng.PRNG) (uint64, uint64) {
 	m.dyn.copyAgentInto(&m.v, &m.tab[b])
 	m.clock++
 	m.dyn.interactPair(&m.u, &m.v, m.sample, m.sample, m.clock)
-	return m.keyOf(&m.u), m.keyOf(&m.v)
+	return m.take(&m.u), m.take(&m.v)
 }
 
 // join returns the key of an agent joining under the named adversary class.
@@ -141,7 +184,7 @@ func (m *compactModel) join(class string, _ int, _ sim.CountView, _ *rng.PRNG) (
 	default:
 		return 0, fmt.Errorf("core: class %q not realizable as an electleader species join state", class)
 	}
-	return m.keyOf(jw), nil
+	return m.take(jw), nil
 }
 
 // safeSet is Lemma 6.1's safe set over the count multiset. One CountView
@@ -278,7 +321,6 @@ func (d *dynamics) compactModel(sample coin.Sampler) *compactModel {
 		dyn:       d.detached(),
 		n:         d.n,
 		sample:    sample,
-		intern:    make(map[string]uint64),
 		rankEpoch: make([]uint64, d.n),
 	}
 	m.admit = m.admitState

@@ -143,8 +143,14 @@ func TestCompactModelReleaseRecyclesKeys(t *testing.T) {
 	}
 
 	m.release(k1)
-	if m.names[k1] != "" {
-		t.Fatal("release left the canonical name behind")
+	if _, _, ok := m.probe(&a); ok {
+		t.Fatal("release left the released encoding filed: probing it still hits")
+	}
+	if _, ok := m.index.find(m.hashes[k1], func(id uint64) bool { return id == k1 }); ok {
+		t.Fatal("release left the key filed in the index")
+	}
+	if live := m.index.live; live != 1 {
+		t.Fatalf("index holds %d live entries after the release, want 1 (the clean state)", live)
 	}
 	a.Countdown--
 	if k2 := m.keyOf(&a); k2 != k1 {

@@ -184,6 +184,12 @@ func New(n, r int, opts ...Option) (*Protocol, error) {
 	}
 	width := coin.WidthFor(int(dyn.consts.Ranking.IDSpace))
 	prngSampler := coin.FromPRNG(p.src)
+	// The rankers and their channels come from two slabs rather than 2n
+	// small allocations; the full slice expression caps each channel, so
+	// growing one reallocates instead of spilling into its neighbour.
+	R := int(dyn.consts.Ranking.R)
+	ars := make([]ranking.State, n)
+	chans := make([]int32, n*R)
 	for i := range p.agents {
 		a := &p.agents[i]
 		p.ptrs[i] = a
@@ -193,6 +199,8 @@ func New(n, r int, opts ...Option) (*Protocol, error) {
 		} else {
 			p.samplers[i] = prngSampler
 		}
+		ars[i].Channel = chans[i*R : (i+1)*R : (i+1)*R]
+		a.AR = &ars[i]
 		p.dyn.reinitRanker(a)
 	}
 	p.recount()

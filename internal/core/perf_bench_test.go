@@ -1,7 +1,8 @@
 // perf_bench_test.go holds the hot-path micro-benchmarks of the protocol
 // layer: steady-state Interact cost and the safe-set polling predicate. Both
 // must report 0 allocs/op in steady state — any regression shows up as a
-// nonzero allocs/op column (the CI zero-alloc gate). End-to-end time to the
+// nonzero allocs/op column (the CI zero-alloc gate). Allocation pins for the
+// warm species step and for New sit beside them. End-to-end time to the
 // safe set is timed by the t1-agent workload of the benchmark in bench/.
 package core
 
@@ -179,5 +180,44 @@ func BenchmarkInSafeSetPollUnsafe(b *testing.B) {
 		if p.InSafeSet() {
 			b.Fatal("fresh rankers should not be safe")
 		}
+	}
+}
+
+// TestCompactStepZeroAllocs pins the warm species step of ElectLeader_r at
+// zero allocations: once the table, the index and the free lists have grown
+// to the run's working set, interning a fresh state moves the working
+// copy's buffers into the table and the next copy pops recycled ones, so
+// no reaction allocates.
+func TestCompactStepZeroAllocs(t *testing.T) {
+	const n, r = 4096, 16
+	m, err := newCleanCompactModel(n, r, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := species.NewSystem(m.cleanModel(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.StepMany(20 * n)
+	allocs := testing.AllocsPerRun(5, func() { sp.StepMany(1000) })
+	if allocs != 0 {
+		t.Fatalf("warm species step allocated %.1f times per 1000 interactions, want 0", allocs)
+	}
+}
+
+// TestNewAllocsIndependentOfN pins New's allocation count as a constant:
+// the rankers and their channels come from two slabs, so building a larger
+// population allocates larger blocks, not more of them.
+func TestNewAllocsIndependentOfN(t *testing.T) {
+	count := func(n, r int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(n, r, WithSeed(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := count(64, 8), count(256, 64)
+	if small != large || large > 32 {
+		t.Fatalf("New allocated %.0f times at n=64 and %.0f at n=256, want one constant count of at most 32", small, large)
 	}
 }
