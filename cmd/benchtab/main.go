@@ -9,7 +9,7 @@
 //	benchtab -experiment T7  # a single experiment
 //	benchtab -list           # enumerate experiments
 //	benchtab -workers 1      # force sequential trials (default: GOMAXPROCS)
-//	benchtab -json           # machine-readable output for BENCH_*.json archives
+//	benchtab -json           # machine-readable output
 //	benchtab -compare        # cross-protocol faceoff through the public Ensemble
 package main
 
@@ -19,39 +19,17 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"sspp"
 	"sspp/internal/experiments"
 	"sspp/internal/trials"
 )
 
-// jsonTable is the archival form of one experiment table (BENCH_*.json).
-type jsonTable struct {
-	ID        string     `json:"id"`
-	Title     string     `json:"title"`
-	Claim     string     `json:"claim,omitempty"`
-	Header    []string   `json:"header"`
-	Rows      [][]string `json:"rows"`
-	Notes     []string   `json:"notes,omitempty"`
-	ElapsedMS int64      `json:"elapsed_ms"`
-}
-
-// schemaVersion identifies the jsonReport layout, so archived BENCH_*.json
-// trajectories stay comparable across PRs. Bump on any breaking change to
-// jsonReport or jsonTable. v3: the interaction-topology layer — the T-ring
-// table joined the registry (its rows carry a topology column), and the
-// -compare faceoff accepts -topology (its CompareResult JSON then stamps
-// the topology names). v4: the workload layer — the T-churn table joined the
-// registry (per-event recovery columns over Ensemble workload cells). v5:
-// the continuous-clock layer — the S2 table joined the registry (exact vs
-// tau-leaped continuous stepping, with a clock column and native parallel
-// times). v6: ElectLeader_r's species form — the S3 table joined the
-// registry (faceted rows: agent-vs-species throughput over (n, r) plus
-// extended-range safe-set arrival with T1's normalization column). v7: the
-// serve layer — the S4 table joined the registry (cold-vs-warm sppd cache
-// latency, hit ratios under overlapping request mixes).
-const schemaVersion = 7
+// schemaVersion identifies the jsonReport layout. Bump on any breaking
+// change to jsonReport or experiments.Table. v8: tables dropped
+// elapsed_ms, so a report is a pure function of the flags (wall-clock
+// performance is measured by bench/ alone).
+const schemaVersion = 8
 
 // jsonReport is the top-level -json document.
 type jsonReport struct {
@@ -64,10 +42,10 @@ type jsonReport struct {
 	// fewer when they have fewer trials). Tables are byte-identical for
 	// every value (internal/trials), so the stamp is provenance, not a
 	// reproducibility input.
-	Workers         int         `json:"workers"`
-	WorkersResolved int         `json:"workers_resolved"`
-	GoMaxProc       int         `json:"gomaxprocs"`
-	Tables          []jsonTable `json:"tables"`
+	Workers         int                  `json:"workers"`
+	WorkersResolved int                  `json:"workers_resolved"`
+	GoMaxProc       int                  `json:"gomaxprocs"`
+	Tables          []*experiments.Table `json:"tables"`
 }
 
 func main() {
@@ -124,23 +102,12 @@ func run() error {
 		GoMaxProc:       runtime.GOMAXPROCS(0),
 	}
 	for _, id := range ids {
-		start := time.Now() //sspp:allow rngdiscipline -- harness wall-clock for the throughput column, not simulation randomness
 		table := registry[id](cfg)
-		elapsed := time.Since(start) //sspp:allow rngdiscipline -- harness wall-clock for the throughput column, not simulation randomness
 		if *jsonOut {
-			report.Tables = append(report.Tables, jsonTable{
-				ID:        table.ID,
-				Title:     table.Title,
-				Claim:     table.Claim,
-				Header:    table.Header,
-				Rows:      table.Rows,
-				Notes:     table.Notes,
-				ElapsedMS: elapsed.Milliseconds(),
-			})
+			report.Tables = append(report.Tables, table)
 			continue
 		}
 		table.Render(os.Stdout)
-		fmt.Printf("  [%s completed in %s]\n\n", id, elapsed.Round(time.Millisecond))
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

@@ -22,8 +22,8 @@ func renderWith(t *testing.T, gen Generator, workers int) []byte {
 // TestTablesWorkerCountIndependent renders a representative slice of the
 // experiment registry — the measureSafeSet-based headline experiments, the
 // harness-based detection experiments, an events-reading recovery
-// experiment, and an ablation — sequentially and in parallel, and requires
-// byte identity. The parallel worker count is at least 4 even on a
+// experiment, an ablation, and the sppd cache table — sequentially and in
+// parallel, and requires byte identity. The parallel worker count is at least 4 even on a
 // single-CPU host: goroutine interleaving still exercises out-of-order
 // completion, which is what the aggregation must be robust to.
 func TestTablesWorkerCountIndependent(t *testing.T) {
@@ -32,7 +32,7 @@ func TestTablesWorkerCountIndependent(t *testing.T) {
 		parallel = 4
 	}
 	registry := All()
-	for _, id := range []string{"T1", "T7", "T9", "T14", "A2", "T-ring"} {
+	for _, id := range []string{"T1", "T7", "T9", "T14", "A2", "T-ring", "S4"} {
 		gen := registry[id]
 		if gen == nil {
 			t.Fatalf("experiment %s missing from registry", id)

@@ -1,18 +1,16 @@
-// electspecies.go implements experiment S3: the cost profile of
-// ElectLeader_r's species form (internal/core/compact.go). Unlike CIW or
-// LooseLE, whose states pack into O(1) words, an ElectLeader_r state is
-// genuinely O(r) words (the AssignRanks channel) — that is the space side
-// of the paper's trade-off — so compaction cannot shrink the
-// per-interaction constant. Worse for throughput: the protocol keeps ~n
-// distinct states (distinct random IDs, then distinct ranks, by design),
-// so the count multiset degenerates to one-agent-per-state and every
-// interaction pays interning (encode, hash, archive, release) on top of
-// the O(r) copy — measured well under 1× agent throughput. What the
-// species form buys is the count-based engine surface (uniform
-// equivalence gates, count churn, the τ-leaping clocks, one engine for
-// every protocol), not speed; S3 records that honestly. The second facet
-// extends the T1 curve through both backends: safe-set arrival in the
-// linear regime (r = n/4) at populations ~10× past the agent-only T1
+// electspecies.go implements experiment S3: ElectLeader_r's species form
+// (internal/core/compact.go). Unlike CIW or LooseLE, whose states pack
+// into O(1) words, an ElectLeader_r state is genuinely O(r) words (the
+// AssignRanks channel) — that is the space side of the paper's trade-off —
+// so compaction cannot shrink the per-interaction constant. And the
+// protocol keeps ~n distinct states (distinct random IDs, then distinct
+// ranks, by design), so the count multiset degenerates to
+// one-agent-per-state: the occupancy facet records that, and bench/
+// (species-elect) times what it costs. What the species form buys is the
+// count-based engine surface (uniform equivalence gates, count churn, the
+// τ-leaping clocks, one engine for every protocol), not speed. The second
+// facet extends the T1 curve through both backends: safe-set arrival in
+// the linear regime (r = n/4) at populations ~10× past the agent-only T1
 // table, with the same (n²/r)·ln n normalization, at matched seeds.
 
 package experiments
@@ -20,7 +18,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"sspp"
 	"sspp/internal/core"
@@ -30,11 +27,9 @@ import (
 	"sspp/internal/stats"
 )
 
-// s3ThroughputPoints are the (n, r) cells of the throughput facet: n-scaling
-// at small fixed r, then r-scaling at fixed n (the cost side of the
-// space-time trade-off — per-interaction time grows with r on both
-// backends).
-func s3ThroughputPoints(quick bool) []struct{ n, r int } {
+// s3OccupancyPoints are the (n, r) cells of the occupancy facet: n-scaling
+// at small fixed r, then r-scaling at fixed n.
+func s3OccupancyPoints(quick bool) []struct{ n, r int } {
 	if quick {
 		return []struct{ n, r int }{
 			{10_000, 64}, {100_000, 64}, {10_000, 1024},
@@ -59,64 +54,42 @@ func s3SafeSetSizes(quick bool) []int {
 	return []int{256, 512, 1024}
 }
 
-// S3ElectLeaderSpecies measures agent-vs-species ElectLeader_r: raw
-// interaction throughput over (n, r), and safe-set arrival from the cold
-// start at r = n/4.
+// S3ElectLeaderSpecies records ElectLeader_r's species form: occupied
+// states over (n, r), and safe-set arrival from the cold start at r = n/4
+// on both backends.
 func S3ElectLeaderSpecies(cfg Config) *Table {
 	t := &Table{
 		ID:    "S3",
-		Title: "ElectLeader_r species form: throughput over (n, r) and extended-range safe-set arrival",
+		Title: "ElectLeader_r species form: occupancy over (n, r) and extended-range safe-set arrival",
 		Claim: "per-interaction cost is O(r) on both backends (the state IS O(r) words — the paper's space side), " +
 			"and ElectLeader_r keeps ~n distinct states (distinct ranks by design), so the species form pays " +
-			"interning on top of the copy with no count-merging to exploit: expect well under 1x agent throughput. " +
+			"interning on top of the copy with no count-merging to exploit (occupied ~ n). " +
 			"The species form buys the count-based engine surface, not speed; the safe-set facet extends the T1 " +
 			"curve (norm ~ flat at r = n/4, species/agent arrival ratio ~ 1.0)",
-		Header: []string{"facet", "n", "r", "backend", "interactions", "elapsed", "M int/s", "occupied", "norm", "vs agent"},
+		Header: []string{"facet", "n", "r", "backend", "interactions", "occupied", "norm", "vs agent"},
 	}
 
-	// Facet 1: raw throughput at a fixed per-agent interaction budget, from
-	// the cold start (the reset/ranking phases, where states are widely
-	// shared and the intern table is small).
+	// Facet 1: occupied states after a fixed per-agent interaction budget
+	// from the cold start.
 	perAgent := uint64(10)
 	if cfg.Quick {
 		perAgent = 2
 	}
-	for _, pt := range s3ThroughputPoints(cfg.Quick) {
+	for _, pt := range s3OccupancyPoints(cfg.Quick) {
 		budget := perAgent * uint64(pt.n)
-		var agentElapsed time.Duration
-		for _, backend := range []string{"agent", "species"} {
-			agent, err := core.New(pt.n, pt.r, core.WithSeed(cfg.BaseSeed+31))
-			if err != nil {
-				t.Note("n=%d r=%d: %v", pt.n, pt.r, err)
-				continue
-			}
-			var p sim.Protocol = agent
-			if backend == "species" {
-				sp, err := species.NewSystem(agent.Compact(), 1)
-				if err != nil {
-					t.Note("n=%d r=%d: %v", pt.n, pt.r, err)
-					continue
-				}
-				p = sp
-			}
-			src := rng.New(cfg.BaseSeed + 17)
-			start := time.Now() //sspp:allow rngdiscipline -- backend cost profile is a wall-clock measurement by design
-			sim.Steps(p, src, budget)
-			elapsed := time.Since(start) //sspp:allow rngdiscipline -- backend cost profile is a wall-clock measurement by design
-			occ := "-"
-			speedup := ""
-			if sp, ok := p.(*species.System); ok {
-				occ = fmtU(uint64(sp.Occupied()))
-				if elapsed > 0 && agentElapsed > 0 {
-					speedup = fmt.Sprintf("%.2fx", float64(agentElapsed)/float64(elapsed))
-				}
-			} else {
-				agentElapsed = elapsed
-			}
-			rate := float64(budget) / elapsed.Seconds() / 1e6
-			t.Append("throughput", fmtU(uint64(pt.n)), fmtU(uint64(pt.r)), backend, fmtU(budget),
-				elapsed.Round(time.Millisecond).String(), fmtF(rate, 1), occ, "-", speedup)
+		agent, err := core.New(pt.n, pt.r, core.WithSeed(cfg.BaseSeed+31))
+		if err != nil {
+			t.Note("n=%d r=%d: %v", pt.n, pt.r, err)
+			continue
 		}
+		sp, err := species.NewSystem(agent.Compact(), 1)
+		if err != nil {
+			t.Note("n=%d r=%d: %v", pt.n, pt.r, err)
+			continue
+		}
+		sim.Steps(sp, rng.New(cfg.BaseSeed+17), budget)
+		t.Append("occupancy", fmtU(uint64(pt.n)), fmtU(uint64(pt.r)), "species", fmtU(budget),
+			fmtU(uint64(sp.Occupied())), "-", "")
 	}
 
 	// Facet 2: the extended-range T1 curve — safe-set arrival (Lemma 6.1,
@@ -152,7 +125,7 @@ func S3ElectLeaderSpecies(cfg Config) *Table {
 			}
 			if len(times) == 0 {
 				t.Append("safe-set", fmtU(uint64(n)), fmtU(uint64(r)), backend,
-					"-", "-", "-", "-", "-", fmt.Sprintf("%d fails", fails))
+					"-", "-", "-", fmt.Sprintf("%d fails", fails))
 				continue
 			}
 			s := stats.Summarize(times)
@@ -164,11 +137,12 @@ func S3ElectLeaderSpecies(cfg Config) *Table {
 				ratio = fmtF(s.Mean/agentMean, 2)
 			}
 			t.Append("safe-set", fmtU(uint64(n)), fmtU(uint64(r)), backend,
-				fmtU(uint64(s.Mean)), "-", "-", "-", fmtF(norm, 2), ratio)
+				fmtU(uint64(s.Mean)), "-", fmtF(norm, 2), ratio)
 		}
 	}
 
-	t.Note("throughput budget is %d interactions per agent per row from the cold start; the vs-agent column is agent/species wall time (throughput) or species/agent mean arrival (safe-set)", perAgent)
+	t.Note("occupancy budget is %d interactions per agent per row from the cold start; the vs-agent column is species/agent mean arrival (safe-set)", perAgent)
+	t.Note("the species form's cost is timed by bench/ (species-elect), not here")
 	t.Note("equivalence is gated separately: KS/Mann-Whitney at n=512 r=128 (internal/species/equiv_test.go) and the exact schedule mirror (internal/core/compact_test.go)")
 	return t
 }

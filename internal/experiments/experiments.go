@@ -88,21 +88,22 @@ func seedTimes(cfg Config, count int, fn func(s int) (float64, bool)) (times []f
 	return times, misses
 }
 
-// Table is a rendered experiment result.
+// Table is a rendered experiment result. Its JSON form is what
+// cmd/benchtab -json emits per table.
 type Table struct {
 	// ID is the experiment identifier (T1…T16, F1, F2, A1…A4).
-	ID string
+	ID string `json:"id"`
 	// Title is a one-line experiment description.
-	Title string
+	Title string `json:"title"`
 	// Claim cites the paper statement being validated and the expected
 	// shape of the measurement.
-	Claim string
+	Claim string `json:"claim,omitempty"`
 	// Header holds the column names.
-	Header []string
+	Header []string `json:"header"`
 	// Rows holds the measurements.
-	Rows [][]string
+	Rows [][]string `json:"rows"`
 	// Notes holds free-form observations appended during the run.
-	Notes []string
+	Notes []string `json:"notes,omitempty"`
 }
 
 // Append adds a row; the cell count should match the header.

@@ -1,13 +1,12 @@
-// serve.go implements experiment S4: the cost profile of the sppd
+// serve.go implements experiment S4: the cache behaviour of the sppd
 // simulation service (cmd/sppd, internal/serve). The service's claim is
 // architectural, not statistical — a cell's result is a pure function of
 // its resolved config, so a content-addressed cache can serve warm repeats
-// byte-identically without re-simulating — and S4 measures what that buys:
-// cold-vs-warm latency per grid, the hit ratio of an overlapping request
-// mix, and singleflight dedup under concurrent identical submissions.
-// Byte-identity itself is enforced by internal/serve's tests; this table
-// records the latency side of the trade the way S1 records the species
-// backend's.
+// byte-identically without re-simulating — and S4 records what that buys:
+// the provenance and hit ratio of each request in a cold, warm and
+// overlapping mix, and singleflight dedup under concurrent identical
+// submissions. Byte-identity itself is enforced by internal/serve's tests;
+// cold and warm latency are timed by bench/ (sppd-cold, sppd-warm).
 
 package experiments
 
@@ -18,9 +17,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
-	"time"
 
 	"sspp"
 	"sspp/internal/serve"
@@ -75,41 +72,39 @@ func (p s4Provenance) hitRatio() float64 {
 	return float64(p.dedup+p.memory+p.disk) / float64(p.cells())
 }
 
-// s4Submit posts the grid synchronously and returns latency, provenance
-// and the response bytes.
-func s4Submit(ts *httptest.Server, spec serve.GridSpec) (time.Duration, s4Provenance, []byte, error) {
+// s4Submit posts the grid synchronously and returns the provenance and
+// the response bytes.
+func s4Submit(ts *httptest.Server, spec serve.GridSpec) (s4Provenance, []byte, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
-		return 0, s4Provenance{}, nil, err
+		return s4Provenance{}, nil, err
 	}
-	start := time.Now() //sspp:allow rngdiscipline -- cache latency is a wall-clock measurement by design
 	resp, err := http.Post(ts.URL+"/v1/grids", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return 0, s4Provenance{}, nil, err
+		return s4Provenance{}, nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
-	elapsed := time.Since(start) //sspp:allow rngdiscipline -- cache latency is a wall-clock measurement by design
 	if err != nil {
-		return 0, s4Provenance{}, nil, err
+		return s4Provenance{}, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return 0, s4Provenance{}, nil, fmt.Errorf("status %d: %s", resp.StatusCode, b)
+		return s4Provenance{}, nil, fmt.Errorf("status %d: %s", resp.StatusCode, b)
 	}
-	return elapsed, parseProvenance(resp.Header.Get("X-Sppd-Cache")), b, nil
+	return parseProvenance(resp.Header.Get("X-Sppd-Cache")), b, nil
 }
 
-// S4ServeCache measures the sppd result cache: cold and warm latency for
-// repeated and overlapping grids, then singleflight dedup under concurrent
-// identical submissions.
+// S4ServeCache records the sppd result cache: provenance and hit ratios
+// for repeated and overlapping grids, then singleflight dedup under
+// concurrent identical submissions.
 func S4ServeCache(cfg Config) *Table {
 	t := &Table{
 		ID:    "S4",
-		Title: "sppd result cache: cold vs warm grid latency, hit ratios, singleflight dedup",
+		Title: "sppd result cache: cold vs warm provenance, hit ratios, singleflight dedup",
 		Claim: "cell results are pure functions of their resolved configs (deriveSeedStreams), so warm " +
-			"repeats are served from the content-addressed cache byte-identically, orders of magnitude " +
-			"faster than simulating; overlapping grids re-compute only their new cells",
-		Header: []string{"request", "cells", "computed", "cache-hits", "hit-ratio", "latency", "speedup"},
+			"repeats are served from the content-addressed cache byte-identically without simulating; " +
+			"overlapping grids re-compute only their new cells",
+		Header: []string{"request", "cells", "computed", "cache-hits", "hit-ratio"},
 	}
 	srv, err := serve.NewServer(serve.Options{Workers: cfg.workers()})
 	if err != nil {
@@ -119,23 +114,15 @@ func S4ServeCache(cfg Config) *Table {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	var coldLatency time.Duration
 	bodies := make(map[string][]byte)
 	for _, g := range s4Mix(cfg) {
-		elapsed, prov, body, err := s4Submit(ts, g.spec)
+		prov, body, err := s4Submit(ts, g.spec)
 		if err != nil {
 			t.Note("%s failed: %v", g.phase, err)
 			continue
 		}
-		speedup := "-"
-		if g.phase == "cold" {
-			coldLatency = elapsed
-		} else if strings.Contains(g.phase, "warm") && elapsed > 0 && coldLatency > 0 {
-			speedup = fmt.Sprintf("%.0fx", float64(coldLatency)/float64(elapsed))
-		}
 		t.Append(g.phase, fmt.Sprintf("%d", prov.cells()), fmt.Sprintf("%d", prov.computed),
-			fmt.Sprintf("%d", prov.dedup+prov.memory+prov.disk),
-			fmtF(prov.hitRatio(), 2), elapsed.Round(10*time.Microsecond).String(), speedup)
+			fmt.Sprintf("%d", prov.dedup+prov.memory+prov.disk), fmtF(prov.hitRatio(), 2))
 
 		// Byte-identity spot check: repeats of a spec must serve the exact
 		// bytes of its first response.
@@ -151,20 +138,18 @@ func S4ServeCache(cfg Config) *Table {
 	flood := serve.GridSpec{Points: []sspp.Point{{N: 72, R: 8}}, Seeds: cfg.seeds(), BaseSeed: cfg.BaseSeed + 1}
 	const clients = 6
 	provs := make([]s4Provenance, clients)
-	start := time.Now() //sspp:allow rngdiscipline -- cache latency is a wall-clock measurement by design
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, prov, _, err := s4Submit(ts, flood)
+			prov, _, err := s4Submit(ts, flood)
 			if err == nil {
 				provs[i] = prov
 			}
 		}(i)
 	}
 	wg.Wait()
-	elapsed := time.Since(start) //sspp:allow rngdiscipline -- cache latency is a wall-clock measurement by design
 	var total s4Provenance
 	for _, p := range provs {
 		total.computed += p.computed
@@ -174,11 +159,11 @@ func S4ServeCache(cfg Config) *Table {
 	}
 	t.Append(fmt.Sprintf("%d concurrent identical", clients), fmt.Sprintf("%d", total.cells()),
 		fmt.Sprintf("%d", total.computed), fmt.Sprintf("%d", total.dedup+total.memory+total.disk),
-		fmtF(total.hitRatio(), 2), elapsed.Round(10*time.Microsecond).String(), "-")
+		fmtF(total.hitRatio(), 2))
 	if total.computed != 1 {
 		t.Note("SINGLEFLIGHT VIOLATION: %d concurrent identical submissions simulated %d cells, want 1",
 			clients, total.computed)
 	}
-	t.Note("latency columns are wall clock (machine-dependent); provenance and hit ratios are deterministic")
+	t.Note("cold and warm latency are timed by bench/ (sppd-cold, sppd-warm), not here")
 	return t
 }

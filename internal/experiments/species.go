@@ -1,21 +1,19 @@
-// species.go implements experiment S1: the large-n throughput table of the
-// species backend. The agent backend stores one struct per agent and pays
-// O(1)-per-interaction on tiny states but cannot shrink its per-interaction
-// constant below touching agent memory; the species backend
-// (internal/species) stores state counts, samples interactions from an
-// incrementally maintained alias table, and — for diagonal protocols like
-// CIW — skips entire silent runs in one geometric draw. S1 measures both
-// backends driving the same protocols at n ∈ {10⁵, 10⁶, 10⁷}, the regime
-// the ROADMAP's scale goal calls for. Statistical equivalence of the two
-// backends is enforced separately (internal/species/equiv_test.go and the
-// nightly soak job); this table records the cost side of the trade.
+// species.go implements experiment S1: the large-n occupancy table of the
+// species backend. The agent backend stores one struct per agent; the
+// species backend (internal/species) stores state counts, samples
+// interactions from an incrementally maintained alias table, and — for
+// diagonal protocols like CIW — skips entire silent runs in one geometric
+// draw, so its per-interaction cost depends on the occupied states, not
+// on n. S1 drives both backends with the same protocols at
+// n ∈ {10⁵, 10⁶, 10⁷} and records the occupied-state count each reaches.
+// Statistical equivalence of the two backends is enforced separately
+// (internal/species/equiv_test.go and the nightly soak job); throughput is
+// timed by bench/ (species-ciw) and guarded by
+// TestCIWSpeciesThroughputBudget.
 
 package experiments
 
 import (
-	"fmt"
-	"time"
-
 	"sspp/internal/baseline"
 	"sspp/internal/rng"
 	"sspp/internal/sim"
@@ -26,7 +24,7 @@ import (
 var s1Sizes = []int{100_000, 1_000_000, 10_000_000}
 
 // s1Protocol describes one S1 protocol: an agent-level constructor and a
-// function counting its occupied (distinct) states, for the cost columns.
+// function counting its occupied (distinct) states.
 type s1Protocol struct {
 	name  string
 	build func(n int) sim.Protocol
@@ -90,15 +88,15 @@ func s1Protocols() []s1Protocol {
 	}
 }
 
-// S1SpeciesBackend measures agent-vs-species throughput per protocol and
+// S1SpeciesBackend records agent-vs-species occupancy per protocol and
 // population size.
 func S1SpeciesBackend(cfg Config) *Table {
 	t := &Table{
 		ID:    "S1",
-		Title: "species backend throughput at n = 1e5..1e7 (agent vs state-count simulation)",
+		Title: "species backend occupancy at n = 1e5..1e7 (agent vs state-count simulation)",
 		Claim: "per-interaction cost of the species backend depends on occupied states, not n; " +
 			"backend equivalence is gated statistically in internal/species (KS/Mann-Whitney, 200 paired trials)",
-		Header: []string{"protocol", "n", "backend", "interactions", "elapsed", "M int/s", "occupied", "speedup"},
+		Header: []string{"protocol", "n", "backend", "interactions", "occupied"},
 	}
 	perAgent := uint64(10)
 	if cfg.Quick {
@@ -107,46 +105,29 @@ func S1SpeciesBackend(cfg Config) *Table {
 	for _, proto := range s1Protocols() {
 		for _, n := range s1Sizes {
 			budget := perAgent * uint64(n)
-			var agentElapsed time.Duration
 			for _, backend := range []string{"agent", "species"} {
-				src := rng.New(cfg.BaseSeed + 17)
-				var p sim.Protocol
 				agent := proto.build(n)
+				var p sim.Protocol = agent
+				occupied := func() int { return proto.occupied(agent) }
 				if backend == "species" {
 					comp, ok := sim.AsCompactable(agent)
 					if !ok {
-						panic("species benchmark protocol must be Compactable")
+						panic("species occupancy protocol must be Compactable")
 					}
 					sp, err := species.NewSystem(comp.Compact(), 1)
 					if err != nil {
 						t.Note("%s n=%d: %v", proto.name, n, err)
 						continue
 					}
-					p = sp
-				} else {
-					p = agent
+					p, occupied = sp, sp.Occupied
 				}
-				start := time.Now() //sspp:allow rngdiscipline -- backend speedup is a wall-clock measurement by design
-				sim.Steps(p, src, budget)
-				elapsed := time.Since(start) //sspp:allow rngdiscipline -- backend speedup is a wall-clock measurement by design
-				occ := 0
-				speedup := ""
-				if sp, ok := p.(*species.System); ok {
-					occ = sp.Occupied()
-					if elapsed > 0 && agentElapsed > 0 {
-						speedup = fmt.Sprintf("%.1fx", float64(agentElapsed)/float64(elapsed))
-					}
-				} else {
-					occ = proto.occupied(p)
-					agentElapsed = elapsed
-				}
-				rate := float64(budget) / elapsed.Seconds() / 1e6
-				t.Append(proto.name, fmtU(uint64(n)), backend, fmtU(budget),
-					elapsed.Round(time.Millisecond).String(), fmtF(rate, 1), fmtU(uint64(occ)), speedup)
+				sim.Steps(p, rng.New(cfg.BaseSeed+17), budget)
+				t.Append(proto.name, fmtU(uint64(n)), backend, fmtU(budget), fmtU(uint64(occupied())))
 			}
 		}
 	}
-	t.Note("budget is %d interactions per agent per row (quick mode shrinks it); the speedup column is agent/species wall time", perAgent)
+	t.Note("budget is %d interactions per agent per row (quick mode shrinks it)", perAgent)
 	t.Note("CIW uses the diagonal silent-skip fast path (reactive interactions only); LooseLE samples every interaction from <= 2(tau+1) occupied states")
+	t.Note("throughput is timed by bench/ (species-ciw) and guarded by TestCIWSpeciesThroughputBudget (internal/species)")
 	return t
 }

@@ -30,11 +30,15 @@ var _ Scheduler = (*rng.PRNG)(nil)
 // with heterogeneous interaction rates.
 type Weighted struct {
 	r   *rng.PRNG
-	cum []float64 // cumulative weights, cum[n-1] == 1
+	cum []float64 // cumulative weights, cum[n-1] == 1; nil: uniform pairs
 }
 
 // NewWeighted builds a weighted scheduler from non-negative per-agent
-// weights (at least two positive entries). The slice is not retained.
+// weights. When normalising leaves fewer than two agents that draw can
+// return (fewer than two positive weights, or weights so skewed or
+// non-finite that the rest round away), no weighted pair of distinct
+// agents exists, so it deals the uniform pair instead. The slice is not
+// retained.
 func NewWeighted(r *rng.PRNG, weights []float64) *Weighted {
 	cum := make([]float64, len(weights))
 	total := 0.0
@@ -45,15 +49,18 @@ func NewWeighted(r *rng.PRNG, weights []float64) *Weighted {
 		total += w
 		cum[i] = total
 	}
-	if total <= 0 {
-		// Degenerate input: fall back to uniform.
-		for i := range cum {
-			cum[i] = float64(i+1) / float64(len(cum))
-		}
-		total = 1
-	}
+	// draw returns index i only when cum[i] > cum[i-1] (cum[-1] = 0); a NaN
+	// or infinite total fails every comparison.
+	drawable, prev := 0, 0.0
 	for i := range cum {
 		cum[i] /= total
+		if cum[i] > prev {
+			drawable++
+		}
+		prev = cum[i]
+	}
+	if drawable < 2 {
+		return &Weighted{r: r}
 	}
 	return &Weighted{r: r, cum: cum}
 }
@@ -71,6 +78,9 @@ func NewZipf(r *rng.PRNG, n int, s float64) *Weighted {
 
 // Pair draws an ordered pair of distinct agents.
 func (w *Weighted) Pair(n int) (a, b int) {
+	if w.cum == nil {
+		return w.r.Pair(n)
+	}
 	if n > len(w.cum) {
 		n = len(w.cum)
 	}

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sspp/internal/rng"
 )
@@ -64,13 +66,48 @@ func TestWeightedUniformWeightsMatchUniform(t *testing.T) {
 	}
 }
 
+// TestWeightedDegenerateWeights: when fewer than two agents keep a
+// drawable share of the normalised weights, no weighted pair of distinct
+// agents exists, so the scheduler must deal the uniform pair stream of its
+// source. Each input runs under a deadline, because a scheduler that keeps
+// re-drawing the one weighted agent never returns.
 func TestWeightedDegenerateWeights(t *testing.T) {
-	w := NewWeighted(rng.New(4), []float64{0, 0, 0, -1})
-	for i := 0; i < 1000; i++ {
-		a, b := w.Pair(4)
-		if a == b || a < 0 || a >= 4 || b < 0 || b >= 4 {
-			t.Fatal("degenerate weights must fall back to uniform")
-		}
+	const n = 8
+	cases := map[string]func(r *rng.PRNG) *Weighted{
+		"all zero or negative": func(r *rng.PRNG) *Weighted { return NewWeighted(r, []float64{0, 0, 0, -1}) },
+		"one positive weight":  func(r *rng.PRNG) *Weighted { return NewWeighted(r, []float64{1, 0, 0, 0, 0, 0, 0, 0}) },
+		"nil weights":          func(r *rng.PRNG) *Weighted { return NewWeighted(r, nil) },
+		"zipf over one agent":  func(r *rng.PRNG) *Weighted { return NewZipf(r, 1, 1) },
+		"NaN beside one":       func(r *rng.PRNG) *Weighted { return NewWeighted(r, []float64{math.NaN(), 1, 0}) },
+		"infinite weights":     func(r *rng.PRNG) *Weighted { return NewWeighted(r, []float64{math.Inf(1), math.Inf(1), 1}) },
+		"second weight rounds": func(r *rng.PRNG) *Weighted { return NewWeighted(r, []float64{1, 1e-17}) },
+		"zipf with s = 60":     func(r *rng.PRNG) *Weighted { return NewZipf(r, 2, 60) },
+		"zipf with s = 64":     func(r *rng.PRNG) *Weighted { return NewZipf(r, 8, 64) },
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			done := make(chan string, 1)
+			go func() {
+				w, ref := build(rng.New(4)), rng.New(4)
+				for i := 0; i < 1000; i++ {
+					a, b := w.Pair(n)
+					ra, rb := ref.Pair(n)
+					if a != ra || b != rb {
+						done <- fmt.Sprintf("pair %d = (%d,%d), want the uniform pair (%d,%d)", i, a, b, ra, rb)
+						return
+					}
+				}
+				done <- ""
+			}()
+			select {
+			case msg := <-done:
+				if msg != "" {
+					t.Fatal(msg)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Pair did not return within 5s")
+			}
+		})
 	}
 }
 

@@ -52,7 +52,9 @@ func NewZipf(seed uint64, n int, s float64) Scheduler {
 
 // NewWeighted returns a non-uniform scheduler that picks each endpoint
 // independently with probability proportional to its weight (re-drawing
-// identical pairs). The slice is not retained.
+// identical pairs). When fewer than two agents keep a drawable share of
+// the normalised weights it deals the uniform pair instead. The slice is
+// not retained.
 func NewWeighted(seed uint64, weights []float64) Scheduler {
 	return sim.NewWeighted(rng.New(seed), weights)
 }

@@ -191,6 +191,41 @@ func TestRecordingEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordingFromSafeStartRoundTrips: a run that starts in the safe set
+// stops before drawing a pair, so its recording is empty. That recording
+// must still encode, decode and replay to the identical result, because
+// the replay never asks it for a pair.
+func TestRecordingFromSafeStartRoundTrips(t *testing.T) {
+	build := func() *System {
+		sys, err := New(Config{N: 16, R: 4, Seed: 74})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Inject(AdversaryProbationSkew, 75); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	rec := NewRecorder(NewUniform(76))
+	res1 := build().Run(Until(SafeSet), WithScheduler(rec))
+	if !res1.Stabilized || res1.Interactions != 0 || rec.Recording().Len() != 0 {
+		t.Fatalf("run from a safe start: %+v with %d recorded pairs, want stabilized at once and none recorded",
+			res1, rec.Recording().Len())
+	}
+	var buf bytes.Buffer
+	if err := rec.Recording().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	archived := buf.String()
+	decoded, err := DecodeRecording(strings.NewReader(archived))
+	if err != nil {
+		t.Fatalf("decoding the empty recording %q: %v", archived, err)
+	}
+	if res2 := build().Run(Until(SafeSet), WithScheduler(decoded.Replay())); res1 != res2 {
+		t.Fatalf("replayed result %+v differs from recorded %+v", res2, res1)
+	}
+}
+
 // TestRecordingGoldenWire pins the version-1 wire layout byte-for-byte: the
 // golden archives below must keep decoding (and re-encoding to the identical
 // bytes) for as long as the engine accepts version 1 — discrete recordings
