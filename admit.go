@@ -26,6 +26,10 @@ type use struct {
 	// replay marks a TrialRecording, which must replay through the public
 	// API from the protocol seed and the schedule alone.
 	replay bool
+	// grid marks a plan that validates an Ensemble coordinate at the
+	// protocol seed of seed index seed (see newPlan); admit ignores both.
+	grid bool
+	seed int
 }
 
 // admit reports whether the resolved cfg (see Resolve) may run protocol p

@@ -51,11 +51,17 @@ const speciesSeedSalt = 0xA5A5_5A5A_0F0F_F0F0
 func compactProto(p sim.Protocol, seed uint64) (sim.Protocol, error) {
 	comp, ok := sim.AsCompactable(p)
 	if !ok {
-		return nil, fmt.Errorf("sspp: protocol %T has no species form", p)
+		return nil, fmt.Errorf("protocol %T has no species form", p)
 	}
-	sp, err := species.NewSystem(comp.Compact(), seed^speciesSeedSalt)
+	return speciesProto(comp.Compact(), seed)
+}
+
+// speciesProto runs a compact model on the species backend, its fallback
+// sampling stream drawn from seed.
+func speciesProto(m sim.CompactModel, seed uint64) (sim.Protocol, error) {
+	sp, err := species.NewSystem(m, seed^speciesSeedSalt)
 	if err != nil {
-		return nil, fmt.Errorf("sspp: %w", err)
+		return nil, err
 	}
 	return species.Capable(sp), nil
 }
@@ -158,13 +164,13 @@ func (m SpeciesModel) compile() sim.CompactModel {
 // identities do not exist in species form), and the default interaction
 // budget is the generic 1000·n·ln(n+1) envelope of custom protocols.
 func NewSpecies(model SpeciesModel) (*System, error) {
-	sp, err := species.NewSystem(model.compile(), speciesSeedSalt)
+	p, err := speciesProto(model.compile(), 0)
 	if err != nil {
 		return nil, fmt.Errorf("sspp: %w", err)
 	}
 	return &System{
-		proto:  species.Capable(sp),
+		plan:   plan{cfg: Config{Protocol: customProtocol, N: p.N(), Backend: BackendSpecies, Clock: ClockDiscrete}},
+		proto:  p,
 		events: sim.NewEvents(),
-		cfg:    Config{Protocol: customProtocol, N: sp.N(), Backend: BackendSpecies, Clock: ClockDiscrete},
 	}, nil
 }

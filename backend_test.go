@@ -177,7 +177,7 @@ func TestSpeciesCleanStartFastPath(t *testing.T) {
 	if p, err = compactProto(p, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
-	slow := &System{proto: p, events: ev, cfg: fast.cfg, spec: spec}
+	slow := &System{plan: plan{cfg: fast.cfg, spec: spec}, proto: p, events: ev}
 
 	resFast := fast.Run(Until(SafeSet), SchedulerSeed(3))
 	resSlow := slow.Run(Until(SafeSet), SchedulerSeed(3))

@@ -116,6 +116,8 @@ type Grid struct {
 // Ensemble executes a Grid across a worker pool. Build with NewEnsemble.
 type Ensemble struct {
 	grid     Grid
+	ax       gridAxes
+	streams  []seedStreams
 	workers  int
 	obsEvery uint64
 	obsFn    func(TrialObservation)
@@ -182,70 +184,31 @@ func NewEnsemble(g Grid, opts ...EnsembleOption) (*Ensemble, error) {
 	}
 	start := false
 	for _, a := range g.Adversaries {
-		if a == "" {
-			continue
-		}
-		if !slices.Contains(AdversaryClasses(), a) {
+		if a != "" && !slices.Contains(AdversaryClasses(), a) {
 			return nil, fmt.Errorf("sspp: ensemble grid names unknown adversary class %q", a)
 		}
-		start = true
+		start = start || a != ""
 	}
-	// Every trial's Config goes through the checks its New makes — resolve,
-	// the protocol's parameter validation, admit — with what the grid does
-	// to the trial, so grid validation never diverges from the trials: a
-	// grid never silently skips its fault model at large n, and a
-	// combination New rejects is rejected here with New's text.
-	ax := g.axes()
+	// Every coordinate's trial Config goes through newPlan with what the grid
+	// does to its trials, so a combination New rejects is rejected here with
+	// New's text. A non-complete topology is planned at every seed's protocol
+	// seed, the seed each trial draws its graph from, so an unbuildable or
+	// disconnected draw fails the grid instead of its trials.
+	e := &Ensemble{grid: g, ax: g.axes(), streams: deriveSeedStreams(g.BaseSeed, g.Seeds)}
 	u := g.use(start)
-	for _, name := range ax.protos {
-		for _, top := range ax.topos {
-			for _, clock := range ax.clocks {
-				for _, pt := range g.Points {
-					cfg, spec, err := resolve(g.trialConfig(name, clock, top, pt))
-					if err != nil {
-						return nil, err
-					}
-					if err := spec.validate(cfg); err != nil {
-						return nil, fmt.Errorf("sspp: ensemble point (n=%d, r=%d) for protocol %q: %w",
-							pt.N, pt.R, spec.name, err)
-					}
-					if err := admit(cfg, spec.zero, u); err != nil {
-						return nil, err
-					}
-				}
+	u.grid = true
+	for ci := 0; ci < e.ax.cells(); ci += len(e.ax.advs) {
+		_, cfg := e.ax.at(ci)
+		for s, st := range e.streams {
+			cfg.Seed, u.seed = st.protoSeed, s
+			if _, err := newPlan(cfg, u); err != nil {
+				return nil, err
+			}
+			if cfg.Topology.IsComplete() {
+				break
 			}
 		}
 	}
-	// Probe-materialize every non-complete topology at every point, at the
-	// exact protocol seed each trial will use — the random families draw
-	// their graph from that seed, so an unbuildable combination (odd-degree
-	// random-regular on an odd population, an Erdős–Rényi draw with no
-	// edges at one trial's seed) fails the grid up front instead of being
-	// silently aggregated as a failure to stabilize.
-	streams := deriveSeedStreams(g.BaseSeed, g.Seeds)
-	for _, top := range ax.topos {
-		if top.IsComplete() {
-			continue
-		}
-		for _, pt := range g.Points {
-			for s, st := range streams {
-				gr, err := top.materialize(pt.N, st.protoSeed)
-				if err != nil {
-					return nil, fmt.Errorf("sspp: ensemble point (n=%d), seed %d: %w", pt.N, s, err)
-				}
-				// Stabilization is global: on a disconnected graph every
-				// trial would burn its full budget and be aggregated as a
-				// failure to stabilize, so reject the draw instead.
-				if !gr.Connected() {
-					return nil, fmt.Errorf("sspp: ensemble point (n=%d), seed %d: topology %q draws a "+
-						"disconnected graph — no protocol can stabilize across components (raise the "+
-						"density, or probe single systems via System.TopologyConnected)",
-						pt.N, s, top.Name())
-				}
-			}
-		}
-	}
-	e := &Ensemble{grid: g}
 	for _, o := range opts {
 		o(e)
 	}
@@ -527,64 +490,66 @@ func deriveSeedStreams(baseSeed uint64, seeds int) []seedStreams {
 }
 
 // gridAxes is the resolved axis layout of a grid: every axis slice with its
-// empty-means-default resolution applied, plus the strides of the cell-index
-// arithmetic shared by Run, cell aggregation and TrialRecording.
+// empty-means-default resolution applied, and the grid-wide fields of every
+// trial Config. Its method at is the one decoding of a cell index.
 type gridAxes struct {
-	protos     []string
-	topos      []Topology
-	topoNames  []string // "" when the grid did not cross topologies
-	clocks     []string
-	clockNames []string // "" when the grid did not cross clocks
-	advs       []Adversary
-	perClock   int // cells per clock value: |points| × |advs|
-	perTopo    int // cells per topology value: |clocks| × perClock
-	perProto   int // cells per protocol value: |topos| × perTopo
+	base      Config // the trial Config fields every cell shares
+	protos    []string
+	topos     []Topology
+	topoNames []string // "" when the grid did not cross topologies
+	clocks    []string
+	points    []Point
+	advs      []Adversary
 }
 
 // cells returns the total cell count of the grid.
-func (ax *gridAxes) cells() int { return len(ax.protos) * ax.perProto }
+func (ax *gridAxes) cells() int {
+	return len(ax.protos) * len(ax.topos) * len(ax.clocks) * len(ax.points) * len(ax.advs)
+}
 
-// axes resolves the grid's axis slices and strides.
+// axes resolves the grid's axis slices.
 func (g *Grid) axes() gridAxes {
 	ax := gridAxes{
-		protos:     g.Protocols,
-		topos:      g.Topologies,
-		topoNames:  []string{""},
-		clocks:     g.Clocks,
-		clockNames: []string{""},
-		advs:       g.Adversaries,
-	}
-	if len(ax.protos) == 0 {
-		ax.protos = []string{""}
+		base:      Config{SyntheticCoins: g.SyntheticCoins, Tau: g.Tau, Backend: g.Backend},
+		protos:    orZero(g.Protocols),
+		topos:     orZero(g.Topologies),
+		topoNames: []string{""},
+		clocks:    orZero(g.Clocks),
+		points:    g.Points,
+		advs:      orZero(g.Adversaries),
 	}
 	if len(g.Topologies) > 0 {
-		ax.topoNames = make([]string, len(ax.topos))
-		for i, top := range ax.topos {
+		ax.topoNames = make([]string, len(g.Topologies))
+		for i, top := range g.Topologies {
 			ax.topoNames[i] = top.Name()
 		}
-	} else {
-		ax.topos = []Topology{Complete()}
 	}
-	if len(g.Clocks) > 0 {
-		ax.clockNames = ax.clocks
-	} else {
-		ax.clocks = []string{""}
-	}
-	if len(ax.advs) == 0 {
-		ax.advs = []Adversary{""}
-	}
-	ax.perClock = len(g.Points) * len(ax.advs)
-	ax.perTopo = len(ax.clocks) * ax.perClock
-	ax.perProto = len(ax.topos) * ax.perTopo
 	return ax
 }
 
-// at resolves cell index ci to the trial Config of its coordinates (Seed
-// unset) and its adversary class, in declaration order.
-func (ax *gridAxes) at(g *Grid, ci int) (Config, Adversary) {
-	cfg := g.trialConfig(ax.protos[ci/ax.perProto], ax.clocks[ci%ax.perTopo/ax.perClock],
-		ax.topos[ci%ax.perProto/ax.perTopo], g.Points[ci%ax.perClock/len(ax.advs)])
-	return cfg, ax.advs[ci%len(ax.advs)]
+// orZero resolves an empty grid axis to its zero value alone: the default
+// protocol, the complete topology, the discrete clock, a clean start.
+func orZero[T any](axis []T) []T {
+	if len(axis) == 0 {
+		return make([]T, 1)
+	}
+	return axis
+}
+
+// at decodes cell index ci, in declaration order (protocols outermost,
+// adversaries innermost), into the coordinates the cell is stamped with and
+// the Config its trials build (Seed unset).
+func (ax *gridAxes) at(ci int) (CellKey, Config) {
+	var key CellKey
+	key.Adversary, ci = ax.advs[ci%len(ax.advs)], ci/len(ax.advs)
+	key.Point, ci = ax.points[ci%len(ax.points)], ci/len(ax.points)
+	key.Clock, ci = ax.clocks[ci%len(ax.clocks)], ci/len(ax.clocks)
+	ti := ci % len(ax.topos)
+	key.Topology, key.Protocol = ax.topoNames[ti], ax.protos[ci/len(ax.topos)]
+	cfg := ax.base
+	cfg.Protocol, cfg.Topology, cfg.Clock = key.Protocol, ax.topos[ti], key.Clock
+	cfg.N, cfg.R = key.Point.N, key.Point.R
+	return key, cfg
 }
 
 // use is what every trial of the grid does with its system; start reports
@@ -595,32 +560,26 @@ func (g *Grid) use(start bool) use {
 		transientK: g.TransientK > 0, workload: g.Workload != nil}
 }
 
-// trialConfig is the Config every trial at the given coordinates builds,
-// before its protocol seed is set.
-func (g *Grid) trialConfig(proto, clock string, top Topology, pt Point) Config {
-	return Config{Protocol: proto, N: pt.N, R: pt.R, SyntheticCoins: g.SyntheticCoins,
-		Tau: g.Tau, Backend: g.Backend, Topology: top, Clock: clock}
-}
-
-// runTrial executes one (cell, seed) trial from the cell's Config and
-// adversary class: build, optionally inject, run to the stabilization
-// condition — and, in TransientK mode, corrupt and run again, reporting the
-// recovery. ci and s identify the trial for the ObserveTrials hook.
-func (e *Ensemble) runTrial(ci, s int, cfg Config, class Adversary, st seedStreams) trialOutcome {
-	g := e.grid
-	advSrc, schedSrc := st.adv, st.sched
-	cfg.Seed = st.protoSeed
-	sys, err := New(cfg)
+// trial builds trial (ci, s) through the one trial path of Run and
+// TrialRecording: the plan of the cell's Config at the seed's protocol
+// seed, admitted for what the trial does (a recording also replays), its
+// System, and the run options every run of the trial shares, dealing pairs
+// from sched. It also returns the cell's adversary class.
+func (e *Ensemble) trial(ci, s int, sched Scheduler, record bool) (*System, Adversary, []RunOption, error) {
+	g := &e.grid
+	key, cfg := e.ax.at(ci)
+	cfg.Seed = e.streams[s].protoSeed
+	u := g.use(key.Adversary != "")
+	u.record, u.replay = record, record
+	p, err := newPlan(cfg, u)
 	if err != nil {
-		return trialOutcome{}
+		return nil, "", nil, err
 	}
-	if class != "" {
-		if err := sys.injectWith(class, &advSrc); err != nil {
-			return trialOutcome{}
-		}
+	sys, err := p.build()
+	if err != nil {
+		return nil, "", nil, err
 	}
-	opts := []RunOption{Until(SafeSet), WithScheduler(&schedSrc),
-		MaxInteractions(g.MaxInteractions)}
+	opts := []RunOption{Until(SafeSet), WithScheduler(sched), MaxInteractions(g.MaxInteractions)}
 	if g.Confirm > 0 {
 		opts = append(opts, Confirm(g.Confirm))
 	}
@@ -629,53 +588,57 @@ func (e *Ensemble) runTrial(ci, s int, cfg Config, class Adversary, st seedStrea
 			e.obsFn(TrialObservation{Cell: ci, Seed: s, Snapshot: snap})
 		}))
 	}
+	return sys, key.Adversary, opts, nil
+}
+
+// runTrial executes trial (ci, s): build, optionally inject the cell's
+// adversary class, run to the stabilization condition — and, in TransientK
+// mode, corrupt and run again, reporting the recovery.
+func (e *Ensemble) runTrial(ci, s int) trialOutcome {
+	g := &e.grid
+	advSrc, schedSrc := e.streams[s].adv, e.streams[s].sched
+	sys, class, opts, err := e.trial(ci, s, &schedSrc, false)
+	if err != nil {
+		return trialOutcome{}
+	}
+	if class != "" {
+		if err := sys.injectWith(class, &advSrc); err != nil {
+			return trialOutcome{}
+		}
+	}
 	res := sys.Run(opts...)
 	if !res.Stabilized {
 		return trialOutcome{}
 	}
-	if g.Workload != nil {
-		// Recovery shape generalized: the stabilized population absorbs the
-		// whole schedule, and the per-event outcomes ride along whether or
-		// not the final re-stabilization landed within budget.
-		hardBefore := sys.HardResets()
-		res = sys.Run(append(opts, WithWorkload(g.Workload))...)
-		out := trialOutcome{events: res.EventOutcomes()}
-		if res.Stabilized {
-			out.ok = true
-			out.took = res.StabilizedAt
-			out.hard = sys.HardResets() - hardBefore
-		}
-		return out
-	}
-	if g.TransientK > 0 {
-		hardBefore := sys.HardResets()
-		if _, err := sys.injectTransientWith(g.TransientK, &advSrc); err != nil {
+	var hardBefore uint64
+	if g.Workload != nil || g.TransientK > 0 {
+		// Recovery shape: the stabilized population absorbs a transient
+		// burst or the whole workload schedule, whose per-event outcomes
+		// ride along whether or not the final re-stabilization landed
+		// within budget.
+		hardBefore = sys.HardResets()
+		if g.Workload != nil {
+			opts = append(opts, WithWorkload(g.Workload))
+		} else if _, err := sys.injectTransientWith(g.TransientK, &advSrc); err != nil {
 			return trialOutcome{}
 		}
 		res = sys.Run(opts...)
-		if !res.Stabilized {
-			return trialOutcome{}
-		}
-		return trialOutcome{ok: true, took: res.StabilizedAt,
-			hard: sys.HardResets() - hardBefore}
 	}
-	return trialOutcome{ok: true, took: res.StabilizedAt, hard: sys.HardResets()}
+	out := trialOutcome{events: res.EventOutcomes()}
+	if res.Stabilized {
+		out.ok, out.took, out.hard = true, res.StabilizedAt, sys.HardResets()-hardBefore
+	}
+	return out
 }
 
 // Run executes every trial of the grid across the worker pool and
 // aggregates per cell, in grid declaration order (protocols outermost,
 // then topologies, then clocks, then points, then adversaries).
 func (e *Ensemble) Run() *EnsembleResult {
-	g := e.grid
-	ax := g.axes()
-	cells := ax.cells()
-	jobs := cells * g.Seeds
-	streams := deriveSeedStreams(g.BaseSeed, g.Seeds)
-
-	outs := trials.Run(e.workers, jobs, g.BaseSeed, func(j int, _ *rng.PRNG) trialOutcome {
-		ci, s := j/g.Seeds, j%g.Seeds
-		cfg, class := ax.at(&g, ci)
-		return e.runTrial(ci, s, cfg, class, streams[s])
+	g := &e.grid
+	cells := e.ax.cells()
+	outs := trials.Run(e.workers, cells*g.Seeds, g.BaseSeed, func(j int, _ *rng.PRNG) trialOutcome {
+		return e.runTrial(j/g.Seeds, j%g.Seeds)
 	})
 
 	out := &EnsembleResult{
@@ -687,18 +650,19 @@ func (e *Ensemble) Run() *EnsembleResult {
 		Cells:         make([]Cell, 0, cells),
 	}
 	if len(g.Topologies) > 0 {
-		out.Topologies = ax.topoNames
+		out.Topologies = e.ax.topoNames
 	}
 	if len(g.Clocks) > 0 {
-		out.Clocks = ax.clockNames
+		out.Clocks = g.Clocks
 	}
 	for ci := 0; ci < cells; ci++ {
+		key, _ := e.ax.at(ci)
 		cell := Cell{
-			Protocol:  ax.protos[ci/ax.perProto],
-			Topology:  ax.topoNames[ci%ax.perProto/ax.perTopo],
-			Clock:     ax.clockNames[ci%ax.perTopo/ax.perClock],
-			Point:     g.Points[ci%ax.perClock/len(ax.advs)],
-			Adversary: ax.advs[ci%len(ax.advs)],
+			Protocol:  key.Protocol,
+			Topology:  key.Topology,
+			Clock:     key.Clock,
+			Point:     key.Point,
+			Adversary: key.Adversary,
 			Seeds:     g.Seeds,
 			Samples:   []float64{},
 		}
@@ -717,32 +681,30 @@ func (e *Ensemble) Run() *EnsembleResult {
 		cell.Interactions = summarize(cell.Samples)
 		cell.ParallelTime = summarize(par)
 		cell.HardResets = summarize(hard)
-		if g.Workload != nil {
-			// Per-event recovery aggregation: the schedule is identical
-			// across a cell's seeds (trials that failed before the workload
-			// ran contribute no outcomes), so outcomes align by index.
-			var evCells []EventCell
-			var recSamples [][]float64
-			for s := 0; s < g.Seeds; s++ {
-				for i, eo := range outs[ci*g.Seeds+s].events {
-					if i == len(evCells) {
-						evCells = append(evCells, EventCell{At: eo.At, Kind: eo.Kind, K: eo.K, Class: eo.Class})
-						recSamples = append(recSamples, nil)
-					}
-					if eo.Fired {
-						evCells[i].Fired++
-					}
-					if eo.Recovered {
-						evCells[i].Recovered++
-						recSamples[i] = append(recSamples[i], float64(eo.RecoveredAt-eo.At))
-					}
+		// Per-event recovery aggregation of Workload grids: the schedule is
+		// identical across a cell's seeds (trials that failed before the
+		// workload ran contribute no outcomes), so outcomes align by index.
+		var evCells []EventCell
+		var recSamples [][]float64
+		for s := 0; s < g.Seeds; s++ {
+			for i, eo := range outs[ci*g.Seeds+s].events {
+				if i == len(evCells) {
+					evCells = append(evCells, EventCell{At: eo.At, Kind: eo.Kind, K: eo.K, Class: eo.Class})
+					recSamples = append(recSamples, nil)
+				}
+				if eo.Fired {
+					evCells[i].Fired++
+				}
+				if eo.Recovered {
+					evCells[i].Recovered++
+					recSamples[i] = append(recSamples[i], float64(eo.RecoveredAt-eo.At))
 				}
 			}
-			for i := range evCells {
-				evCells[i].Recovery = summarize(recSamples[i])
-			}
-			cell.Events = evCells
 		}
+		for i := range evCells {
+			evCells[i].Recovery = summarize(recSamples[i])
+		}
+		cell.Events = evCells
 		out.Cells = append(out.Cells, cell)
 	}
 	return out
@@ -764,42 +726,23 @@ func (e *Ensemble) Run() *EnsembleResult {
 // private adversary stream that the public API cannot re-derive, species
 // cells consume scheduler randomness in chunk-shaped draws rather than
 // pairs, and non-complete topologies sample edge indices through a
-// graph-bound scheduler; all three return an error.
+// graph-bound scheduler; all three return an error. The re-execution runs
+// with the trial's own run options, so an ObserveTrials hook sees it too.
 func (e *Ensemble) TrialRecording(ci, s int) (*Recording, uint64, error) {
-	g := e.grid
-	ax := g.axes()
-	if ci < 0 || ci >= ax.cells() {
-		return nil, 0, fmt.Errorf("sspp: cell index %d out of range [0, %d)", ci, ax.cells())
+	if ci < 0 || ci >= e.ax.cells() {
+		return nil, 0, fmt.Errorf("sspp: cell index %d out of range [0, %d)", ci, e.ax.cells())
 	}
-	if s < 0 || s >= g.Seeds {
-		return nil, 0, fmt.Errorf("sspp: seed index %d out of range [0, %d)", s, g.Seeds)
+	if s < 0 || s >= e.grid.Seeds {
+		return nil, 0, fmt.Errorf("sspp: seed index %d out of range [0, %d)", s, e.grid.Seeds)
 	}
-	cfg, class := ax.at(&g, ci)
-	cfg, spec, err := resolve(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	u := g.use(class != "")
-	u.record, u.replay = true, true
-	if err := admit(cfg, spec.zero, u); err != nil {
-		return nil, 0, err
-	}
-	st := deriveSeedStreams(g.BaseSeed, g.Seeds)[s]
-	schedSrc := st.sched
+	schedSrc := e.streams[s].sched
 	rec := NewRecorder(&schedSrc)
-	cfg.Seed = st.protoSeed
-	sys, err := New(cfg)
+	sys, _, opts, err := e.trial(ci, s, rec, true)
 	if err != nil {
 		return nil, 0, err
 	}
-	opts := []RunOption{Until(SafeSet), WithScheduler(rec),
-		MaxInteractions(g.MaxInteractions)}
-	if g.Confirm > 0 {
-		opts = append(opts, Confirm(g.Confirm))
-	}
-	res := sys.Run(opts...)
-	if res.Err != nil {
+	if res := sys.Run(opts...); res.Err != nil {
 		return nil, 0, res.Err
 	}
-	return rec.Recording(), st.protoSeed, nil
+	return rec.Recording(), e.streams[s].protoSeed, nil
 }

@@ -54,7 +54,9 @@ func main() {
 		// Holding fraction over a follow-up window, on the same schedule.
 		held, polls := 0, 0
 		for i := 0; i < 400; i++ {
-			sys.StepSched(sched, uint64(*n))
+			if err := sys.StepSched(sched, uint64(*n)); err != nil {
+				log.Fatal(err)
+			}
 			polls++
 			if sys.Correct() {
 				held++

@@ -236,7 +236,9 @@ func T13LooseLeader(cfg Config) *Table {
 				sspp.Confirm(confirm))
 			out := holding{}
 			for i := 0; i < 200; i++ {
-				sys.StepSched(sched, uint64(n))
+				if sys.StepSched(sched, uint64(n)) != nil {
+					return holding{}
+				}
 				out.polls++
 				if sys.Correct() {
 					out.held++

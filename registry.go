@@ -387,5 +387,6 @@ func NewCustom(p Protocol) (*System, error) {
 	if p.N() < 2 {
 		return nil, fmt.Errorf("sspp: population size %d < 2", p.N())
 	}
-	return &System{proto: p, events: sim.NewEvents(), cfg: Config{Protocol: customProtocol, N: p.N(), Backend: BackendAgent, Clock: ClockDiscrete}}, nil
+	return &System{plan: plan{cfg: Config{Protocol: customProtocol, N: p.N(), Backend: BackendAgent, Clock: ClockDiscrete}},
+		proto: p, events: sim.NewEvents()}, nil
 }

@@ -2,7 +2,11 @@ package sspp
 
 import (
 	"bytes"
+	"os"
+	"regexp"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +43,64 @@ func TestProtocolsCatalogue(t *testing.T) {
 		if info.Description == "" {
 			t.Fatalf("%s has no description", info.Name)
 		}
+	}
+}
+
+// TestDesignRegistryTable checks the registry table of DESIGN.md §7 against
+// Protocols(): the same protocols, each with the same capability set
+// (parentheticals such as "(replacement only)" ignored) and the same
+// self-stabilizing flag.
+func TestDesignRegistryTable(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = "| Name | Paper anchor | Source | Capabilities | Stabilization |"
+	_, table, ok := strings.Cut(string(doc), header+"\n")
+	if !ok {
+		t.Fatalf("DESIGN.md has no table headed %q", header)
+	}
+	type row struct {
+		caps            []string
+		selfStabilizing bool
+	}
+	parenthetical := regexp.MustCompile(`\([^)]*\)`)
+	rows := map[string]row{}
+	for _, line := range strings.Split(table, "\n")[1:] { // [0] is the separator
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cols := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cols) != 5 {
+			t.Fatalf("registry table row has %d columns, want 5: %s", len(cols), line)
+		}
+		var caps []string
+		for _, c := range strings.Split(parenthetical.ReplaceAllString(cols[3], ""), ",") {
+			caps = append(caps, strings.TrimSpace(c))
+		}
+		slices.Sort(caps)
+		rows[strings.Trim(strings.TrimSpace(cols[0]), "`")] = row{
+			caps:            caps,
+			selfStabilizing: strings.HasPrefix(strings.TrimSpace(cols[4]), "self-stabilizing"),
+		}
+	}
+	for _, info := range Protocols() {
+		r, ok := rows[info.Name]
+		if !ok {
+			t.Errorf("protocol %q is missing from the DESIGN.md registry table", info.Name)
+			continue
+		}
+		delete(rows, info.Name)
+		caps := slices.Sorted(slices.Values(info.Capabilities))
+		if !slices.Equal(r.caps, caps) {
+			t.Errorf("%s: DESIGN.md lists capabilities %v, Protocols() reports %v", info.Name, r.caps, caps)
+		}
+		if r.selfStabilizing != info.SelfStabilizing {
+			t.Errorf("%s: DESIGN.md says self-stabilizing=%v, Protocols() says %v", info.Name, r.selfStabilizing, info.SelfStabilizing)
+		}
+	}
+	for name := range rows {
+		t.Errorf("DESIGN.md registry table lists %q, which Protocols() does not", name)
 	}
 }
 

@@ -346,11 +346,8 @@ func (s *System) Run(opts ...RunOption) Result {
 	// Everything is checked up front, so a run never fires a disruption its
 	// protocol cannot absorb or silently mis-models its schedule: admission
 	// of the schedule's fault and churn events and of trace recording, the
-	// schedule's population trajectory against the churn bounds, the
-	// scheduler against the interaction graph (a uniform stream is re-bound
-	// to sample a non-complete topology's edge set, anything dealing from
-	// [n]² fails), and the scheduler against a count-based backend (only
-	// uniform PRNG streams can seed its state-pair draws).
+	// schedule's population trajectory against the churn bounds, and the
+	// scheduler (bind).
 	err := admit(s.cfg, s.proto, use{
 		faults: workload.UsesFaults(spec.events),
 		churn:  workload.UsesChurn(spec.events),
@@ -360,10 +357,7 @@ func (s *System) Run(opts ...RunOption) Result {
 		err = workload.Validate(spec.events, n0, workloadCaps(s.proto, s.ProtocolName(), true))
 	}
 	if err == nil {
-		sched, err = s.topologize(sched)
-	}
-	if err == nil {
-		_, err = sim.CountSource(s.proto, sched)
+		sched, err = s.bind(sched)
 	}
 	if err != nil {
 		return Result{Condition: spec.cond.name, ParallelTime: -1, Err: err}
@@ -588,29 +582,33 @@ func (s *System) Run(opts ...RunOption) Result {
 // seed stream, with no condition polling: uniformly random pairs on the
 // complete topology, uniformly random interaction-graph edges otherwise.
 // Repeated calls with the same *System advance the same configuration; pass
-// different seeds to explore schedules.
+// different seeds to explore schedules. A population of fewer than two
+// agents, which only a failed workload join leaves behind, is not stepped
+// (StepSched reports it).
 func (s *System) Step(schedulerSeed uint64, k uint64) {
-	s.StepSched(rng.New(schedulerSeed), k)
+	// A uniform stream passes the scheduler check, so the only error is the
+	// population too small to pair that the doc comment names.
+	_ = s.StepSched(rng.New(schedulerSeed), k)
 }
 
 // StepSched executes exactly k interactions under an arbitrary Scheduler,
-// with no condition polling. On a non-complete topology a uniform scheduler
-// (NewUniform) is re-bound to sample the system's edge set, like Run does,
-// and a scheduler dealing pairs from [n]² panics rather than silently
-// simulating the complete graph. Species-backed systems accept only uniform
-// schedulers (NewUniform; agent identities do not exist in species form)
-// and panic on anything else rather than silently substituting uniform
-// dynamics.
-func (s *System) StepSched(sched Scheduler, k uint64) {
-	sched, err := s.topologize(sched)
+// with no condition polling. It checks the scheduler as Run does and
+// returns the error without stepping: on a non-complete topology a uniform
+// scheduler (NewUniform) is re-bound to sample the system's edge set, and a
+// scheduler dealing pairs from [n]² is rejected rather than silently
+// simulating the complete graph; species-backed systems accept only uniform
+// schedulers (NewUniform; agent identities do not exist in species form).
+func (s *System) StepSched(sched Scheduler, k uint64) error {
+	sched, err := s.bind(sched)
 	if err != nil {
-		panic(err.Error())
+		return err
 	}
 	sim.Steps(s.proto, sched, k)
 	s.clock += k
 	if td, ok := sched.(sim.Timed); ok && s.cfg.Clock != ClockDiscrete {
 		s.pt = td.Time()
-		return
+		return nil
 	}
 	s.advanceClock(k)
+	return nil
 }

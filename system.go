@@ -78,7 +78,6 @@ import (
 	"sspp/internal/graph"
 	"sspp/internal/rng"
 	"sspp/internal/sim"
-	"sspp/internal/species"
 )
 
 // Config configures a System.
@@ -133,14 +132,20 @@ type Config struct {
 // returns nil for protocols without rank outputs, and Inject reports an
 // error for protocols without adversarial-injection support.
 type System struct {
+	plan
 	proto  sim.Protocol
 	events *sim.Events
-	cfg    Config          // resolved (see Resolve): concrete Protocol ("custom" for NewCustom), Backend and Clock
-	spec   *protocolSpec   // nil for NewCustom systems
-	graph  *graph.Graph    // materialized interaction graph; nil for the complete topology
 	clock  uint64          // engine-counted interactions (Clocked protocols report their own)
 	tk     *sim.TimeKeeper // continuous clock on the complete topology, agent backend
 	pt     float64         // accumulated parallel time (see ParallelTime)
+}
+
+// plan is a Config that has passed every construction-time check (see
+// newPlan): the resolved Config, its registry entry and its interaction graph.
+type plan struct {
+	cfg   Config        // resolved (see Resolve): concrete Protocol ("custom" for NewCustom), Backend and Clock
+	spec  *protocolSpec // nil for NewCustom and NewSpecies systems
+	graph *graph.Graph  // materialized interaction graph; nil for the complete topology
 }
 
 // The simulation clocks accepted by Config.Clock.
@@ -215,23 +220,55 @@ func resolve(cfg Config) (Config, *protocolSpec, error) {
 // canonical start — for ElectLeader_r the clean post-awakening one (all
 // agents fresh rankers); use Inject for adversarial starts.
 func New(cfg Config) (*System, error) {
+	p, err := newPlan(cfg, use{})
+	if err != nil {
+		return nil, err
+	}
+	return p.build()
+}
+
+// newPlan is the one construction-time check of a Config: it resolves cfg,
+// validates its parameters, admits it for u and materializes its topology at
+// cfg.Seed. A grid plan (u.grid) also rejects a disconnected graph draw, and
+// its rejections name the trial's coordinate in front of New's text.
+func newPlan(cfg Config, u use) (plan, error) {
 	cfg, spec, err := resolve(cfg)
 	if err != nil {
-		return nil, err
+		return plan{}, err
+	}
+	// A grid plan names the coordinate a rejection belongs to.
+	reject := func(coord string, err error) (plan, error) {
+		if u.grid {
+			return plan{}, fmt.Errorf("sspp: ensemble point %s: %w", coord, err)
+		}
+		return plan{}, fmt.Errorf("sspp: %w", err)
 	}
 	if err := spec.validate(cfg); err != nil {
-		return nil, fmt.Errorf("sspp: %w", err)
+		return reject(fmt.Sprintf("(n=%d, r=%d) for protocol %q", cfg.N, cfg.R, spec.name), err)
 	}
-	if err := admit(cfg, spec.zero, use{}); err != nil {
-		return nil, err
+	if err := admit(cfg, spec.zero, u); err != nil {
+		return plan{}, err
 	}
 	g, err := cfg.Topology.materialize(cfg.N, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("sspp: %w", err)
+	if err == nil && u.grid && g != nil && !g.Connected() {
+		// Stabilization is global: on a disconnected graph every trial would
+		// burn its full budget and be aggregated as a failure to stabilize.
+		err = fmt.Errorf("topology %q draws a disconnected graph — no protocol can stabilize across "+
+			"components (raise the density, or probe single systems via System.TopologyConnected)", cfg.Topology.Name())
 	}
+	if err != nil {
+		return reject(fmt.Sprintf("(n=%d), seed %d", cfg.N, u.seed), err)
+	}
+	return plan{cfg: cfg, spec: spec, graph: g}, nil
+}
+
+// build constructs the System a plan describes.
+func (pl plan) build() (*System, error) {
+	cfg, spec := pl.cfg, pl.spec
 	onSpecies := cfg.Backend == BackendSpecies
 	ev := sim.NewEvents()
 	var p sim.Protocol
+	var err error
 	if onSpecies && spec.compactClean != nil {
 		// Clean-start fast path: build the species form directly instead of
 		// constructing the agent instance only to compact it away (for
@@ -239,31 +276,22 @@ func New(cfg Config) (*System, error) {
 		// interaction). Bit-for-bit equivalent to the compactProto path —
 		// pinned by TestCompactCleanMirrorsCompact and the system-level
 		// equivalence test in backend_test.go.
-		model, err := spec.compactClean(cfg, ev)
-		if err != nil {
-			return nil, fmt.Errorf("sspp: %w", err)
+		var model sim.CompactModel
+		if model, err = spec.compactClean(cfg, ev); err == nil {
+			p, err = speciesProto(model, cfg.Seed)
 		}
-		sp, err := species.NewSystem(model, cfg.Seed^speciesSeedSalt)
-		if err != nil {
-			return nil, fmt.Errorf("sspp: %w", err)
-		}
-		p = species.Capable(sp)
-	} else {
-		if p, err = spec.build(cfg, ev); err != nil {
-			return nil, fmt.Errorf("sspp: %w", err)
-		}
-		if onSpecies {
-			if p, err = compactProto(p, cfg.Seed); err != nil {
-				return nil, err
-			}
-		}
+	} else if p, err = spec.build(cfg, ev); err == nil && onSpecies {
+		p, err = compactProto(p, cfg.Seed)
 	}
-	sys := &System{proto: p, events: ev, cfg: cfg, spec: spec, graph: g}
+	if err != nil {
+		return nil, fmt.Errorf("sspp: %w", err)
+	}
+	sys := &System{plan: pl, proto: p, events: ev}
 	if cfg.Clock != ClockDiscrete {
 		timeSrc := rng.New(cfg.Seed ^ clockSeedSalt)
 		if cs, ok := sim.AsContinuousStepper(p); ok {
 			cs.StartContinuous(timeSrc, cfg.Clock == ClockContinuous)
-		} else if g == nil {
+		} else if pl.graph == nil {
 			sys.tk = sim.NewTimeKeeper(timeSrc, cfg.N)
 		}
 		// On a non-complete topology the per-run next-reaction scheduler

@@ -222,6 +222,22 @@ func (s *System) TopologyConnected() bool {
 	return s.graph == nil || s.graph.Connected()
 }
 
+// bind is the scheduler check of Run and StepSched: a population with a
+// pair to deal, topologize, then the count-based backend's rule that only a
+// uniform stream seeds its draws.
+func (s *System) bind(sched Scheduler) (Scheduler, error) {
+	if n := s.N(); n < 2 {
+		// A workload join that fails after its paired leave can leave a
+		// population of one, which has no pair to deal.
+		return nil, fmt.Errorf("sspp: a population of size %d is too small to schedule a pair", n)
+	}
+	sched, err := s.topologize(sched)
+	if err == nil {
+		_, err = sim.CountSource(s.proto, sched)
+	}
+	return sched, err
+}
+
 // topologize adapts a scheduler to the system's topology. Complete-topology
 // systems return the scheduler as is — the historical fast path, bit for
 // bit. On a non-complete topology a uniform PRNG stream is re-bound as the

@@ -392,13 +392,19 @@ func TestTopologyRejectsPairLawSchedulers(t *testing.T) {
 		t.Error("torus sampler accepted on a ring system")
 	}
 
-	// StepSched panics on a pair-law scheduler, like the species contract.
-	defer func() {
-		if recover() == nil {
-			t.Error("StepSched accepted a batch scheduler on a ring topology")
-		}
-	}()
-	newSys().StepSched(NewBatch(4, 64), 10)
+	// StepSched makes Run's scheduler check: a pair-law scheduler on a ring,
+	// and anything but a uniform stream on the species backend, is an error
+	// and steps nothing.
+	if sys := newSys(); sys.StepSched(NewBatch(4, 64), 10) == nil || sys.Interactions() != 0 {
+		t.Error("StepSched accepted a batch scheduler on a ring topology")
+	}
+	onSpecies := mustSys(t, Config{Protocol: ProtocolCIW, N: 16, Seed: 3, Backend: BackendSpecies})
+	if onSpecies.StepSched(NewZipf(4, 16, 0.8), 10) == nil || onSpecies.Interactions() != 0 {
+		t.Error("StepSched accepted a zipf scheduler on the species backend")
+	}
+	if err := onSpecies.StepSched(NewUniform(4), 10); err != nil || onSpecies.Interactions() != 10 {
+		t.Errorf("StepSched rejected a uniform scheduler on the species backend: %v", err)
+	}
 }
 
 // TestTopologyConnected: the union-find connectivity check is reachable
@@ -438,7 +444,9 @@ func TestStepOnTopologyStaysOnGraph(t *testing.T) {
 	if sys.Interactions() != 100 {
 		t.Fatalf("clock = %d, want 100", sys.Interactions())
 	}
-	sys.StepSched(NewUniform(5), 50)
+	if err := sys.StepSched(NewUniform(5), 50); err != nil {
+		t.Fatal(err)
+	}
 	if sys.Interactions() != 150 {
 		t.Fatalf("clock = %d, want 150", sys.Interactions())
 	}

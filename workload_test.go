@@ -248,6 +248,33 @@ func TestWorkloadChurnCapabilityValidation(t *testing.T) {
 	}
 }
 
+// TestFailedJoinLeavesNoPanic: a join whose class the protocol cannot
+// realize fails after its paired leave has fired, leaving a two-agent
+// population with one agent. Run reports the failed event; stepping the
+// one-agent population is an error from Run and StepSched, and Step leaves
+// it alone, instead of panicking.
+func TestFailedJoinLeavesNoPanic(t *testing.T) {
+	sys, err := New(Config{Protocol: ProtocolLooseLE, N: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sys.Run(SchedulerSeed(2), MaxInteractions(100),
+		WithWorkload(NewWorkload(ChurnBursts(50, 0, 500, 1, 1, AdversaryCleanRankers, 3))))
+	if res.Err == nil || sys.N() != 1 {
+		t.Fatalf("unrealizable join: err=%v, n=%d", res.Err, sys.N())
+	}
+	if err := sys.StepSched(NewUniform(4), 10); err == nil {
+		t.Error("StepSched stepped a one-agent population")
+	}
+	before := sys.Interactions()
+	if sys.Step(4, 10); sys.Interactions() != before {
+		t.Error("Step stepped a one-agent population")
+	}
+	if res := sys.Run(SchedulerSeed(4)); res.Err == nil || res.Interactions != 0 {
+		t.Errorf("Run stepped a one-agent population: %+v", res)
+	}
+}
+
 // TestWorkloadDynamicPopulation: a drifting-n schedule on ciw keeps the
 // engine's view of the population consistent — N() tracks the events, the
 // run recovers, and ParallelTime accrues per segment at the live population
