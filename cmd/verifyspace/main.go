@@ -22,8 +22,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -31,21 +33,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "verifyspace:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, runs one check and prints its report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("verifyspace", flag.ContinueOnError)
 	var (
-		check   = flag.String("check", "detect-sound", "detect-sound | detect-complete | verify-closure | ciw")
-		n       = flag.Int("n", 3, "population size")
-		budget  = flag.Int("budget", 100_000, "configuration budget for bounded checks")
-		sig     = flag.Int("sig", 2, "signature-space override (detect checks)")
-		refresh = flag.Int("refresh", 3, "signature refresh constant (detect checks)")
+		check   = fs.String("check", "detect-sound", "detect-sound | detect-complete | verify-closure | ciw")
+		n       = fs.Int("n", 3, "population size (at least 2)")
+		budget  = fs.Int("budget", 100_000, "configuration budget for bounded checks")
+		sig     = fs.Int("sig", 2, "signature-space override, at least 2 (detect and verify-closure checks)")
+		refresh = fs.Int("refresh", 3, "signature refresh constant (detect and verify-closure checks)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *n < 2 {
+		return fmt.Errorf("-n %d: a population needs at least 2 agents", *n)
+	}
+	if *sig < 2 {
+		return fmt.Errorf("-sig %d: a signature space needs at least 2 values", *sig)
+	}
+	opt := modelcheck.Options{MaxStates: *budget}
 
 	start := time.Now() //sspp:allow rngdiscipline -- wall-clock progress reporting; verification itself is exhaustive, not sampled
 	switch *check {
@@ -54,83 +67,87 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rep := modelcheck.Explore(m, anyTop, true, modelcheck.Options{MaxStates: *budget})
-		fmt.Printf("detect soundness (Lemma E.2), n=%d, sig space=%d, refresh c=%d\n", *n, *sig, *refresh)
-		printReport(rep, start)
-		if rep.Violations > 0 {
-			return fmt.Errorf("⊤ reachable from a correct initialization — soundness violated")
-		}
-		if rep.Truncated {
-			fmt.Println("verdict: NO ⊤ within the explored bound (bounded guarantee)")
-		} else {
-			fmt.Println("verdict: reachable space fully closed — ⊤ unreachable, soundness PROVED at this size")
-		}
+		fmt.Fprintf(w, "detect soundness (Lemma E.2), n=%d, sig space=%d, refresh c=%d\n", *n, *sig, *refresh)
+		return closure(w, start, modelcheck.Explore(m, modelcheck.AnyTop, true, opt),
+			"⊤ reachable from a correct initialization — soundness violated",
+			"NO ⊤ within the explored bound (bounded guarantee)",
+			"reachable space fully closed — ⊤ unreachable, soundness PROVED at this size")
 	case "detect-complete":
 		ranks := make([]int32, *n)
 		for i := range ranks {
 			ranks[i] = int32(i + 1)
 		}
-		if *n >= 2 {
-			ranks[1] = 1 // duplicate
-		}
+		ranks[1] = 1 // duplicate
 		m, err := modelcheck.NewDetectMachine(*n, *n, ranks, int32(*sig), *refresh)
 		if err != nil {
 			return err
 		}
-		rep := modelcheck.Explore(m, anyTop, true, modelcheck.Options{MaxStates: *budget})
-		fmt.Printf("detect completeness (Lemma E.1(b) dual), n=%d with duplicated rank 1\n", *n)
-		printReport(rep, start)
+		rep := modelcheck.Explore(m, modelcheck.AnyTop, true, opt)
+		fmt.Fprintf(w, "detect completeness (Lemma E.1(b) dual), n=%d with duplicated rank 1\n", *n)
+		printExplored(w, rep)
+		var fail error
 		if rep.Violations == 0 {
-			return fmt.Errorf("⊤ not reachable despite a duplicate rank — completeness violated")
+			fail = errors.New("⊤ not reachable despite a duplicate rank — completeness violated")
 		}
-		fmt.Printf("verdict: ⊤ reachable (first at depth %d) — detection cannot be evaded\n",
-			rep.FirstViolationDepth)
+		return report(w, start, fail,
+			fmt.Sprintf("⊤ reachable (first at depth %d) — detection cannot be evaded", rep.FirstViolationDepth))
 	case "verify-closure":
 		m, err := modelcheck.NewVerifyMachine(*n, *n, nil, int32(*sig), *refresh, 3)
 		if err != nil {
 			return err
 		}
-		bad := func(s modelcheck.State) bool { return s.(*modelcheck.VerifyConfig).HardReset() }
-		rep := modelcheck.Explore(m, bad, true, modelcheck.Options{MaxStates: *budget})
-		fmt.Printf("verify-layer closure (Lemma 6.1), n=%d, sig space=%d, refresh c=%d\n", *n, *sig, *refresh)
-		printReport(rep, start)
-		if rep.Violations > 0 {
-			return fmt.Errorf("hard reset reachable from a safe configuration — closure violated")
-		}
-		if rep.Truncated {
-			fmt.Println("verdict: no hard reset within the explored bound (bounded guarantee)")
-		} else {
-			fmt.Println("verdict: reachable space fully closed — safe configurations stay safe, closure PROVED at this size")
-		}
+		fmt.Fprintf(w, "verify-layer closure (Lemma 6.1), n=%d, sig space=%d, refresh c=%d\n", *n, *sig, *refresh)
+		return closure(w, start, modelcheck.Explore(m, modelcheck.HardReset, true, opt),
+			"hard reset reachable from a safe configuration — closure violated",
+			"no hard reset within the explored bound (bounded guarantee)",
+			"reachable space fully closed — safe configurations stay safe, closure PROVED at this size")
 	case "ciw":
 		rep, err := modelcheck.CheckCIW(*n)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("CIW baseline full analysis, n=%d: %d configurations\n", rep.N, rep.States)
-		fmt.Printf("  permutations (silent targets): %d\n", rep.Permutations)
-		fmt.Printf("  permutations silent:           %v\n", rep.PermutationsSilent)
-		fmt.Printf("  all configurations reach one:  %v\n", rep.AllReachStable)
-		fmt.Printf("  wall time: %s\n", time.Since(start).Round(time.Millisecond)) //sspp:allow rngdiscipline -- wall-clock progress reporting; verification itself is exhaustive, not sampled
+		fmt.Fprintf(w, "CIW baseline full analysis, n=%d: %d configurations\n", rep.N, rep.States)
+		fmt.Fprintf(w, "  permutations (silent targets): %d\n", rep.Permutations)
+		fmt.Fprintf(w, "  permutations silent:           %v\n", rep.PermutationsSilent)
+		fmt.Fprintf(w, "  all configurations reach one:  %v\n", rep.AllReachStable)
+		var fail error
 		if !rep.AllReachStable || !rep.PermutationsSilent {
-			return fmt.Errorf("CIW verification failed")
+			fail = errors.New("CIW verification failed")
 		}
-		fmt.Println("verdict: closure + probabilistic stabilization PROVED exactly at this size")
-	default:
-		return fmt.Errorf("unknown check %q", *check)
+		return report(w, start, fail, "closure + probabilistic stabilization PROVED exactly at this size")
 	}
-	return nil
+	return fmt.Errorf("unknown check %q", *check)
 }
 
-// anyTop is the bad-state predicate for the detect machine.
-func anyTop(s modelcheck.State) bool {
-	return s.(*modelcheck.DetectConfig).AnyTop()
+// closure reports a search from safe configurations for a bad one: any
+// violation fails it, and a truncated search earns only the bounded
+// verdict.
+func closure(w io.Writer, start time.Time, rep modelcheck.Report, violated, bounded, proved string) error {
+	printExplored(w, rep)
+	var fail error
+	if rep.Violations > 0 {
+		fail = errors.New(violated)
+	}
+	if rep.Truncated {
+		proved = bounded
+	}
+	return report(w, start, fail, proved)
 }
 
-// printReport prints the exploration statistics.
-func printReport(rep modelcheck.Report, start time.Time) {
-	fmt.Printf("  configurations explored: %d (truncated: %v, max depth %d)\n",
+// printExplored prints the exploration statistics.
+func printExplored(w io.Writer, rep modelcheck.Report) {
+	fmt.Fprintf(w, "  configurations explored: %d (truncated: %v, max depth %d)\n",
 		rep.Explored, rep.Truncated, rep.MaxDepth)
-	fmt.Printf("  violations: %d\n", rep.Violations)
-	fmt.Printf("  wall time: %s\n", time.Since(start).Round(time.Millisecond)) //sspp:allow rngdiscipline -- wall-clock progress reporting; verification itself is exhaustive, not sampled
+	fmt.Fprintf(w, "  violations: %d\n", rep.Violations)
+}
+
+// report ends every check: the wall time since start, then the verdict
+// or, when the check failed, its error.
+func report(w io.Writer, start time.Time, fail error, verdict string) error {
+	fmt.Fprintf(w, "  wall time: %s\n", time.Since(start).Round(time.Millisecond)) //sspp:allow rngdiscipline -- wall-clock progress reporting; verification itself is exhaustive, not sampled
+	if fail != nil {
+		return fail
+	}
+	fmt.Fprintln(w, "verdict: "+verdict)
+	return nil
 }

@@ -1,12 +1,12 @@
 // closure_test.go checks the closure half of Lemma 6.1 on the composite
-// protocol with the bounded model checker (internal/modelcheck): from every
-// configuration the shared safe-set predicate (correct.go) accepts, no
-// schedule and no signature draw leads out of the safe set or changes the
-// leader or the rank vector. The checker's own machines cover the
-// DetectCollision_r and StableVerify_r layers in isolation; this one runs
-// the full Protocol 1 transition (dynamics.interactPair) and evaluates the
-// predicate in both forms — over a Protocol and over interned keys — so the
-// two are also cross-checked on every configuration the search reaches.
+// protocol with the model checker's pairwise machine (internal/modelcheck):
+// from every configuration the shared safe-set predicate (correct.go)
+// accepts, no schedule and no signature draw leads out of the safe set or
+// changes the leader or the rank vector. The same machine checks the
+// DetectCollision_r and StableVerify_r layers in isolation; the layer here
+// runs the full Protocol 1 transition (dynamics.interactPair) and evaluates
+// the predicate in both forms — over a Protocol and over interned keys — so
+// the two are also cross-checked on every configuration the search reaches.
 
 package core
 
@@ -21,15 +21,6 @@ import (
 	"sspp/internal/sim"
 	"sspp/internal/verify"
 )
-
-// closureConfig is one configuration: every agent's full state.
-type closureConfig struct {
-	agents []Agent
-	key    string
-}
-
-// Key returns the canonical fingerprint (the agents' canonical encodings).
-func (c *closureConfig) Key() string { return c.key }
 
 // keyCounts is a CountView over interned keys, for the count form of the
 // predicate.
@@ -65,25 +56,25 @@ func (v *keyCounts) Each(fn func(key uint64, count int64) bool) {
 
 var _ sim.CountView = (*keyCounts)(nil)
 
-// closureMachine enumerates ElectLeader_r executions from the accepted
-// start set. One transition is one ordered pair combined with one
-// assignment of the (at most two) signature draws the interaction reads.
-type closureMachine struct {
-	t        *testing.T
-	p        *Protocol     // evaluates the agent form of the predicate
-	m        *compactModel // evaluates the count form
-	dyn      dynamics      // steps configurations, detached from p
-	sigSpace int
-	initial  []modelcheck.State
-	view     keyCounts
-	enc      []byte
-	fail     string // the first interaction that left the verifying role
+// closureSigSpace is the signature space of the closure search.
+const closureSigSpace = 2
+
+// closureLayer is the ElectLeader_r layer of the pairwise machine: an
+// agent is a full Agent, and one interaction is the composite transition.
+type closureLayer struct {
+	t       *testing.T
+	p       *Protocol     // evaluates the agent form of the predicate
+	m       *compactModel // evaluates the count form
+	dyn     dynamics      // steps configurations, detached from p
+	initial [][]Agent
+	view    keyCounts
+	fail    string // the first interaction that left the verifying role
 }
 
-// newClosureMachine builds the machine for (n, r) with the state space
-// shrunk as in modelcheck's detect machine: a signature space of 2, and a
+// newClosureLayer builds the layer for (n, r) with the state space
+// shrunk as in modelcheck's detect layer: a signature space of 2, and a
 // small probation ceiling and refresh constant.
-func newClosureMachine(t *testing.T, n, r int, pmax int32, refresh int) *closureMachine {
+func newClosureLayer(t *testing.T, n, r int, pmax int32, refresh int) *closureLayer {
 	consts := DefaultConstants(n, r)
 	consts.PMax = pmax
 	consts.DetectRefresh = refresh
@@ -91,37 +82,43 @@ func newClosureMachine(t *testing.T, n, r int, pmax int32, refresh int) *closure
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.dyn.vp.Detect.SetSigSpace(2)
-	return &closureMachine{t: t, p: p, m: newCompactModel(p), dyn: p.dyn.detached(), sigSpace: 2}
+	p.dyn.vp.Detect.SetSigSpace(closureSigSpace)
+	return &closureLayer{t: t, p: p, m: newCompactModel(p), dyn: p.dyn.detached()}
 }
 
-// wrap keys a configuration.
-func (cm *closureMachine) wrap(agents []Agent) *closureConfig {
-	cm.enc = cm.enc[:0]
-	for i := range agents {
-		cm.enc = appendAgentKey(cm.enc, &agents[i])
-		cm.enc = append(cm.enc, '|')
+func (cl *closureLayer) Clone(a Agent) Agent {
+	var c Agent
+	cl.dyn.copyAgentInto(&c, &a)
+	return c
+}
+
+func (cl *closureLayer) AppendKey(b []byte, a Agent) []byte { return appendAgentKey(b, &a) }
+
+func (cl *closureLayer) Interact(from, next []Agent, a, b int, sample func(int) int) bool {
+	cl.dyn.interactPair(&next[a], &next[b], sample, sample, 0)
+	if cl.fail == "" && (next[a].Role != RoleVerifying || next[b].Role != RoleVerifying) {
+		cl.fail = fmt.Sprintf("agents %d and %d met in%s", a, b, describe(from))
 	}
-	return &closureConfig{agents: agents, key: string(cm.enc)}
+	return false
 }
 
 // agentSafe is the agent form: the configuration loaded into a Protocol,
 // counters rebuilt, then InSafeSet. The loaded agents share the
 // configuration's sub-states; the predicate only reads them.
-func (cm *closureMachine) agentSafe(cfg *closureConfig) bool {
-	copy(cm.p.agents, cfg.agents)
-	cm.p.recount()
-	return cm.p.InSafeSet()
+func (cl *closureLayer) agentSafe(agents []Agent) bool {
+	copy(cl.p.agents, agents)
+	cl.p.recount()
+	return cl.p.InSafeSet()
 }
 
 // countSafe is the count form: the configuration interned as a key
 // multiset, then the compact model's safe set. The keys are released
 // afterwards, so the intern table stays the size of one configuration.
-func (cm *closureMachine) countSafe(cfg *closureConfig) bool {
-	v := &cm.view
+func (cl *closureLayer) countSafe(agents []Agent) bool {
+	v := &cl.view
 	v.keys, v.counts = v.keys[:0], v.counts[:0]
-	for i := range cfg.agents {
-		k := cm.m.keyOf(&cfg.agents[i])
+	for i := range agents {
+		k := cl.m.keyOf(&agents[i])
 		if j := slices.Index(v.keys, k); j >= 0 {
 			v.counts[j]++
 		} else {
@@ -129,9 +126,9 @@ func (cm *closureMachine) countSafe(cfg *closureConfig) bool {
 			v.counts = append(v.counts, 1)
 		}
 	}
-	safe := cm.m.safeSet(v)
+	safe := cl.m.safeSet(v)
 	for _, k := range v.keys {
-		cm.m.release(k)
+		cl.m.release(k)
 	}
 	return safe
 }
@@ -155,8 +152,8 @@ func describe(agents []Agent) string {
 // PMax, for g = 0 and for g = 5 (so the generation wrap is covered). Each
 // candidate is checked for agreement between the two forms of the
 // predicate; the ones it accepts become the initial configurations.
-func (cm *closureMachine) candidates() (total int) {
-	n, vp := cm.p.n, cm.dyn.vp
+func (cl *closureLayer) candidates() (total int) {
+	n, vp := cl.p.n, cl.dyn.vp
 	for _, g := range []uint8{0, verify.Generations - 1} {
 		for code := 0; code < 1<<(2*n); code++ {
 			agents := make([]Agent, n)
@@ -167,13 +164,12 @@ func (cm *closureMachine) candidates() (total int) {
 				a.SV.Generation = (g + uint8(code>>(2*i)&1)) % verify.Generations
 				a.SV.Probation = vp.PMax * int32(code>>(2*i+1)&1)
 			}
-			cfg := cm.wrap(agents)
-			agentSafe, countSafe := cm.agentSafe(cfg), cm.countSafe(cfg)
+			agentSafe, countSafe := cl.agentSafe(agents), cl.countSafe(agents)
 			if agentSafe != countSafe {
-				cm.t.Fatalf("candidate%s: agent form %v, count form %v", describe(agents), agentSafe, countSafe)
+				cl.t.Fatalf("candidate%s: agent form %v, count form %v", describe(agents), agentSafe, countSafe)
 			}
 			if agentSafe {
-				cm.initial = append(cm.initial, cfg)
+				cl.initial = append(cl.initial, agents)
 			}
 			total++
 		}
@@ -181,79 +177,22 @@ func (cm *closureMachine) candidates() (total int) {
 	return total
 }
 
-// Initial returns the accepted start set.
-func (cm *closureMachine) Initial() []modelcheck.State { return cm.initial }
-
-// Successors enumerates every (ordered pair, draw assignment) transition.
-// Draws are enumerated lazily: an interaction that read k < 2 draws has the
-// same successor for every value of the draws it did not read, so only the
-// read prefix is branched on.
-func (cm *closureMachine) Successors(s modelcheck.State) []modelcheck.State {
-	cfg := s.(*closureConfig)
-	var out []modelcheck.State
-	for a := range cfg.agents {
-		for b := range cfg.agents {
-			if a == b {
-				continue
-			}
-			for x := 0; x < cm.sigSpace; x++ {
-				used := 0
-				for y := 0; y < cm.sigSpace; y++ {
-					var succ *closureConfig
-					succ, used = cm.step(cfg, a, b, [2]int{x, y})
-					out = append(out, succ)
-					if used < 2 {
-						break
-					}
-				}
-				if used < 1 {
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// step applies one interaction of the ordered pair (a, b) with scripted
-// draws and reports how many draws it read.
-func (cm *closureMachine) step(cfg *closureConfig, a, b int, draws [2]int) (*closureConfig, int) {
-	agents := make([]Agent, len(cfg.agents))
-	copy(agents, cfg.agents)
-	agents[a], agents[b] = Agent{}, Agent{}
-	cm.dyn.copyAgentInto(&agents[a], &cfg.agents[a])
-	cm.dyn.copyAgentInto(&agents[b], &cfg.agents[b])
-	used := 0
-	sample := func(int) int {
-		if used == len(draws) {
-			cm.t.Fatalf("an interaction read more than %d draws", len(draws))
-		}
-		used++
-		return draws[used-1]
-	}
-	cm.dyn.interactPair(&agents[a], &agents[b], sample, sample, 0)
-	if cm.fail == "" && (agents[a].Role != RoleVerifying || agents[b].Role != RoleVerifying) {
-		cm.fail = fmt.Sprintf("agents %d and %d met in%s", a, b, describe(cfg.agents))
-	}
-	return cm.wrap(agents), used
-}
-
 // bad flags a configuration outside the safe set, one whose rank vector is
 // not the identity (so agent 0 is no longer the leader), or one on which
 // the two forms of the predicate disagree.
-func (cm *closureMachine) bad(s modelcheck.State) bool {
-	cfg := s.(*closureConfig)
-	agentSafe, countSafe := cm.agentSafe(cfg), cm.countSafe(cfg)
+func (cl *closureLayer) bad(s modelcheck.State) bool {
+	agents := s.(*modelcheck.Config[Agent]).Agents
+	agentSafe, countSafe := cl.agentSafe(agents), cl.countSafe(agents)
 	if agentSafe != countSafe {
-		cm.t.Errorf("configuration%s: agent form %v, count form %v", describe(cfg.agents), agentSafe, countSafe)
+		cl.t.Errorf("configuration%s: agent form %v, count form %v", describe(agents), agentSafe, countSafe)
 		return true
 	}
 	if !agentSafe {
 		return true
 	}
-	for i := range cfg.agents {
-		if rankOutputOf(&cfg.agents[i]) != int32(i+1) {
-			cm.t.Errorf("rank vector changed:%s", describe(cfg.agents))
+	for i := range agents {
+		if rankOutputOf(&agents[i]) != int32(i+1) {
+			cl.t.Errorf("rank vector changed:%s", describe(agents))
 			return true
 		}
 	}
@@ -274,24 +213,25 @@ func TestSafeSetClosureExhaustive(t *testing.T) {
 	for _, tc := range []struct{ n, r int }{{3, 1}, {4, 1}, {4, 2}} {
 		t.Run(fmt.Sprintf("n=%d/r=%d", tc.n, tc.r), func(t *testing.T) {
 			start := time.Now()
-			cm := newClosureMachine(t, tc.n, tc.r, pmax, refresh)
-			total := cm.candidates()
-			if len(cm.initial) == 0 {
+			cl := newClosureLayer(t, tc.n, tc.r, pmax, refresh)
+			total := cl.candidates()
+			if len(cl.initial) == 0 {
 				t.Fatalf("predicate accepted none of %d candidates", total)
 			}
-			rep := modelcheck.Explore(cm, cm.bad, true, modelcheck.Options{MaxStates: maxStates})
+			mc := modelcheck.NewPairwise[Agent](cl, closureSigSpace, cl.initial...)
+			rep := modelcheck.Explore(mc, cl.bad, true, modelcheck.Options{MaxStates: maxStates})
 			if rep.Violations != 0 {
-				ev := cm.p.Events()
+				ev := cl.p.Events()
 				t.Fatalf("safe set not closed at depth %d: %+v; first exit from the verifying role: %q; "+
 					"the search saw %d verify hard resets and %d ⊤",
-					rep.FirstViolationDepth, rep, cm.fail, ev.Count(verify.EventHardReset), ev.Count(verify.EventTop))
+					rep.FirstViolationDepth, rep, cl.fail, ev.Count(verify.EventHardReset), ev.Count(verify.EventTop))
 			}
 			mode := "exhaustive"
 			if rep.Truncated {
 				mode = "bounded"
 			}
 			t.Logf("%s: %d of %d candidates accepted, %d configurations explored to depth %d in %v",
-				mode, len(cm.initial), total, rep.Explored, rep.MaxDepth, time.Since(start).Round(time.Millisecond))
+				mode, len(cl.initial), total, rep.Explored, rep.MaxDepth, time.Since(start).Round(time.Millisecond))
 		})
 	}
 }

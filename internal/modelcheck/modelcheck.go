@@ -5,29 +5,35 @@
 //
 // Two checkers are provided:
 //
-//   - Explore: generic breadth-first search over a nondeterministic machine,
-//     used to verify Lemma E.2 (no ⊤ reachable from a correct
-//     initialization) exhaustively on small DetectCollision_r instances,
-//     and dually that ⊤ *is* reachable whenever a rank is duplicated.
+//   - Explore: generic breadth-first search over a nondeterministic machine.
+//     Its one machine for population protocols is Pairwise (pairwise.go): a
+//     configuration is a vector of agents and a transition is one ordered
+//     pair with one assignment of the draws the interaction reads. Its
+//     layers verify Lemma E.2 (no ⊤ reachable from a correct
+//     initialization) on small DetectCollision_r instances, and dually that
+//     ⊤ *is* reachable whenever a rank is duplicated; the closure of
+//     StableVerify_r's safe configurations; and, from internal/core's
+//     tests, the closure of the composite protocol's safe set (Lemma 6.1).
 //   - CheckCIW: full state-space analysis of the n-state CIW baseline,
 //     proving (for small n) that every configuration can reach a silent
 //     permutation — which, under the uniform scheduler, is exactly
 //     probabilistic self-stabilization.
 package modelcheck
 
-// State is one configuration of a machine. Key must be a canonical
-// fingerprint: two states with equal keys must be semantically identical.
-type State interface {
-	Key() string
-}
+// State is one configuration of a machine.
+type State any
 
-// Machine is a finite nondeterministic transition system.
+// Machine is a finite nondeterministic transition system. It hands each
+// configuration to yield together with its canonical key: two
+// configurations with equal keys must be semantically identical. The key is
+// only valid during the call. yield reports whether it kept the
+// configuration (its key was new); one it did not keep may be reused.
 type Machine interface {
-	// Initial returns the starting configurations.
-	Initial() []State
-	// Successors returns every configuration reachable in one transition
-	// (all scheduler choices × all random draws).
-	Successors(s State) []State
+	// Initial yields the starting configurations.
+	Initial(yield func(key []byte, s State) bool)
+	// Successors yields every configuration reachable from s in one
+	// transition (all scheduler choices × all random draws).
+	Successors(s State, yield func(key []byte, s State) bool)
 }
 
 // Options bounds an exploration.
@@ -57,9 +63,10 @@ type Report struct {
 
 // Explore runs a breadth-first search from the machine's initial states and
 // classifies every visited state with bad (nil means no property, pure
-// reachability). The search stops when the frontier is empty, the state
-// budget is reached, or — as an early exit — stopOnViolation is set and a
-// bad state was found.
+// reachability). Successors are deduplicated as they are yielded, so a
+// configuration seen before costs no key string and is not kept. The
+// search stops when the frontier is empty, the state budget is reached, or
+// — as an early exit — stopOnViolation is set and a bad state was found.
 func Explore(m Machine, bad func(State) bool, stopOnViolation bool, opt Options) Report {
 	maxStates := opt.MaxStates
 	if maxStates <= 0 {
@@ -72,22 +79,20 @@ func Explore(m Machine, bad func(State) bool, stopOnViolation bool, opt Options)
 		depth int
 	}
 	var queue []node
-	push := func(s State, depth int) bool {
-		k := s.Key()
-		if _, ok := seen[k]; ok {
-			return true
+	depth := 0 // the depth of the configurations being yielded
+	push := func(key []byte, s State) bool {
+		if _, ok := seen[string(key)]; ok {
+			return false
 		}
 		if len(seen) >= maxStates {
 			rep.Truncated = true
 			return false
 		}
-		seen[k] = struct{}{}
+		seen[string(key)] = struct{}{}
 		queue = append(queue, node{s: s, depth: depth})
 		return true
 	}
-	for _, s := range m.Initial() {
-		push(s, 0)
-	}
+	m.Initial(push)
 	for len(queue) > 0 {
 		nd := queue[0]
 		queue = queue[1:]
@@ -105,9 +110,8 @@ func Explore(m Machine, bad func(State) bool, stopOnViolation bool, opt Options)
 			}
 			continue // do not expand beyond a violation
 		}
-		for _, succ := range m.Successors(nd.s) {
-			push(succ, nd.depth+1)
-		}
+		depth = nd.depth + 1
+		m.Successors(nd.s, push)
 	}
 	return rep
 }

@@ -2,28 +2,24 @@ package modelcheck
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 // chainMachine is a trivial machine for exercising Explore: states are
 // integers 0..limit, each with successors +1 and +2.
-type chainState int
-
-func (c chainState) Key() string { return fmt.Sprintf("%d", int(c)) }
-
 type chainMachine struct{ limit int }
 
-func (m chainMachine) Initial() []State { return []State{chainState(0)} }
+func (m chainMachine) Initial(yield func([]byte, State) bool) { yield([]byte("0"), 0) }
 
-func (m chainMachine) Successors(s State) []State {
-	v := int(s.(chainState))
-	var out []State
+func (m chainMachine) Successors(s State, yield func([]byte, State) bool) {
+	v := s.(int)
 	for _, d := range []int{1, 2} {
 		if v+d <= m.limit {
-			out = append(out, chainState(v+d))
+			yield(strconv.AppendInt(nil, int64(v+d), 10), v+d)
 		}
 	}
-	return out
 }
 
 func TestExploreExhaustsSmallMachine(t *testing.T) {
@@ -53,7 +49,7 @@ func TestExploreTruncates(t *testing.T) {
 }
 
 func TestExploreFindsViolation(t *testing.T) {
-	bad := func(s State) bool { return int(s.(chainState)) == 7 }
+	bad := func(s State) bool { return s.(int) == 7 }
 	rep := Explore(chainMachine{limit: 10}, bad, true, Options{})
 	if rep.Violations != 1 {
 		t.Fatalf("violations = %d", rep.Violations)
@@ -82,8 +78,7 @@ func TestDetectSoundnessExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := func(s State) bool { return s.(*DetectConfig).AnyTop() }
-	rep := Explore(m, bad, true, Options{MaxStates: 30_000})
+	rep := Explore(m, AnyTop, true, Options{MaxStates: 30_000})
 	if rep.Violations != 0 {
 		t.Fatalf("⊤ reachable from a correct initialization: %+v", rep)
 	}
@@ -103,8 +98,7 @@ func TestDetectSoundnessBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := func(s State) bool { return s.(*DetectConfig).AnyTop() }
-	rep := Explore(m, bad, true, Options{MaxStates: 20_000})
+	rep := Explore(m, AnyTop, true, Options{MaxStates: 20_000})
 	if rep.Violations != 0 {
 		t.Fatalf("⊤ reachable from a correct initialization: %+v", rep)
 	}
@@ -122,14 +116,15 @@ func TestDetectCompletenessBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := func(s State) bool { return s.(*DetectConfig).AnyTop() }
-	rep := Explore(m, bad, true, Options{MaxStates: 30_000})
+	rep := Explore(m, AnyTop, true, Options{MaxStates: 30_000})
 	if rep.Violations == 0 {
 		t.Fatalf("⊤ unreachable despite duplicate rank: %+v", rep)
 	}
 	if rep.FirstViolationDepth != 1 {
 		t.Fatalf("first ⊤ at depth %d, want 1 (direct meeting)", rep.FirstViolationDepth)
 	}
+	t.Logf("duplicate rank raises ⊤ at depth %d after %d configurations",
+		rep.FirstViolationDepth, rep.Explored)
 }
 
 func TestDetectMachineValidation(t *testing.T) {
@@ -141,19 +136,146 @@ func TestDetectMachineValidation(t *testing.T) {
 	}
 }
 
+// TestDetectMachineDeterministicKeys pins the distinct successors of the
+// initial n = 2 configuration: 2 ordered pairs × 2² draw assignments, all
+// of which read both draws and lead to different configurations.
 func TestDetectMachineDeterministicKeys(t *testing.T) {
 	m, err := NewDetectMachine(2, 2, nil, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := m.Initial()[0].Key()
-	b := m.Initial()[0].Key()
-	if a != b {
-		t.Fatal("initial keys differ")
+	var initial []string
+	var init State
+	for range 2 {
+		m.Initial(func(key []byte, s State) bool {
+			initial, init = append(initial, string(key)), s
+			return true
+		})
 	}
-	succs := m.Successors(m.Initial()[0])
-	if len(succs) != 2*4 { // 2 ordered pairs × 2² draw assignments
-		t.Fatalf("successors = %d, want 8", len(succs))
+	if len(initial) != 2 || initial[0] != initial[1] {
+		t.Fatalf("initial keys %q, want one repeated key", initial)
+	}
+	keys := map[string]bool{}
+	m.Successors(init, func(key []byte, _ State) bool {
+		keys[string(key)] = true
+		return false // not kept: the machine reuses the configuration
+	})
+	if len(keys) != 8 {
+		t.Fatalf("distinct successors = %d, want 8", len(keys))
+	}
+}
+
+// drawLayer's agents are integers; an interaction of (a, b) reads as many
+// draws as agent a's value and stores their digits in agent b.
+type drawLayer struct{}
+
+func (drawLayer) Clone(v int) int { return v }
+
+func (drawLayer) AppendKey(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
+func (drawLayer) Interact(_, next []int, a, b int, sample func(int) int) bool {
+	next[b] = 0
+	for range next[a] {
+		next[b] = 10*next[b] + 1 + sample(3)
+	}
+	return false
+}
+
+// TestPairwiseBranchesOnReadDraws checks that the machine branches only on
+// the draws an interaction read: sigSpace^k transitions per ordered pair
+// whose initiator reads k draws.
+func TestPairwiseBranchesOnReadDraws(t *testing.T) {
+	m := NewPairwise[int](drawLayer{}, 3, []int{0, 1, 2})
+	var start State
+	m.Initial(func(_ []byte, s State) bool { start = s; return true })
+	transitions := 0
+	m.Successors(start, func([]byte, State) bool { transitions++; return false })
+	// Initiator 0 reads no draw, initiator 1 one, initiator 2 two; each
+	// initiates two pairs.
+	if want := 2*1 + 2*3 + 2*9; transitions != want {
+		t.Fatalf("%d transitions, want %d", transitions, want)
+	}
+}
+
+// TestPairwiseRejectsThirdDraw: reusing a draw would skip part of the
+// nondeterminism while the search still reported a proof, so an initiator
+// reading a third draw must stop the search.
+func TestPairwiseRejectsThirdDraw(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "more than 2 draws") {
+			t.Fatalf("recovered %v, want the third-draw panic", r)
+		}
+	}()
+	Explore(NewPairwise[int](drawLayer{}, 2, []int{3, 0}), nil, false, Options{})
+	t.Fatal("a third draw went unnoticed")
+}
+
+// TestVerifyClosureExhaustive is Lemma 6.1 at n=2, checked exhaustively:
+// from both safe-configuration shapes (all generation 0; and the
+// two-generation soft-reset wave), no schedule and no draws ever request a
+// hard reset. The reachable space must close completely within the budget.
+func TestVerifyClosureExhaustive(t *testing.T) {
+	m, err := NewVerifyMachine(2, 2, nil, 2, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Explore(m, HardReset, true, Options{MaxStates: 100_000})
+	if rep.Violations != 0 {
+		t.Fatalf("hard reset reachable from a safe configuration: %+v", rep)
+	}
+	if rep.Truncated {
+		t.Fatalf("expected full closure at n=2: %+v", rep)
+	}
+	t.Logf("verify-layer closure at n=2: %d configurations fully closed (depth %d)",
+		rep.Explored, rep.MaxDepth)
+}
+
+// TestVerifyClosureBounded widens to n=3 with a slower refresh; bounded
+// guarantee.
+func TestVerifyClosureBounded(t *testing.T) {
+	m, err := NewVerifyMachine(3, 3, nil, 2, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Explore(m, HardReset, true, Options{MaxStates: 15_000})
+	if rep.Violations != 0 {
+		t.Fatalf("hard reset reachable from a safe configuration: %+v", rep)
+	}
+	t.Logf("verify-layer closure at n=3: %d configurations (truncated=%v, depth %d)",
+		rep.Explored, rep.Truncated, rep.MaxDepth)
+}
+
+// TestVerifyDuplicateRankEscalates is the dual: with a duplicated rank and
+// tiny probation, a hard reset IS reachable (the escalation Lemma F.6
+// requires).
+func TestVerifyDuplicateRankEscalates(t *testing.T) {
+	m, err := NewVerifyMachine(2, 2, []int32{1, 1}, 2, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Explore(m, HardReset, true, Options{MaxStates: 50_000})
+	if rep.Violations == 0 {
+		t.Fatalf("hard reset unreachable despite duplicate ranks: %+v", rep)
+	}
+	t.Logf("duplicate rank escalates to hard reset at depth %d after %d configurations",
+		rep.FirstViolationDepth, rep.Explored)
+}
+
+func TestVerifyMachineValidation(t *testing.T) {
+	if _, err := NewVerifyMachine(1, 1, nil, 2, 1, 3); err == nil {
+		t.Fatal("n < 2 must fail")
+	}
+	if _, err := NewVerifyMachine(2, 2, []int32{1}, 2, 1, 3); err == nil {
+		t.Fatal("rank mismatch must fail")
+	}
+	m, err := NewVerifyMachine(2, 2, nil, 0, 0, 0) // all clamped
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := 0
+	m.Initial(func([]byte, State) bool { shapes++; return true })
+	if shapes != 2 {
+		t.Fatal("two initial shapes expected")
 	}
 }
 
