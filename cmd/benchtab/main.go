@@ -76,7 +76,6 @@ func run() error {
 		return fmt.Errorf("-topology applies to the -compare faceoff (the experiment tables fix their own topologies; see T-ring)")
 	}
 
-	registry := experiments.All()
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
@@ -87,7 +86,7 @@ func run() error {
 
 	ids := experiments.IDs()
 	if *exp != "" {
-		if registry[*exp] == nil {
+		if experiments.Lookup(*exp) == nil {
 			return fmt.Errorf("unknown experiment %q (use -list)", *exp)
 		}
 		ids = []string{*exp}
@@ -102,7 +101,7 @@ func run() error {
 		GoMaxProc:       runtime.GOMAXPROCS(0),
 	}
 	for _, id := range ids {
-		table := registry[id](cfg)
+		table := experiments.Lookup(id)(cfg)
 		if *jsonOut {
 			report.Tables = append(report.Tables, table)
 			continue

@@ -45,7 +45,7 @@ func run(args []string, w io.Writer) error {
 	var (
 		check   = fs.String("check", "detect-sound", "detect-sound | detect-complete | verify-closure | ciw")
 		n       = fs.Int("n", 3, "population size (at least 2)")
-		budget  = fs.Int("budget", 100_000, "configuration budget for bounded checks")
+		budget  = fs.Int("budget", 100_000, "configuration budget for bounded checks (at least 1)")
 		sig     = fs.Int("sig", 2, "signature-space override, at least 2 (detect and verify-closure checks)")
 		refresh = fs.Int("refresh", 3, "signature refresh constant (detect and verify-closure checks)")
 	)
@@ -57,6 +57,9 @@ func run(args []string, w io.Writer) error {
 	}
 	if *sig < 2 {
 		return fmt.Errorf("-sig %d: a signature space needs at least 2 values", *sig)
+	}
+	if *budget < 1 {
+		return fmt.Errorf("-budget %d: a bounded check needs at least 1 configuration", *budget)
 	}
 	opt := modelcheck.Options{MaxStates: *budget}
 

@@ -7,15 +7,17 @@ import (
 	"testing"
 )
 
-// TestRejectsBadSizes: a population below 2 agents or a signature space
-// below 2 values is an error before any check runs, not a panic or a
-// silently clamped value.
+// TestRejectsBadSizes: a population below 2 agents, a signature space
+// below 2 values or a budget below 1 configuration is an error before any
+// check runs, not a panic or a silently replaced value.
 func TestRejectsBadSizes(t *testing.T) {
 	for _, args := range []string{
 		"-check detect-complete -n -1",
 		"-check detect-sound -n 1",
 		"-check detect-sound -n 2 -sig 1",
 		"-check verify-closure -n 2 -sig 0",
+		"-check detect-sound -n 2 -budget 0",
+		"-check detect-sound -n 2 -budget -7",
 	} {
 		var out bytes.Buffer
 		err := run(strings.Fields(args), &out)

@@ -95,7 +95,7 @@ func (cl *closureLayer) Clone(a Agent) Agent {
 func (cl *closureLayer) AppendKey(b []byte, a Agent) []byte { return appendAgentKey(b, &a) }
 
 func (cl *closureLayer) Interact(from, next []Agent, a, b int, sample func(int) int) bool {
-	cl.dyn.interactPair(&next[a], &next[b], sample, sample, 0)
+	cl.dyn.interactPair(&next[a], &next[b], sample, sample)
 	if cl.fail == "" && (next[a].Role != RoleVerifying || next[b].Role != RoleVerifying) {
 		cl.fail = fmt.Sprintf("agents %d and %d met in%s", a, b, describe(from))
 	}
@@ -224,7 +224,7 @@ func TestSafeSetClosureExhaustive(t *testing.T) {
 				ev := cl.p.Events()
 				t.Fatalf("safe set not closed at depth %d: %+v; first exit from the verifying role: %q; "+
 					"the search saw %d verify hard resets and %d ⊤",
-					rep.FirstViolationDepth, rep, cl.fail, ev.Count(verify.EventHardReset), ev.Count(verify.EventTop))
+					rep.FirstViolationDepth, rep, cl.fail, ev.Count(sim.EvVerifyHardReset), ev.Count(sim.EvTop))
 			}
 			mode := "exhaustive"
 			if rep.Truncated {

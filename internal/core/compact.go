@@ -48,7 +48,6 @@ type compactModel struct {
 	dyn    dynamics
 	n      int
 	sample coin.Sampler
-	clock  uint64
 
 	tab    []Agent     // interned canonical states, indexed by key
 	hashes []uint64    // hashKey of each entry's encoding, parallel to tab
@@ -160,8 +159,7 @@ func (m *compactModel) release(key uint64) {
 func (m *compactModel) react(a, b uint64, _ *rng.PRNG) (uint64, uint64) {
 	m.dyn.copyAgentInto(&m.u, &m.tab[a])
 	m.dyn.copyAgentInto(&m.v, &m.tab[b])
-	m.clock++
-	m.dyn.interactPair(&m.u, &m.v, m.sample, m.sample, m.clock)
+	m.dyn.interactPair(&m.u, &m.v, m.sample, m.sample)
 	return m.take(&m.u), m.take(&m.v)
 }
 

@@ -74,19 +74,6 @@ type Agent struct {
 	Coin coin.State
 }
 
-// Event names recorded by the protocol (in addition to the verify.Event*
-// names emitted by StableVerify_r).
-const (
-	// EventHardReset counts TriggerReset executions.
-	EventHardReset = "core.hard_reset"
-	// EventInfected counts computing→resetting infections.
-	EventInfected = "core.infected"
-	// EventAwaken counts resetter→ranker awakenings (Reset, Protocol 6).
-	EventAwaken = "core.awaken"
-	// EventBecameVerifier counts ranker→verifier transitions.
-	EventBecameVerifier = "core.became_verifier"
-)
-
 // Protocol is one ElectLeader_r instance. It implements sim.Protocol. It is
 // not safe for concurrent use.
 type Protocol struct {
@@ -284,5 +271,5 @@ func (p *Protocol) interact(a, b int) {
 	if p.synthetic {
 		coin.Observe(&u.Coin, &v.Coin)
 	}
-	p.dyn.interactPair(u, v, p.samplers[a], p.samplers[b], p.clock)
+	p.dyn.interactPair(u, v, p.samplers[a], p.samplers[b])
 }

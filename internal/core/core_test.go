@@ -6,7 +6,6 @@ import (
 
 	"sspp/internal/rng"
 	"sspp/internal/sim"
-	"sspp/internal/verify"
 )
 
 func mustNew(t *testing.T, n, r int, opts ...Option) *Protocol {
@@ -84,10 +83,10 @@ func TestSoftResetPreservesRanking(t *testing.T) {
 			ranksBefore[i] = p.RankOutput(i)
 		}
 		sim.Steps(p, rng.New(seed+77), 3_000_000)
-		if got := ev.Count(EventHardReset); got != 0 {
+		if got := ev.Count(sim.EvHardReset); got != 0 {
 			t.Fatalf("seed %d: %d hard resets on a correct ranking", seed, got)
 		}
-		if ev.Count(verify.EventSoftReset) == 0 {
+		if ev.Count(sim.EvSoftReset) == 0 {
 			t.Fatalf("seed %d: corruption never soft-reset", seed)
 		}
 		for i := 0; i < n; i++ {

@@ -99,18 +99,18 @@ func (d *dynamics) reinitRanker(a *Agent) {
 
 // triggerReset is TriggerReset (Protocol 5): a becomes a triggered resetter,
 // discarding all other state.
-func (d *dynamics) triggerReset(a *Agent, t uint64) {
+func (d *dynamics) triggerReset(a *Agent) {
 	d.releaseAR(a)
 	d.releaseSV(a)
 	a.Role = RoleResetting
 	a.Reset = reset.Triggered(d.consts.Reset)
 	a.Rank = 0
-	d.events.IncAt(EventHardReset, t)
+	d.events.Inc(sim.EvHardReset)
 }
 
 // becomeVerifier is Protocol 1 lines 7–8: the ranker commits its computed
 // rank and enters verification with q0,SV.
-func (d *dynamics) becomeVerifier(a *Agent, t uint64) {
+func (d *dynamics) becomeVerifier(a *Agent) {
 	rank := int32(1)
 	if a.AR != nil {
 		rank = a.AR.Rank
@@ -126,37 +126,37 @@ func (d *dynamics) becomeVerifier(a *Agent, t uint64) {
 	a.Rank = rank
 	a.SV = verify.ReinitInto(d.vp, rank, d.popSV())
 	a.Countdown = 0
-	d.events.IncAt(EventBecameVerifier, t)
+	d.events.Inc(sim.EvBecameVerifier)
 }
 
 // applyResetOutcome applies a PropagateReset outcome to a.
-func (d *dynamics) applyResetOutcome(a *Agent, o reset.Outcome, t uint64) {
+func (d *dynamics) applyResetOutcome(a *Agent, o reset.Outcome) {
 	switch o {
 	case reset.OutInfected:
 		d.releaseAR(a)
 		d.releaseSV(a)
 		a.Role = RoleResetting
 		a.Rank = 0
-		d.events.IncAt(EventInfected, t)
+		d.events.Inc(sim.EvInfected)
 	case reset.OutAwaken:
 		d.reinitRanker(a)
-		d.events.IncAt(EventAwaken, t)
+		d.events.Inc(sim.EvAwaken)
 	}
 }
 
 // interactPair applies one ElectLeader_r interaction (Protocol 1) to the
-// ordered pair (u, v) at interaction time t, drawing u's and v's protocol
-// randomness from su and sv. It is the complete transition relation: both
+// ordered pair (u, v), drawing u's and v's protocol randomness from su and
+// sv. It is the complete transition relation: both
 // backends route every interaction through this body.
 //
 //sspp:hotpath
-func (d *dynamics) interactPair(u, v *Agent, su, sv coin.Sampler, t uint64) {
+func (d *dynamics) interactPair(u, v *Agent, su, sv coin.Sampler) {
 	// Lines 1–2: PropagateReset when the initiator is a resetter.
 	if u.Role == RoleResetting {
 		uo, vo := reset.Step(d.consts.Reset,
 			true, &u.Reset, v.Role == RoleResetting, &v.Reset)
-		d.applyResetOutcome(u, uo, t)
-		d.applyResetOutcome(v, vo, t)
+		d.applyResetOutcome(u, uo)
+		d.applyResetOutcome(v, vo)
 	}
 
 	// Lines 3–5: two rankers execute AssignRanks_r and tick countdowns.
@@ -176,7 +176,7 @@ func (d *dynamics) interactPair(u, v *Agent, su, sv coin.Sampler, t uint64) {
 	for _, pair := range [2][2]*Agent{{u, v}, {v, u}} {
 		ai, aj := pair[0], pair[1]
 		if ai.Role == RoleRanking && (ai.Countdown <= 0 || aj.Role == RoleVerifying) {
-			d.becomeVerifier(ai, t)
+			d.becomeVerifier(ai)
 		}
 	}
 
@@ -184,12 +184,12 @@ func (d *dynamics) interactPair(u, v *Agent, su, sv coin.Sampler, t uint64) {
 	if u.Role == RoleVerifying && v.Role == RoleVerifying {
 		uAct, vAct := verify.Interact(d.vp,
 			u.Rank, u.SV, v.Rank, v.SV,
-			su, sv, d.scratch, d.events, t)
+			su, sv, d.scratch, d.events)
 		if uAct == verify.ActHardReset {
-			d.triggerReset(u, t)
+			d.triggerReset(u)
 		}
 		if vAct == verify.ActHardReset {
-			d.triggerReset(v, t)
+			d.triggerReset(v)
 		}
 	}
 }

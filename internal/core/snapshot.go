@@ -4,10 +4,7 @@
 
 package core
 
-import (
-	"sspp/internal/sim"
-	"sspp/internal/verify"
-)
+import "sspp/internal/sim"
 
 // Protocol implements the full capability set of the run engine.
 var (
@@ -23,8 +20,8 @@ var (
 func (p *Protocol) SnapshotInto(s *sim.Snapshot) {
 	s.Resetting, s.Ranking, s.Verifying = p.Roles()
 	s.Leaders = p.Leaders()
-	s.HardResets = p.dyn.events.Count(EventHardReset)
-	s.SoftResets = p.dyn.events.Count(verify.EventSoftReset)
-	s.Tops = p.dyn.events.Count(verify.EventTop)
+	s.HardResets = p.dyn.events.Count(sim.EvHardReset)
+	s.SoftResets = p.dyn.events.Count(sim.EvSoftReset)
+	s.Tops = p.dyn.events.Count(sim.EvTop)
 	s.InSafeSet = p.InSafeSet()
 }

@@ -99,7 +99,7 @@ func TestClosure(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ranksBefore[i] = p.RankOutput(i)
 	}
-	hardBefore := ev.Count(core.EventHardReset)
+	hardBefore := ev.Count(sim.EvHardReset)
 	sim.Steps(p, rng.New(43), 400_000)
 	if !p.Correct() || !p.CorrectRanking() {
 		t.Fatal("closure violated: configuration left correctness")
@@ -110,8 +110,8 @@ func TestClosure(t *testing.T) {
 				i, ranksBefore[i], p.RankOutput(i))
 		}
 	}
-	if ev.Count(core.EventHardReset) != hardBefore {
-		t.Fatalf("hard reset after stabilization (%d -> %d)", hardBefore, ev.Count(core.EventHardReset))
+	if ev.Count(sim.EvHardReset) != hardBefore {
+		t.Fatalf("hard reset after stabilization (%d -> %d)", hardBefore, ev.Count(sim.EvHardReset))
 	}
 }
 
@@ -139,7 +139,7 @@ func TestRecoveryFromDuplicateRanks(t *testing.T) {
 			t.Fatalf("seed %d: no recovery from duplicate ranks after %d interactions (events %s)",
 				seed, res.Interactions, ev)
 		}
-		if ev.Count(core.EventHardReset) == 0 {
+		if ev.Count(sim.EvHardReset) == 0 {
 			t.Fatalf("seed %d: recovery without a hard reset is impossible here", seed)
 		}
 	}

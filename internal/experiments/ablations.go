@@ -110,8 +110,8 @@ func A2ProbationAblation(cfg Config) *Table {
 				return outcome{}
 			}
 			return outcome{ok: true, took: float64(res.StabilizedAt),
-				soft: float64(ev.Count(verify.EventSoftReset)),
-				hard: float64(ev.Count(core.EventHardReset))}
+				soft: float64(ev.Count(sim.EvSoftReset)),
+				hard: float64(ev.Count(sim.EvHardReset))}
 		})
 		var soft, hard, times stats.Acc
 		fails := 0

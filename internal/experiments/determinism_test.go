@@ -31,9 +31,8 @@ func TestTablesWorkerCountIndependent(t *testing.T) {
 	if parallel < 4 {
 		parallel = 4
 	}
-	registry := All()
 	for _, id := range []string{"T1", "T7", "T9", "T14", "A2", "T-ring", "S4"} {
-		gen := registry[id]
+		gen := Lookup(id)
 		if gen == nil {
 			t.Fatalf("experiment %s missing from registry", id)
 		}

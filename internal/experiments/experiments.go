@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"sspp"
@@ -162,81 +161,61 @@ func (t *Table) Render(w io.Writer) {
 // Generator produces one experiment table.
 type Generator func(Config) *Table
 
-// All returns the registry of experiment generators keyed by ID.
-func All() map[string]Generator {
-	return map[string]Generator{
-		"T1":      T1StabilizeFromReset,
-		"F1":      F1TradeoffCurve,
-		"F2":      F2ScalingInN,
-		"T2":      T2StateComplexity,
-		"T3":      T3AssignRanks,
-		"T4":      T4FastLeaderElect,
-		"T5":      T5Epidemic,
-		"T6":      T6LoadBalance,
-		"T7":      T7DetectionLatency,
-		"T8":      T8Soundness,
-		"T9":      T9SoftReset,
-		"T10":     T10Recovery,
-		"T11":     T11Baselines,
-		"T12":     T12SyntheticCoin,
-		"T13":     T13LooseLeader,
-		"T14":     T14TransientFaults,
-		"T15":     T15ObservedStates,
-		"T16":     T16SchedulerRobustness,
-		"A1":      A1SoftResetAblation,
-		"A2":      A2ProbationAblation,
-		"A3":      A3RefreshAblation,
-		"A4":      A4LoadBalanceAblation,
-		"S1":      S1SpeciesBackend,
-		"S2":      S2TauLeapClock,
-		"S3":      S3ElectLeaderSpecies,
-		"S4":      S4ServeCache,
-		"T-ring":  TRingTopology,
-		"T-churn": TChurnWorkload,
-	}
+// registry lists every experiment in presentation order: T1, F1, F2,
+// T2..T16, the ablations A1..A4, the scale experiments S1..S4, then the
+// topology and churn experiments.
+var registry = []struct {
+	id  string
+	gen Generator
+}{
+	{"T1", T1StabilizeFromReset},
+	{"F1", F1TradeoffCurve},
+	{"F2", F2ScalingInN},
+	{"T2", T2StateComplexity},
+	{"T3", T3AssignRanks},
+	{"T4", T4FastLeaderElect},
+	{"T5", T5Epidemic},
+	{"T6", T6LoadBalance},
+	{"T7", T7DetectionLatency},
+	{"T8", T8Soundness},
+	{"T9", T9SoftReset},
+	{"T10", T10Recovery},
+	{"T11", T11Baselines},
+	{"T12", T12SyntheticCoin},
+	{"T13", T13LooseLeader},
+	{"T14", T14TransientFaults},
+	{"T15", T15ObservedStates},
+	{"T16", T16SchedulerRobustness},
+	{"A1", A1SoftResetAblation},
+	{"A2", A2ProbationAblation},
+	{"A3", A3RefreshAblation},
+	{"A4", A4LoadBalanceAblation},
+	{"S1", S1SpeciesBackend},
+	{"S2", S2TauLeapClock},
+	{"S3", S3ElectLeaderSpecies},
+	{"S4", S4ServeCache},
+	{"T-ring", TRingTopology},
+	{"T-churn", TChurnWorkload},
 }
 
 // IDs returns all experiment IDs in presentation order.
 func IDs() []string {
-	ids := make([]string, 0, len(All()))
-	for id := range All() {
-		ids = append(ids, id)
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		// F* after T1, numeric within prefix.
-		ka, kb := idKey(a), idKey(b)
-		return ka < kb
-	})
 	return ids
 }
 
-// idKey orders the experiments for presentation: T1, F1, F2, T2..T16, the
-// ablations A1..A4, the scale experiments S1..S3, then the topology and
-// churn experiments.
-func idKey(id string) int {
-	if id == "T-ring" {
-		return 700 // topology experiment, after the scale experiments
-	}
-	if id == "T-churn" {
-		return 710 // churn experiment, after the topology experiment
-	}
-	var n int
-	fmt.Sscanf(id[1:], "%d", &n)
-	switch id[0] {
-	case 'T':
-		if n == 1 {
-			return 0
+// Lookup returns the generator of the experiment id, or nil when there is
+// none.
+func Lookup(id string) Generator {
+	for _, e := range registry {
+		if e.id == id {
+			return e.gen
 		}
-		return n * 10
-	case 'F':
-		return n // F1 -> 1, F2 -> 2 (right after T1)
-	case 'A':
-		return 500 + n
-	case 'S':
-		return 600 + n // scale experiments, after the ablations
 	}
-	return 1000
+	return nil
 }
 
 // fmtU renders a uint64 with thousands separators.

@@ -27,17 +27,18 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestIDsOrderAndRegistry(t *testing.T) {
-	ids := IDs()
-	if len(ids) != len(All()) {
-		t.Fatalf("IDs/All mismatch: %d vs %d", len(ids), len(All()))
+	want := strings.Fields("T1 F1 F2 T2 T3 T4 T5 T6 T7 T8 T9 T10 T11 T12 T13 T14 T15 T16 " +
+		"A1 A2 A3 A4 S1 S2 S3 S4 T-ring T-churn")
+	if ids := IDs(); strings.Join(ids, " ") != strings.Join(want, " ") {
+		t.Fatalf("presentation order:\n%v\nwant:\n%v", ids, want)
 	}
-	if ids[0] != "T1" || ids[1] != "F1" || ids[2] != "F2" || ids[3] != "T2" {
-		t.Fatalf("presentation order wrong: %v", ids[:4])
-	}
-	for _, id := range ids {
-		if All()[id] == nil {
+	for _, id := range want {
+		if Lookup(id) == nil {
 			t.Fatalf("registry missing %s", id)
 		}
+	}
+	if Lookup("T0") != nil {
+		t.Fatal("an unknown ID must have no generator")
 	}
 }
 
@@ -103,7 +104,7 @@ func TestQuickExperimentsSmoke(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tb := All()[id](cfg)
+			tb := Lookup(id)(cfg)
 			if tb.ID != id {
 				t.Fatalf("table ID = %q", tb.ID)
 			}

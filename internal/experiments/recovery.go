@@ -11,7 +11,6 @@ import (
 	"sspp/internal/rng"
 	"sspp/internal/sim"
 	"sspp/internal/stats"
-	"sspp/internal/verify"
 )
 
 // preservationOutcome is the result of one ranking-preservation trial (T9
@@ -51,8 +50,8 @@ func preservationTrial(n, r int, consts *core.Constants, seed uint64, class adve
 	}
 	out.finished = true
 	out.took = float64(res.StabilizedAt)
-	out.hard = ev.Count(core.EventHardReset)
-	out.soft = float64(ev.Count(verify.EventSoftReset))
+	out.hard = ev.Count(sim.EvHardReset)
+	out.soft = float64(ev.Count(sim.EvSoftReset))
 	out.preserved = true
 	for i := 0; i < n; i++ {
 		if p.RankOutput(i) != before[i] {

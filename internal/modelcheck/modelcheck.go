@@ -20,6 +20,8 @@
 //     probabilistic self-stabilization.
 package modelcheck
 
+import "fmt"
+
 // State is one configuration of a machine.
 type State any
 
@@ -38,8 +40,8 @@ type Machine interface {
 
 // Options bounds an exploration.
 type Options struct {
-	// MaxStates caps the number of distinct configurations explored
-	// (default 100000). When the cap is hit the exploration is truncated
+	// MaxStates caps the number of distinct configurations explored; it
+	// must be positive. When the cap is hit the exploration is truncated
 	// and the report says so: the result is then a bounded guarantee.
 	MaxStates int
 }
@@ -67,10 +69,11 @@ type Report struct {
 // configuration seen before costs no key string and is not kept. The
 // search stops when the frontier is empty, the state budget is reached, or
 // — as an early exit — stopOnViolation is set and a bad state was found.
+// A budget (opt.MaxStates) below 1 is a caller bug, and Explore panics.
 func Explore(m Machine, bad func(State) bool, stopOnViolation bool, opt Options) Report {
 	maxStates := opt.MaxStates
 	if maxStates <= 0 {
-		maxStates = 100_000
+		panic(fmt.Sprintf("modelcheck: MaxStates %d is not a positive budget", maxStates))
 	}
 	rep := Report{FirstViolationDepth: -1}
 	seen := make(map[string]struct{}, maxStates)

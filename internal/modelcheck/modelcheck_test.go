@@ -48,22 +48,30 @@ func TestExploreTruncates(t *testing.T) {
 	}
 }
 
+// TestExploreRejectsNonPositiveBudget: a budget below 1, the zero Options
+// included, is not replaced by a default; Explore refuses it.
+func TestExploreRejectsNonPositiveBudget(t *testing.T) {
+	for _, budget := range []int{0, -7} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MaxStates %d: no panic", budget)
+				}
+			}()
+			Explore(chainMachine{limit: 10}, nil, false, Options{MaxStates: budget})
+		}()
+	}
+}
+
 func TestExploreFindsViolation(t *testing.T) {
 	bad := func(s State) bool { return s.(int) == 7 }
-	rep := Explore(chainMachine{limit: 10}, bad, true, Options{})
+	rep := Explore(chainMachine{limit: 10}, bad, true, Options{MaxStates: 100})
 	if rep.Violations != 1 {
 		t.Fatalf("violations = %d", rep.Violations)
 	}
 	// 7 is reachable in ⌈7/2⌉ = 4 steps at the earliest.
 	if rep.FirstViolationDepth != 4 {
 		t.Fatalf("first violation at depth %d, want 4", rep.FirstViolationDepth)
-	}
-}
-
-func TestExploreDefaultBudget(t *testing.T) {
-	rep := Explore(chainMachine{limit: 3}, nil, false, Options{})
-	if rep.Explored != 4 {
-		t.Fatalf("explored %d, want 4", rep.Explored)
 	}
 }
 
@@ -206,7 +214,7 @@ func TestPairwiseRejectsThirdDraw(t *testing.T) {
 			t.Fatalf("recovered %v, want the third-draw panic", r)
 		}
 	}()
-	Explore(NewPairwise[int](drawLayer{}, 2, []int{3, 0}), nil, false, Options{})
+	Explore(NewPairwise[int](drawLayer{}, 2, []int{3, 0}), nil, false, Options{MaxStates: 100})
 	t.Fatal("a third draw went unnoticed")
 }
 

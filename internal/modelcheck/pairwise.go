@@ -235,7 +235,7 @@ func (verifyLayer) AppendKey(b []byte, s *verify.State) []byte {
 func (l verifyLayer) Interact(_, next []*verify.State, a, b int, sample func(int) int) bool {
 	d := &l.detect
 	ua, va := verify.Interact(l.params, d.ranks[a], next[a], d.ranks[b], next[b],
-		sample, sample, d.scratch, nil, 0)
+		sample, sample, d.scratch, nil)
 	return ua == verify.ActHardReset || va == verify.ActHardReset
 }
 

@@ -4,9 +4,9 @@
 // transition function.
 //
 // The package provides the Protocol abstraction, the pair schedulers, the
-// Steps kernel that deals k interactions, and an Events sink that protocols
-// use to report notable transitions (resets, detections, phase changes) to
-// experiments and tests. Polling a stop condition is not done here: the
+// Steps kernel that deals k interactions, and the Events vector: one counter
+// per Event, which protocols increment on notable transitions (resets,
+// detections, role changes) and experiments and tests read. Polling a stop condition is not done here: the
 // public System.Run is the one run loop, built on Steps.
 //
 // Throughout the repository, "time" follows the paper's convention: parallel
@@ -15,7 +15,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sspp/internal/rng"
@@ -76,96 +75,88 @@ func Steps(p Protocol, sched Scheduler, k uint64) {
 	}
 }
 
-// Events is a counter sink for notable protocol transitions. Protocols call
-// Inc/IncAt; experiments and tests read Count/FirstAt/LastAt. The zero value
-// is unusable; construct with NewEvents. Events is not safe for concurrent
-// use, matching the single-threaded execution model.
-type Events struct {
-	counts  map[string]uint64
-	firstAt map[string]uint64
-	lastAt  map[string]uint64
+// Event names one notable protocol transition. The constants are in name
+// order, the order String prints them in; a new event gets a constant here
+// and its name in eventNames.
+type Event uint8
+
+// The events ElectLeader_r reports: its own role transitions (core.*) and
+// those of the embedded StableVerify_r (verify.*).
+const (
+	// EvAwaken counts resetter→ranker awakenings (Reset, Protocol 6).
+	EvAwaken Event = iota
+	// EvBecameVerifier counts ranker→verifier transitions.
+	EvBecameVerifier
+	// EvHardReset counts TriggerReset executions.
+	EvHardReset
+	// EvInfected counts computing→resetting infections.
+	EvInfected
+	// EvVerifyHardReset counts hard-reset requests issued by StableVerify_r.
+	EvVerifyHardReset
+	// EvSoftReset counts soft resets (both self-triggered and epidemic).
+	EvSoftReset
+	// EvTop counts agents observed in ⊤ (per endpoint, per interaction).
+	EvTop
+	numEvents
+)
+
+// eventNames is the one definition site of the event names.
+var eventNames = [numEvents]string{
+	"core.awaken", "core.became_verifier", "core.hard_reset", "core.infected",
+	"verify.hard_reset", "verify.soft_reset", "verify.top",
 }
 
-// NewEvents returns an empty event sink.
-func NewEvents() *Events {
-	return &Events{
-		counts:  make(map[string]uint64),
-		firstAt: make(map[string]uint64),
-		lastAt:  make(map[string]uint64),
+// String returns the event's name.
+func (ev Event) String() string { return eventNames[ev] }
+
+// Events counts each Event. Protocols call Inc; experiments and tests read
+// Count, or CountNamed by name. A nil *Events records nothing and counts
+// zero. Events is not safe for concurrent use, matching the single-threaded
+// execution model.
+type Events [numEvents]uint64
+
+// NewEvents returns an empty event vector.
+func NewEvents() *Events { return new(Events) }
+
+// Inc records one occurrence of ev.
+//
+//sspp:hotpath
+func (e *Events) Inc(ev Event) {
+	if e != nil {
+		e[ev]++
 	}
 }
 
-// Inc records one occurrence of name with no timestamp.
-func (e *Events) Inc(name string) { e.IncAt(name, 0) }
-
-// IncAt records one occurrence of name at interaction t.
-func (e *Events) IncAt(name string, t uint64) {
-	if e == nil {
-		return
-	}
-	if _, ok := e.counts[name]; !ok {
-		e.firstAt[name] = t
-	}
-	e.counts[name]++
-	e.lastAt[name] = t
-}
-
-// Count returns the number of occurrences of name.
-func (e *Events) Count(name string) uint64 {
+// Count returns the number of occurrences of ev.
+func (e *Events) Count(ev Event) uint64 {
 	if e == nil {
 		return 0
 	}
-	return e.counts[name]
+	return e[ev]
 }
 
-// FirstAt returns the interaction at which name first occurred; ok is false
-// if it never occurred.
-func (e *Events) FirstAt(name string) (t uint64, ok bool) {
-	if e == nil {
-		return 0, false
+// CountNamed returns the number of occurrences of the event called name;
+// an unknown name counts zero.
+func (e *Events) CountNamed(name string) uint64 {
+	for ev, n := range eventNames {
+		if n == name {
+			return e.Count(Event(ev))
+		}
 	}
-	t, ok = e.firstAt[name]
-	return t, ok
+	return 0
 }
 
-// LastAt returns the interaction at which name last occurred; ok is false if
-// it never occurred.
-func (e *Events) LastAt(name string) (t uint64, ok bool) {
-	if e == nil {
-		return 0, false
-	}
-	t, ok = e.lastAt[name]
-	return t, ok
-}
-
-// Reset clears all recorded events.
-func (e *Events) Reset() {
-	if e == nil {
-		return
-	}
-	clear(e.counts)
-	clear(e.firstAt)
-	clear(e.lastAt)
-}
-
-// Names returns all recorded event names in sorted order.
-func (e *Events) Names() []string {
-	if e == nil {
-		return nil
-	}
-	names := make([]string, 0, len(e.counts))
-	for k := range e.counts {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders all counters sorted by name, for logs and debugging.
+// String renders every event that occurred as name=count, in name order,
+// for logs and debugging.
 func (e *Events) String() string {
 	var b strings.Builder
-	for _, k := range e.Names() {
-		fmt.Fprintf(&b, "%s=%d ", k, e.counts[k])
+	for ev := range numEvents {
+		if c := e.Count(ev); c > 0 {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%s=%d", ev, c)
+		}
 	}
-	return strings.TrimSpace(b.String())
+	return b.String()
 }

@@ -114,20 +114,10 @@ func (s *State) softReset(p Params, rank int32, gen uint8) {
 	s.DC = detect.ReinitInto(p.Detect, rank, s.DC)
 }
 
-// Event names recorded by Interact.
-const (
-	// EventTop counts agents observed in ⊤ (per endpoint, per interaction).
-	EventTop = "verify.top"
-	// EventSoftReset counts soft resets (both self-triggered and epidemic).
-	EventSoftReset = "verify.soft_reset"
-	// EventHardReset counts hard-reset requests issued.
-	EventHardReset = "verify.hard_reset"
-)
-
 // Interact applies StableVerify_r (Protocol 2) to the ordered pair of
 // verifiers with the given read-only ranks. Samplers provide signature
-// randomness for the embedded DetectCollision_r. Events (optional) receive
-// EventTop/EventSoftReset/EventHardReset at time t. The returned actions
+// randomness for the embedded DetectCollision_r. Events (optional) count
+// sim.EvTop, sim.EvSoftReset and sim.EvVerifyHardReset. The returned actions
 // tell the caller which agents must undergo a full reset.
 func Interact(
 	p Params,
@@ -135,7 +125,7 @@ func Interact(
 	vRank int32, v *State,
 	su, sv coin.Sampler,
 	sc *detect.Scratch,
-	ev *sim.Events, t uint64,
+	ev *sim.Events,
 ) (uAct, vAct Action) {
 	// Lines 1–2: probation timers tick down on every interaction.
 	if u.Probation > 0 {
@@ -149,8 +139,8 @@ func Interact(
 	// handle any ⊤ it produces; the interaction ends here either way.
 	if u.Generation == v.Generation {
 		detect.Interact(p.Detect, uRank, u.DC, vRank, v.DC, su, sv, sc)
-		uAct = handleTop(p, uRank, u, ev, t)
-		vAct = handleTop(p, vRank, v, ev, t)
+		uAct = handleTop(p, uRank, u, ev)
+		vAct = handleTop(p, vRank, v, ev)
 		return uAct, vAct
 	}
 
@@ -158,33 +148,33 @@ func Interact(
 	// one generation behind adopts the successor generation.
 	if u.Probation == 0 && (u.Generation+1)%Generations == v.Generation {
 		u.softReset(p, uRank, v.Generation)
-		ev.IncAt(EventSoftReset, t)
+		ev.Inc(sim.EvSoftReset)
 		return ActNone, ActNone
 	}
 	if v.Probation == 0 && (v.Generation+1)%Generations == u.Generation {
 		v.softReset(p, vRank, u.Generation)
-		ev.IncAt(EventSoftReset, t)
+		ev.Inc(sim.EvSoftReset)
 		return ActNone, ActNone
 	}
 
 	// Line 13: generations differ but no soft reset is permissible.
-	ev.IncAt(EventHardReset, t)
+	ev.Inc(sim.EvVerifyHardReset)
 	return ActHardReset, ActNone
 }
 
 // handleTop implements lines 5–8 for one endpoint: an agent in ⊤ soft-resets
 // when off probation and requests a hard reset otherwise (always hard in the
 // HardOnly ablation).
-func handleTop(p Params, rank int32, s *State, ev *sim.Events, t uint64) Action {
+func handleTop(p Params, rank int32, s *State, ev *sim.Events) Action {
 	if s.DC == nil || !s.DC.Err {
 		return ActNone
 	}
-	ev.IncAt(EventTop, t)
+	ev.Inc(sim.EvTop)
 	if s.Probation == 0 && !p.HardOnly {
 		s.softReset(p, rank, s.Generation+1)
-		ev.IncAt(EventSoftReset, t)
+		ev.Inc(sim.EvSoftReset)
 		return ActNone
 	}
-	ev.IncAt(EventHardReset, t)
+	ev.Inc(sim.EvVerifyHardReset)
 	return ActHardReset
 }

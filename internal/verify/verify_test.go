@@ -27,7 +27,7 @@ func newEnv(n, r int) *env {
 }
 
 func (e *env) interact(uRank int32, u *State, vRank int32, v *State) (Action, Action) {
-	return Interact(e.p, uRank, u, vRank, v, e.sample, e.sample, e.sc, e.ev, 0)
+	return Interact(e.p, uRank, u, vRank, v, e.sample, e.sample, e.sc, e.ev)
 }
 
 func TestInitState(t *testing.T) {
@@ -67,7 +67,7 @@ func TestSameGenerationRunsDetection(t *testing.T) {
 	if uAct != ActHardReset || vAct != ActHardReset {
 		t.Fatalf("actions = %v/%v, want hard resets", uAct, vAct)
 	}
-	if e.ev.Count(EventTop) != 2 || e.ev.Count(EventHardReset) != 2 {
+	if e.ev.Count(sim.EvTop) != 2 || e.ev.Count(sim.EvVerifyHardReset) != 2 {
 		t.Fatalf("events: %s", e.ev)
 	}
 }
@@ -89,7 +89,7 @@ func TestTopOffProbationSoftResets(t *testing.T) {
 	if u.DC.Err || v.DC.Err {
 		t.Fatal("soft reset must clear ⊤")
 	}
-	if e.ev.Count(EventSoftReset) != 2 {
+	if e.ev.Count(sim.EvSoftReset) != 2 {
 		t.Fatalf("events: %s", e.ev)
 	}
 }
@@ -155,7 +155,7 @@ func TestCleanPairNoAction(t *testing.T) {
 			t.Fatalf("clean pair produced action at step %d", i)
 		}
 	}
-	if e.ev.Count(EventTop) != 0 {
+	if e.ev.Count(sim.EvTop) != 0 {
 		t.Fatal("clean pair raised ⊤")
 	}
 }
@@ -187,7 +187,7 @@ func TestSoftResetRepairsTamperedMessages(t *testing.T) {
 	if hardResets > 0 {
 		t.Fatalf("%d hard resets on a correct ranking with corrupted messages", hardResets)
 	}
-	if e.ev.Count(EventSoftReset) == 0 {
+	if e.ev.Count(sim.EvSoftReset) == 0 {
 		t.Fatal("corruption never triggered a soft reset")
 	}
 	// All agents must have converged to a common generation with clean DC.

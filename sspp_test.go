@@ -1,6 +1,7 @@
 package sspp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -77,6 +78,37 @@ func TestInjectAndRecover(t *testing.T) {
 	}
 	if sys.EventCount("core.hard_reset") != sys.HardResets() {
 		t.Fatal("EventCount/HardResets mismatch")
+	}
+}
+
+// TestEventsAllSeven pins the event log of a two-leader recovery that fires
+// every event, and checks that EventCount and HardResets read the same
+// counters the log prints.
+func TestEventsAllSeven(t *testing.T) {
+	sys, err := New(Config{N: 64, R: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Inject(AdversaryTwoLeaders, 3); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(SchedulerSeed(2))
+	const want = "core.awaken=64 core.became_verifier=64 core.hard_reset=4 core.infected=60 " +
+		"verify.hard_reset=4 verify.soft_reset=64 verify.top=6"
+	if got := sys.Events(); got != want {
+		t.Fatalf("events:\n%s\nwant:\n%s", got, want)
+	}
+	for _, field := range strings.Fields(want) {
+		name, count, _ := strings.Cut(field, "=")
+		if got := fmt.Sprint(sys.EventCount(name)); got != count {
+			t.Errorf("EventCount(%q) = %s, want %s", name, got, count)
+		}
+	}
+	if sys.HardResets() != sys.EventCount("core.hard_reset") {
+		t.Errorf("HardResets %d, EventCount %d", sys.HardResets(), sys.EventCount("core.hard_reset"))
+	}
+	if got := sys.EventCount("core.no_such_event"); got != 0 {
+		t.Errorf("unknown event counts %d", got)
 	}
 }
 

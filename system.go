@@ -464,15 +464,17 @@ func (s *System) Roles() (resetting, ranking, verifying int) {
 	return 0, 0, 0
 }
 
-// EventCount returns how often the named event occurred; see Events for the
-// available names. Baseline protocols do not emit events.
-func (s *System) EventCount(name string) uint64 { return s.events.Count(name) }
+// EventCount returns how often the named event occurred: one of
+// core.awaken, core.became_verifier, core.hard_reset, core.infected,
+// verify.hard_reset, verify.soft_reset or verify.top. An unknown name counts
+// zero, and baseline protocols emit no events.
+func (s *System) EventCount(name string) uint64 { return s.events.CountNamed(name) }
 
 // Events returns all recorded event names with counts, rendered compactly.
 func (s *System) Events() string { return s.events.String() }
 
 // HardResets returns the number of full resets triggered so far.
-func (s *System) HardResets() uint64 { return s.events.Count(core.EventHardReset) }
+func (s *System) HardResets() uint64 { return s.events.Count(sim.EvHardReset) }
 
 // StateBits returns log₂ of the per-agent state-space size of ElectLeader_r
 // for the given parameters (the Figure 1 formula) — 2^O(r²·log n).
