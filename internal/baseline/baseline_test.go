@@ -12,11 +12,11 @@ import (
 func TestCIWRule(t *testing.T) {
 	c := NewCIWFromRanks([]int32{3, 3, 1})
 	c.Interact(0, 1)
-	if c.Rank(0) != 3 || c.Rank(1) != 1 {
-		t.Fatalf("rule broken: %d/%d, want 3/1 (wait: 3 mod 3 + 1 = 1)", c.Rank(0), c.Rank(1))
+	if c.RankOutput(0) != 3 || c.RankOutput(1) != 1 {
+		t.Fatalf("rule broken: %d/%d, want 3/1 (wait: 3 mod 3 + 1 = 1)", c.RankOutput(0), c.RankOutput(1))
 	}
 	c.Interact(0, 2) // ranks 3 and 1: no-op
-	if c.Rank(0) != 3 || c.Rank(2) != 1 {
+	if c.RankOutput(0) != 3 || c.RankOutput(2) != 1 {
 		t.Fatal("distinct ranks must not interact")
 	}
 }
@@ -24,15 +24,15 @@ func TestCIWRule(t *testing.T) {
 func TestCIWWraparound(t *testing.T) {
 	c := NewCIWFromRanks([]int32{3, 3, 2})
 	c.Interact(0, 1)
-	if c.Rank(1) != 1 {
-		t.Fatalf("rank n must wrap to 1, got %d", c.Rank(1))
+	if c.RankOutput(1) != 1 {
+		t.Fatalf("rank n must wrap to 1, got %d", c.RankOutput(1))
 	}
 }
 
 func TestCIWClamping(t *testing.T) {
 	c := NewCIWFromRanks([]int32{-5, 99, 2})
-	if c.Rank(0) != 1 || c.Rank(1) != 3 {
-		t.Fatalf("clamping failed: %d/%d", c.Rank(0), c.Rank(1))
+	if c.RankOutput(0) != 1 || c.RankOutput(1) != 3 {
+		t.Fatalf("clamping failed: %d/%d", c.RankOutput(0), c.RankOutput(1))
 	}
 }
 
@@ -47,9 +47,36 @@ func TestCIWSilentOnPermutation(t *testing.T) {
 	}
 	want := []int32{2, 4, 1, 3}
 	for i, w := range want {
-		if c.Rank(i) != w {
-			t.Fatalf("silent config changed: agent %d %d -> %d", i, w, c.Rank(i))
+		if c.RankOutput(i) != w {
+			t.Fatalf("silent config changed: agent %d %d -> %d", i, w, c.RankOutput(i))
 		}
+	}
+}
+
+// TestCIWSafeSetPollAllocs: polling CIW's safe set allocates nothing, on
+// a permutation (a full scan) and on a collision alike.
+func TestCIWSafeSetPollAllocs(t *testing.T) {
+	const n = 256
+	ranks := make([]int32, n)
+	for i := range ranks {
+		ranks[i] = int32(n - i)
+	}
+	c := NewCIWFromRanks(ranks)
+	if a := testing.AllocsPerRun(100, func() {
+		if !c.InSafeSet() {
+			t.Fatal("permutation outside the safe set")
+		}
+	}); a != 0 {
+		t.Fatalf("InSafeSet on a permutation: %v allocs per poll, want 0", a)
+	}
+	ranks[n-1] = 2
+	c = NewCIWFromRanks(ranks)
+	if a := testing.AllocsPerRun(100, func() {
+		if c.InSafeSet() {
+			t.Fatal("duplicate rank inside the safe set")
+		}
+	}); a != 0 {
+		t.Fatalf("InSafeSet on a collision: %v allocs per poll, want 0", a)
 	}
 }
 
@@ -66,7 +93,7 @@ func TestCIWRanksAlwaysInRangeProperty(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			a, b := r.Pair(n)
 			c.Interact(a, b)
-			if c.Rank(a) < 1 || int(c.Rank(a)) > n || c.Rank(b) < 1 || int(c.Rank(b)) > n {
+			if c.RankOutput(a) < 1 || int(c.RankOutput(a)) > n || c.RankOutput(b) < 1 || int(c.RankOutput(b)) > n {
 				return false
 			}
 		}

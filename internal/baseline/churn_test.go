@@ -26,15 +26,15 @@ func TestCIWChurnSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i != c.N()-1 || c.Rank(i) != 1 {
-			t.Fatalf("class %q joined at %d with rank %d, want a fresh rank-1 ranker", class, i, c.Rank(i))
+		if i != c.N()-1 || c.RankOutput(i) != 1 {
+			t.Fatalf("class %q joined at %d with rank %d, want a fresh rank-1 ranker", class, i, c.RankOutput(i))
 		}
 	}
 	i, err := c.JoinAgent(string(adversary.ClassRandomGarbage), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := c.Rank(i); r < 1 || int(r) > c.N() {
+	if r := c.RankOutput(i); r < 1 || int(r) > c.N() {
 		t.Fatalf("random-garbage join rank %d outside [1, %d]", r, c.N())
 	}
 	i, err = c.JoinAgent(string(adversary.ClassDuplicateRanks), src)
@@ -43,12 +43,12 @@ func TestCIWChurnSurface(t *testing.T) {
 	}
 	dup := false
 	for j := 0; j < i; j++ {
-		if c.Rank(j) == c.Rank(i) {
+		if c.RankOutput(j) == c.RankOutput(i) {
 			dup = true
 		}
 	}
 	if !dup {
-		t.Fatalf("duplicate-ranks join rank %d duplicates nobody", c.Rank(i))
+		t.Fatalf("duplicate-ranks join rank %d duplicates nobody", c.RankOutput(i))
 	}
 	if _, err := c.JoinAgent("bogus", src); err == nil {
 		t.Fatal("unrealizable join class accepted")
@@ -65,8 +65,8 @@ func TestCIWLeaveClampsStrandedRanks(t *testing.T) {
 	if err := c.LeaveAgent(0); err != nil {
 		t.Fatal(err)
 	}
-	if c.N() != 3 || c.Rank(0) != 3 || c.Rank(1) != 2 || c.Rank(2) != 3 {
-		t.Fatalf("after the leave: n=%d ranks %d/%d/%d, want 3 and 3/2/3", c.N(), c.Rank(0), c.Rank(1), c.Rank(2))
+	if c.N() != 3 || c.RankOutput(0) != 3 || c.RankOutput(1) != 2 || c.RankOutput(2) != 3 {
+		t.Fatalf("after the leave: n=%d ranks %d/%d/%d, want 3 and 3/2/3", c.N(), c.RankOutput(0), c.RankOutput(1), c.RankOutput(2))
 	}
 	for c.N() > 1 {
 		if err := c.LeaveAgent(0); err != nil {
@@ -103,12 +103,13 @@ func TestLooseLEChurnSurface(t *testing.T) {
 		if i != l.N()-1 {
 			t.Fatalf("class %q joined at %d, want the last slot %d", tc.class, i, l.N()-1)
 		}
-		if tc.timerExact >= 0 && (l.leader[i] != tc.leader || l.timer[i] != tc.timerExact) {
+		leader, timer := looseState(l.StateKey(i))
+		if tc.timerExact >= 0 && (leader != tc.leader || timer != tc.timerExact) {
 			t.Fatalf("class %q joined as (%v, %d), want (%v, %d)",
-				tc.class, l.leader[i], l.timer[i], tc.leader, tc.timerExact)
+				tc.class, leader, timer, tc.leader, tc.timerExact)
 		}
-		if l.timer[i] < 0 || l.timer[i] > tau {
-			t.Fatalf("class %q joined with timer %d outside [0, %d]", tc.class, l.timer[i], tau)
+		if timer < 0 || timer > tau {
+			t.Fatalf("class %q joined with timer %d outside [0, %d]", tc.class, timer, tau)
 		}
 	}
 	if _, err := l.JoinAgent("bogus", src); err == nil {
@@ -118,13 +119,13 @@ func TestLooseLEChurnSurface(t *testing.T) {
 		t.Fatal("out-of-range leave accepted")
 	}
 	// Remove slot 0 and check the swap brought the last agent's state along.
-	wantLeader, wantTimer := l.leader[l.N()-1], l.timer[l.N()-1]
+	wantLeader, wantTimer := looseState(l.StateKey(l.N() - 1))
 	if err := l.LeaveAgent(0); err != nil {
 		t.Fatal(err)
 	}
-	if l.leader[0] != wantLeader || l.timer[0] != wantTimer {
+	if leader, timer := looseState(l.StateKey(0)); leader != wantLeader || timer != wantTimer {
 		t.Fatalf("swap-remove left slot 0 as (%v, %d), want the moved (%v, %d)",
-			l.leader[0], l.timer[0], wantLeader, wantTimer)
+			leader, timer, wantLeader, wantTimer)
 	}
 	for l.N() > 1 {
 		if err := l.LeaveAgent(0); err != nil {

@@ -1,212 +1,26 @@
-// compact.go implements the Compactable capability for the baselines: each
-// protocol describes itself as a sim.CompactModel — dynamics over state keys
-// with counts — which the species backend (internal/species) runs with
-// per-interaction cost depending on occupied states, not n. The models
-// capture the instance they are derived from, so a species run starts from
-// exactly the agent-level instance's configuration (including NameRank's
-// seeded name draw), which is what lets the backend-equivalence tests pair
-// trials at matched seeds.
+// compact.go implements NameRank's Compactable capability: the protocol
+// describes itself as a sim.CompactModel — dynamics over state keys with
+// counts — which the species backend (internal/species) runs with
+// per-interaction cost depending on occupied states, not n. The model
+// captures the instance it is derived from, so a species run starts from
+// exactly the agent-level instance's configuration (including the seeded
+// name draw), which is what lets the backend-equivalence tests pair trials
+// at matched seeds. CIW and LooseLE get the same property from their shared
+// rules (keyed.go).
 
 package baseline
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 
-	"sspp/internal/adversary"
 	"sspp/internal/rng"
 	"sspp/internal/sim"
 )
 
-// The baselines all have species forms. The paper's ElectLeader_r has one
-// too (internal/core/compact.go): its rich composite states are interned
-// behind canonical keys, with Release-based table eviction keeping the
-// intern table at O(occupied states).
-var (
-	_ sim.Compactable = (*CIW)(nil)
-	_ sim.Compactable = (*LooseLE)(nil)
-	_ sim.Compactable = (*NameRank)(nil)
-)
-
-// Compact describes CIW in species form: the state key is the rank itself,
-// only equal-rank pairs react ((k, k) → (k, k mod n + 1)), and the safe set
-// — the permutations — is exactly "every state is a singleton", an O(1)
-// check on the occupied-state tally. The population size n is a mutable
-// closure variable shared by React and the churn hooks: Rescale updates it
-// when churn changes the population, so the wrap rule and the key-space
-// bound track the live size.
-func (c *CIW) Compact() sim.CompactModel {
-	n := len(c.ranks)
-	return sim.CompactModel{
-		StateSpace:    uint64(n) + 1,
-		Diagonal:      true,
-		Deterministic: true,
-		Init: func() ([]uint64, []int64) {
-			counts := make([]int64, n+1)
-			for _, r := range c.ranks {
-				counts[r]++
-			}
-			var keys []uint64
-			var occ []int64
-			for r, cnt := range counts {
-				if cnt > 0 {
-					keys = append(keys, uint64(r))
-					occ = append(occ, cnt)
-				}
-			}
-			return keys, occ
-		},
-		React: func(a, b uint64, _ *rng.PRNG) (uint64, uint64) {
-			if a == b {
-				return a, a%uint64(n) + 1
-			}
-			return a, b
-		},
-		Leader: func(key uint64) bool { return key == 1 },
-		Rank:   func(key uint64) int32 { return int32(key) },
-		SafeSet: func(v sim.CountView) bool {
-			// A permutation is the only way n agents occupy n distinct
-			// states when every state is a rank in [1, n].
-			return v.Occupied() == v.N()
-		},
-		Churn: &sim.CompactChurn{
-			MinN: 2,
-			Join: func(class string, nNew int, v sim.CountView, src *rng.PRNG) (uint64, error) {
-				switch adversary.Class(class) {
-				case "", adversary.ClassCleanRankers:
-					return 1, nil
-				case adversary.ClassRandomGarbage:
-					return uint64(src.Intn(nNew)) + 1, nil
-				case adversary.ClassDuplicateRanks:
-					// Copy a uniformly chosen existing agent's rank
-					// (count-weighted over the pre-join multiset).
-					u := int64(src.Uint64n(uint64(v.N())))
-					var key uint64
-					v.Each(func(k uint64, cnt int64) bool {
-						if u < cnt {
-							key = k
-							return false
-						}
-						u -= cnt
-						return true
-					})
-					return key, nil
-				default:
-					return 0, fmt.Errorf("baseline: class %q not realizable as a CIW join state", class)
-				}
-			},
-			Rescale: func(nNew int) (uint64, func(uint64) uint64) {
-				shrink := nNew < n
-				n = nNew
-				if !shrink {
-					return uint64(nNew) + 1, nil
-				}
-				bound := uint64(nNew)
-				return bound + 1, func(k uint64) uint64 {
-					if k > bound {
-						return bound
-					}
-					return k
-				}
-			},
-		},
-	}
-}
-
-// looseKey packs a LooseLE agent state (leader bit, timer) into a key.
-func looseKey(leader bool, timer int32) uint64 {
-	k := uint64(timer) << 1
-	if leader {
-		k |= 1
-	}
-	return k
-}
-
-// StateKey returns agent i's state in the species-form key encoding of
-// Compact — the hook mirror tests and state-census tooling use to relate
-// agent-level and count-level representations.
-func (l *LooseLE) StateKey(i int) uint64 { return looseKey(l.leader[i], l.timer[i]) }
-
-// Compact describes LooseLE in species form: the key packs (leader, timer),
-// so the occupied-state count is at most 2(τ+1) no matter how large the
-// population. Like the agent-level protocol it has no safe set — loose
-// stabilization holds the leader only for a finite time.
-func (l *LooseLE) Compact() sim.CompactModel {
-	tau := l.tau
-	return sim.CompactModel{
-		StateSpace:    uint64(tau+1) << 1,
-		Deterministic: true,
-		Init: func() ([]uint64, []int64) {
-			counts := make(map[uint64]int64, 4)
-			for i := range l.timer {
-				counts[looseKey(l.leader[i], l.timer[i])]++
-			}
-			keys := make([]uint64, 0, len(counts))
-			for k := range counts {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			occ := make([]int64, len(keys))
-			for i, k := range keys {
-				occ[i] = counts[k]
-			}
-			return keys, occ
-		},
-		React: func(a, b uint64, _ *rng.PRNG) (uint64, uint64) {
-			la, ta := a&1 == 1, int32(a>>1)
-			lb, tb := b&1 == 1, int32(b>>1)
-			// Two leaders collapse (responder demotes), leaders re-arm.
-			if la && lb {
-				lb = false
-			}
-			if la {
-				ta = tau
-			}
-			if lb {
-				tb = tau
-			}
-			// Max-epidemic on timers, then both decrement.
-			m := ta
-			if tb > m {
-				m = tb
-			}
-			m--
-			if m < 0 {
-				m = 0
-			}
-			ta, tb = m, m
-			// Timeout: a non-leader whose timer died promotes itself.
-			if !la && ta == 0 {
-				la, ta = true, tau
-			}
-			if !lb && tb == 0 {
-				lb, tb = true, tau
-			}
-			return looseKey(la, ta), looseKey(lb, tb)
-		},
-		Leader: func(key uint64) bool { return key&1 == 1 },
-		Churn: &sim.CompactChurn{
-			// The (leader, timer) state space is n-independent, so no
-			// Rescale is needed; any population of at least two works.
-			MinN: 2,
-			Join: func(class string, _ int, _ sim.CountView, src *rng.PRNG) (uint64, error) {
-				switch adversary.Class(class) {
-				case "":
-					return looseKey(false, tau), nil
-				case adversary.ClassNoLeader:
-					return looseKey(false, 0), nil
-				case adversary.ClassTwoLeaders:
-					return looseKey(true, tau), nil
-				case adversary.ClassRandomGarbage:
-					return looseKey(src.Bool(), src.Int31n(tau+1)), nil
-				default:
-					return 0, fmt.Errorf("baseline: class %q not realizable as a LooseLE join state", class)
-				}
-			},
-		},
-	}
-}
+// NameRank's species form: CIW's and LooseLE's come from their shared
+// rules (keyed.Compact).
+var _ sim.Compactable = (*NameRank)(nil)
 
 // nameState is one interned NameRank agent state: the agent's own name, the
 // sorted set of names it has seen, and its committed rank (0 undecided).

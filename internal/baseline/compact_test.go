@@ -87,7 +87,7 @@ func TestCIWSpeciesMirrorsAgentLevel(t *testing.T) {
 	}
 	rec := sim.NewRecorder(rng.New(77))
 	mirrorAgainstAgent(t, agent, sp, rec, mirrorSteps, func(i int) uint64 {
-		return uint64(agent.Rank(i))
+		return uint64(agent.RankOutput(i))
 	})
 
 	// Replay the captured schedule into a fresh agent instance: the exact
@@ -96,8 +96,8 @@ func TestCIWSpeciesMirrorsAgentLevel(t *testing.T) {
 	replayed := NewCIW(n)
 	sim.Steps(replayed, rec.Recording().Replay(), mirrorSteps)
 	for i := 0; i < n; i++ {
-		if replayed.Rank(i) != agent.Rank(i) {
-			t.Fatalf("replay diverged at agent %d: rank %d vs %d", i, replayed.Rank(i), agent.Rank(i))
+		if replayed.RankOutput(i) != agent.RankOutput(i) {
+			t.Fatalf("replay diverged at agent %d: rank %d vs %d", i, replayed.RankOutput(i), agent.RankOutput(i))
 		}
 	}
 }
@@ -112,7 +112,7 @@ func TestLooseLESpeciesMirrorsAgentLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := sim.NewRecorder(rng.New(99))
-	keyOf := func(i int) uint64 { return looseKey(agent.leader[i], agent.timer[i]) }
+	keyOf := agent.StateKey
 	mirrorAgainstAgent(t, agent, sp, rec, mirrorSteps, keyOf)
 	if max := int(2 * (agent.Tau() + 1)); sp.Occupied() > max {
 		t.Fatalf("LooseLE occupies %d states, state space bound is %d", sp.Occupied(), max)
@@ -121,7 +121,7 @@ func TestLooseLESpeciesMirrorsAgentLevel(t *testing.T) {
 	replayed := NewLooseLE(n, 24)
 	sim.Steps(replayed, rec.Recording().Replay(), mirrorSteps)
 	for i := 0; i < n; i++ {
-		if replayed.leader[i] != agent.leader[i] || replayed.timer[i] != agent.timer[i] {
+		if replayed.StateKey(i) != agent.StateKey(i) {
 			t.Fatalf("replay diverged at agent %d", i)
 		}
 	}

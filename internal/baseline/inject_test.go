@@ -19,16 +19,16 @@ func TestCIWInjectClasses(t *testing.T) {
 	if err := c.Inject("clean-rankers", src); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range c.ranks {
-		if r != 1 {
+	for i := 0; i < n; i++ {
+		if r := c.RankOutput(i); r != 1 {
 			t.Fatalf("clean-rankers: agent %d has rank %d, want 1", i, r)
 		}
 	}
 
 	countRank := func(want int32) int {
 		k := 0
-		for _, r := range c.ranks {
-			if r == want {
+		for i := 0; i < n; i++ {
+			if c.RankOutput(i) == want {
 				k++
 			}
 		}
@@ -49,8 +49,8 @@ func TestCIWInjectClasses(t *testing.T) {
 
 	validRanks := func(ctx string) {
 		t.Helper()
-		for i, r := range c.ranks {
-			if r < 1 || r > n {
+		for i := 0; i < n; i++ {
+			if r := c.RankOutput(i); r < 1 || r > n {
 				t.Fatalf("%s: agent %d has rank %d outside [1, %d]", ctx, i, r, n)
 			}
 		}
@@ -101,9 +101,9 @@ func TestLooseLEInjectClasses(t *testing.T) {
 	if err := l.Inject("no-leader", src); err != nil {
 		t.Fatal(err)
 	}
-	for i := range l.timer {
-		if l.leader[i] || l.timer[i] != 0 {
-			t.Fatalf("no-leader: agent %d is (%v, %d), want a dead non-leader", i, l.leader[i], l.timer[i])
+	for i := 0; i < n; i++ {
+		if leader, timer := looseState(l.StateKey(i)); leader || timer != 0 {
+			t.Fatalf("no-leader: agent %d is (%v, %d), want a dead non-leader", i, leader, timer)
 		}
 	}
 
@@ -111,12 +111,13 @@ func TestLooseLEInjectClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaders := 0
-	for i := range l.timer {
-		if l.leader[i] {
+	for i := 0; i < n; i++ {
+		leader, timer := looseState(l.StateKey(i))
+		if leader {
 			leaders++
 		}
-		if l.timer[i] != tau {
-			t.Fatalf("two-leaders: agent %d has timer %d, want a re-armed %d", i, l.timer[i], tau)
+		if timer != tau {
+			t.Fatalf("two-leaders: agent %d has timer %d, want a re-armed %d", i, timer, tau)
 		}
 	}
 	if leaders != 2 {
@@ -126,9 +127,9 @@ func TestLooseLEInjectClasses(t *testing.T) {
 	if err := l.Inject("random-garbage", src); err != nil {
 		t.Fatal(err)
 	}
-	for i := range l.timer {
-		if l.timer[i] < 0 || l.timer[i] > tau {
-			t.Fatalf("random-garbage: agent %d has timer %d outside [0, %d]", i, l.timer[i], tau)
+	for i := 0; i < n; i++ {
+		if _, timer := looseState(l.StateKey(i)); timer < 0 || timer > tau {
+			t.Fatalf("random-garbage: agent %d has timer %d outside [0, %d]", i, timer, tau)
 		}
 	}
 
@@ -141,8 +142,8 @@ func TestLooseLEInjectClasses(t *testing.T) {
 		t.Fatalf("transient k=3 hit %d agents", len(hit))
 	}
 	for _, i := range hit {
-		if l.timer[i] < 0 || l.timer[i] > tau {
-			t.Fatalf("transient: victim %d has timer %d outside [0, %d]", i, l.timer[i], tau)
+		if _, timer := looseState(l.StateKey(i)); timer < 0 || timer > tau {
+			t.Fatalf("transient: victim %d has timer %d outside [0, %d]", i, timer, tau)
 		}
 	}
 }

@@ -9,103 +9,140 @@
 
 package baseline
 
-import "sspp/internal/sim"
+import (
+	"fmt"
+	"math"
+
+	"sspp/internal/adversary"
+	"sspp/internal/rng"
+	"sspp/internal/sim"
+)
 
 // LooseLE is a timeout-based loosely-stabilizing leader election.
 //
 // Every agent carries a countdown timer. Leaders re-arm their own timer to τ
 // on every interaction; timers propagate by a max-epidemic and decrement at
 // every interaction. An agent whose timer reaches zero assumes leadership is
-// lost and promotes itself; two leaders meeting demote the responder.
+// lost and promotes itself; two leaders meeting demote the responder. The
+// key packs (leader, timer), so the species form occupies at most 2(τ+1)
+// states no matter how large the population.
 type LooseLE struct {
-	tau    int32
-	leader []bool
-	timer  []int32
+	keyed
+	tau int32
 }
 
 // LooseLE is deliberately NOT a SafeSetter: loose stabilization holds the
 // leader only for a finite time, so there is no configuration set that is
 // correct forever — the engine measures it at the output level instead
-// (correct output through a confirmation window).
+// (correct output through a confirmation window). Nor does it rank.
 var (
-	_ sim.Protocol   = (*LooseLE)(nil)
-	_ sim.Injectable = (*LooseLE)(nil)
+	_ sim.Protocol      = (*LooseLE)(nil)
+	_ sim.Injectable    = (*LooseLE)(nil)
+	_ sim.Churnable     = (*LooseLE)(nil)
+	_ sim.StateKeyer    = (*LooseLE)(nil)
+	_ sim.LeaderIndexer = (*LooseLE)(nil)
+	_ sim.Compactable   = (*LooseLE)(nil)
 )
 
-// NewLooseLE returns a LooseLE over n agents with timeout τ and no initial
-// leader (all timers at zero forces an immediate self-promotion burst — the
-// adversarial start).
+// looseKey packs a LooseLE agent state (leader bit, timer) into a key.
+func looseKey(leader bool, timer int32) uint64 {
+	k := uint64(timer) << 1
+	if leader {
+		k |= 1
+	}
+	return k
+}
+
+// looseState unpacks a LooseLE key into (leader bit, timer).
+func looseState(key uint64) (leader bool, timer int32) { return key&1 == 1, int32(key >> 1) }
+
+// looseRules returns LooseLE's one rule set for timeout τ.
+func looseRules(tau int32) *rules {
+	random := func(_ int, src *rng.PRNG) uint64 { return looseKey(src.Bool(), src.Int31n(tau+1)) }
+	return &rules{
+		name:  "LooseLE",
+		space: func(int) uint64 { return uint64(tau+1) << 1 },
+		react: func(a, b uint64, _ int) (uint64, uint64) {
+			la, ta := looseState(a)
+			lb, tb := looseState(b)
+			// Two leaders collapse (responder demotes), leaders re-arm.
+			if la && lb {
+				lb = false
+			}
+			if la {
+				ta = tau
+			}
+			if lb {
+				tb = tau
+			}
+			// Max-epidemic on timers, then both decrement.
+			m := max(ta, tb) - 1
+			if m < 0 {
+				m = 0
+			}
+			ta, tb = m, m
+			// Timeout: a non-leader whose timer died promotes itself.
+			if !la && ta == 0 {
+				la, ta = true, tau
+			}
+			if !lb && tb == 0 {
+				lb, tb = true, tau
+			}
+			return looseKey(la, ta), looseKey(lb, tb)
+		},
+		leader: func(key uint64) bool { return key&1 == 1 },
+		// Realizable join classes: "" (a follower with a full timer — the
+		// state of an agent that just heard from a leader), no-leader (a
+		// dead timer, about to self-promote), two-leaders (a spurious leader
+		// claim), and random-garbage.
+		join: func(class adversary.Class, n int, _ func() uint64, src *rng.PRNG) (uint64, bool) {
+			switch class {
+			case "":
+				return looseKey(false, tau), true
+			case adversary.ClassNoLeader:
+				return looseKey(false, 0), true
+			case adversary.ClassTwoLeaders:
+				return looseKey(true, tau), true
+			case adversary.ClassRandomGarbage:
+				return random(n, src), true
+			}
+			return 0, false
+		},
+		random: random,
+	}
+}
+
+// NewLooseLE returns a LooseLE over n agents with timeout τ (clamped into
+// [1, MaxInt32-1], so the random-state draw's bound τ+1 stays an int32) and
+// no initial leader (all timers at zero forces an immediate self-promotion
+// burst — the adversarial start).
 func NewLooseLE(n int, tau int32) *LooseLE {
-	if tau < 1 {
-		tau = 1
-	}
-	return &LooseLE{
-		tau:    tau,
-		leader: make([]bool, n),
-		timer:  make([]int32, n),
-	}
-}
-
-// N returns the population size.
-func (l *LooseLE) N() int { return len(l.timer) }
-
-// Interact applies the timeout dynamics to the ordered pair.
-func (l *LooseLE) Interact(a, b int) {
-	// Leaders re-arm; two leaders collapse to one (responder demotes).
-	if l.leader[a] && l.leader[b] {
-		l.leader[b] = false
-	}
-	if l.leader[a] {
-		l.timer[a] = l.tau
-	}
-	if l.leader[b] {
-		l.timer[b] = l.tau
-	}
-	// Max-epidemic on timers, then both decrement.
-	m := l.timer[a]
-	if l.timer[b] > m {
-		m = l.timer[b]
-	}
-	m--
-	if m < 0 {
-		m = 0
-	}
-	l.timer[a], l.timer[b] = m, m
-	// Timeout: a non-leader whose timer died promotes itself.
-	for _, i := range [2]int{a, b} {
-		if !l.leader[i] && l.timer[i] == 0 {
-			l.leader[i] = true
-			l.timer[i] = l.tau
-		}
-	}
-}
-
-// Correct reports whether exactly one agent is a leader.
-func (l *LooseLE) Correct() bool { return l.Leaders() == 1 }
-
-// Leaders returns the current number of leaders.
-func (l *LooseLE) Leaders() int {
-	c := 0
-	for _, b := range l.leader {
-		if b {
-			c++
-		}
-	}
-	return c
-}
-
-// LeaderIndex returns the unique leader, or ok = false when the
-// configuration does not currently have exactly one.
-func (l *LooseLE) LeaderIndex() (int, bool) {
-	idx, leaders := -1, 0
-	for i, b := range l.leader {
-		if b {
-			idx = i
-			leaders++
-		}
-	}
-	return idx, leaders == 1
+	tau = min(max(tau, 1), math.MaxInt32-1)
+	return &LooseLE{keyed: keyed{keys: make([]uint32, n), rules: looseRules(tau)}, tau: tau}
 }
 
 // Tau returns the timeout parameter.
 func (l *LooseLE) Tau() int32 { return l.tau }
+
+// Inject rewrites the LooseLE configuration according to the adversary
+// class. Realizable classes: no-leader (the canonical all-timers-zero
+// adversarial start), two-leaders, random-garbage; the others describe
+// rank/role structure LooseLE does not have.
+func (l *LooseLE) Inject(class string, src *rng.PRNG) error {
+	switch adversary.Class(class) {
+	case adversary.ClassNoLeader:
+		clear(l.keys) // key 0: a non-leader with a dead timer
+	case adversary.ClassTwoLeaders:
+		for i := range l.keys {
+			l.keys[i] = uint32(looseKey(false, l.tau))
+		}
+		for _, i := range victims(len(l.keys), 2, src) {
+			l.keys[i] = uint32(looseKey(true, l.tau))
+		}
+	case adversary.ClassRandomGarbage:
+		l.randomize(src)
+	default:
+		return fmt.Errorf("baseline: class %q not realizable for LooseLE", class)
+	}
+	return nil
+}

@@ -23,22 +23,23 @@ import (
 // s1Sizes are the S1 population sizes (the ISSUE-4 columns).
 var s1Sizes = []int{100_000, 1_000_000, 10_000_000}
 
-// s1Protocol describes one S1 protocol: an agent-level constructor and a
-// function counting its occupied (distinct) states.
+// s1Protocol describes one S1 protocol by its agent-level constructor.
 type s1Protocol struct {
 	name  string
 	build func(n int) sim.Protocol
-	// occupied counts the distinct agent states of the agent-level instance
-	// (the species backend tracks this natively).
-	occupied func(p sim.Protocol) int
 }
 
-// ciwOccupied counts the distinct ranks of an agent-level CIW instance.
-func ciwOccupied(p sim.Protocol) int {
-	c := p.(*baseline.CIW)
-	seen := make(map[int32]struct{})
-	for i := 0; i < c.N(); i++ {
-		seen[c.Rank(i)] = struct{}{}
+// occupied counts the distinct agent states of an agent-level instance
+// through the species key encoding (the species backend tracks this
+// natively).
+func occupied(p sim.Protocol) int {
+	keyer, ok := sim.AsStateKeyer(p)
+	if !ok {
+		panic("species occupancy protocol must expose its state keys")
+	}
+	seen := make(map[uint64]struct{})
+	for i := 0; i < p.N(); i++ {
+		seen[keyer.StateKey(i)] = struct{}{}
 	}
 	return len(seen)
 }
@@ -49,9 +50,8 @@ func ciwOccupied(p sim.Protocol) int {
 func s1Protocols() []s1Protocol {
 	return []s1Protocol{
 		{
-			name:     "ciw",
-			build:    func(n int) sim.Protocol { return baseline.NewCIW(n) },
-			occupied: ciwOccupied,
+			name:  "ciw",
+			build: func(n int) sim.Protocol { return baseline.NewCIW(n) },
 		},
 		{
 			// CIW a few faults away from its silent permutation: the regime
@@ -69,20 +69,11 @@ func s1Protocols() []s1Protocol {
 				}
 				return baseline.NewCIWFromRanks(ranks)
 			},
-			occupied: ciwOccupied,
 		},
 		{
 			name: "loosele",
 			build: func(n int) sim.Protocol {
 				return baseline.NewLooseLE(n, 48)
-			},
-			occupied: func(p sim.Protocol) int {
-				l := p.(*baseline.LooseLE)
-				seen := make(map[uint64]struct{})
-				for i := 0; i < l.N(); i++ {
-					seen[l.StateKey(i)] = struct{}{}
-				}
-				return len(seen)
 			},
 		},
 	}
@@ -108,7 +99,7 @@ func S1SpeciesBackend(cfg Config) *Table {
 			for _, backend := range []string{"agent", "species"} {
 				agent := proto.build(n)
 				var p sim.Protocol = agent
-				occupied := func() int { return proto.occupied(agent) }
+				count := func() int { return occupied(agent) }
 				if backend == "species" {
 					comp, ok := sim.AsCompactable(agent)
 					if !ok {
@@ -119,10 +110,10 @@ func S1SpeciesBackend(cfg Config) *Table {
 						t.Note("%s n=%d: %v", proto.name, n, err)
 						continue
 					}
-					p, occupied = sp, sp.Occupied
+					p, count = sp, sp.Occupied
 				}
 				sim.Steps(p, rng.New(cfg.BaseSeed+17), budget)
-				t.Append(proto.name, fmtU(uint64(n)), backend, fmtU(budget), fmtU(uint64(occupied())))
+				t.Append(proto.name, fmtU(uint64(n)), backend, fmtU(budget), fmtU(uint64(count())))
 			}
 		}
 	}

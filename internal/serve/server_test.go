@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -590,6 +591,21 @@ func TestRequestHardening(t *testing.T) {
 		if code, body, _ := submit(t, ts, spec, ""); code != http.StatusOK {
 			t.Errorf("in-limit grid %+v: status %d, body %s, want 200", spec, code, body)
 		}
+	}
+}
+
+// TestLooseLETauOverflowRejected: a "loosele" grid whose timeout overflows
+// the random-state draw is a 400, not a panic in a worker, and the server
+// keeps serving afterwards.
+func TestLooseLETauOverflowRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	bad := GridSpec{Protocols: []string{sspp.ProtocolLooseLE}, Points: []sspp.Point{{N: 16}},
+		Adversaries: []string{string(sspp.AdversaryRandomGarbage)}, Seeds: 1, Tau: math.MaxInt32}
+	if code, body, _ := submit(t, ts, bad, ""); code != http.StatusBadRequest {
+		t.Fatalf("tau overflow: status %d, body %s, want 400", code, body)
+	}
+	if code, body, _ := submit(t, ts, smallGrid(), ""); code != http.StatusOK {
+		t.Fatalf("grid after the rejected one: status %d, body %s, want 200", code, body)
 	}
 }
 

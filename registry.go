@@ -194,6 +194,20 @@ func validateBaseline(cfg Config) error {
 	return nil
 }
 
+// validateLooseLE adds LooseLE's timeout bounds to validateBaseline: τ must
+// be non-negative (0 selects the default), and τ+1 — the bound of the
+// random-state draw behind random-garbage starts and transient faults —
+// must not overflow int32.
+func validateLooseLE(cfg Config) error {
+	if err := validateBaseline(cfg); err != nil {
+		return err
+	}
+	if cfg.Tau < 0 || cfg.Tau == math.MaxInt32 {
+		return fmt.Errorf("loosele timeout tau %d outside [0, %d]", cfg.Tau, math.MaxInt32-1)
+	}
+	return nil
+}
+
 // looseTau resolves the LooseLE timeout: Config.Tau, defaulting to 4·ln n —
 // safely above the heartbeat-epidemic scale (T13).
 func looseTau(cfg Config) int32 {
@@ -276,7 +290,7 @@ var protocolSpecs = map[string]*protocolSpec{
 		name:            ProtocolLooseLE,
 		description:     "loosely-stabilizing election (Sudo et al.): fast convergence, leader held for a finite τ-controlled time",
 		selfStabilizing: false,
-		validate:        validateBaseline,
+		validate:        validateLooseLE,
 		build: func(cfg Config, _ *sim.Events) (sim.Protocol, error) {
 			return baseline.NewLooseLE(cfg.N, looseTau(cfg)), nil
 		},

@@ -2,6 +2,7 @@ package sspp
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"regexp"
 	"runtime"
@@ -305,6 +306,34 @@ func TestRegistryValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Protocol: ProtocolCIW, N: 16, SyntheticCoins: true}); err == nil {
 		t.Fatal("synthetic coins accepted outside electleader")
+	}
+}
+
+// TestLooseLETauValidation: a LooseLE timeout whose τ+1 overflows int32
+// (the random-state draw's bound) or a negative one is rejected at build
+// time, both by New and by NewEnsemble, instead of panicking in a fault
+// draw mid-run.
+func TestLooseLETauValidation(t *testing.T) {
+	for _, tau := range []int32{math.MaxInt32, -1} {
+		if _, err := New(Config{Protocol: ProtocolLooseLE, N: 16, Tau: tau}); err == nil {
+			t.Errorf("tau %d accepted by New", tau)
+		}
+		g := Grid{Protocols: []string{ProtocolLooseLE}, Points: []Point{{N: 16}},
+			Adversaries: []Adversary{AdversaryRandomGarbage}, Seeds: 1, Tau: tau}
+		if _, err := NewEnsemble(g); err == nil {
+			t.Errorf("tau %d accepted by NewEnsemble", tau)
+		}
+	}
+	// The largest valid timeout still builds, injects and corrupts.
+	sys, err := New(Config{Protocol: ProtocolLooseLE, N: 16, Tau: math.MaxInt32 - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Inject(AdversaryRandomGarbage, 3); err != nil {
+		t.Fatal(err)
+	}
+	if hit, err := sys.InjectTransient(2, 3); err != nil || len(hit) != 2 {
+		t.Fatalf("transient burst hit %d agents (err %v), want 2", len(hit), err)
 	}
 }
 
