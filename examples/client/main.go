@@ -126,10 +126,10 @@ func main() {
 		Cells []struct {
 			Hash string `json:"hash"`
 			Cell struct {
-				Point        struct{ N, R int }  `json:"point"`
-				Recovered    int                 `json:"recovered"`
+				Point        struct{ N, R int }     `json:"point"`
+				Recovered    int                    `json:"recovered"`
 				Interactions struct{ Mean float64 } `json:"interactions"`
-				Samples      []float64           `json:"samples"`
+				Samples      []float64              `json:"samples"`
 			} `json:"cell"`
 		} `json:"cells"`
 	}

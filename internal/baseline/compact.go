@@ -67,21 +67,30 @@ func (nr *NameRank) Compact() sim.CompactModel {
 			})) + 1
 		}
 	}
+	// permutation polls reuse one epoch-tagged seen buffer and one visitor,
+	// so a poll allocates nothing: seen[r] == epoch marks rank r as taken.
+	seen := make([]uint32, n+1)
+	var epoch uint32
+	ok := true
+	visit := func(key uint64, c int64) bool {
+		r := tab[key].rank
+		if c != 1 || r < 1 || int(r) > n || seen[r] == epoch {
+			ok = false
+			return false
+		}
+		seen[r] = epoch
+		return true
+	}
 	permutation := func(v sim.CountView) bool {
 		if v.Occupied() != n {
 			return false
 		}
-		seen := make([]bool, n+1)
-		ok := true
-		v.Each(func(key uint64, c int64) bool {
-			r := tab[key].rank
-			if c != 1 || r < 1 || int(r) > n || seen[r] {
-				ok = false
-				return false
-			}
-			seen[r] = true
-			return true
-		})
+		if epoch++; epoch == 0 { // wrapped: clear stale tags once
+			clear(seen)
+			epoch = 1
+		}
+		ok = true
+		v.Each(visit)
 		return ok
 	}
 	return sim.CompactModel{

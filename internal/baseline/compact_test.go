@@ -170,3 +170,31 @@ func TestCompactableCapability(t *testing.T) {
 		t.Error("NameRank lost the compactable capability")
 	}
 }
+
+// TestNameRankSafeSetPollAllocs: polling a committed NameRank's species safe
+// set allocates nothing; the predicate walks the occupied states with a seen
+// buffer and a visitor the model owns.
+func TestNameRankSafeSetPollAllocs(t *testing.T) {
+	const n = 64
+	names := rng.New(5)
+	agent := NewNameRank(n, func(k int) int { return names.Intn(k) })
+	sp, err := species.NewSystem(agent.Compact(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.BindSource(rng.New(6))
+	for round := 0; round < 100 && !sp.Correct(); round++ {
+		sp.StepMany(500)
+	}
+	p := species.Capable(sp).(sim.SafeSetter)
+	if !p.InSafeSet() {
+		t.Fatal("committed NameRank outside the safe set")
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if !p.InSafeSet() {
+			t.Fatal("committed NameRank left the safe set")
+		}
+	}); a != 0 {
+		t.Fatalf("InSafeSet on a committed NameRank: %v allocs per poll, want 0", a)
+	}
+}

@@ -110,9 +110,6 @@ func (nr *NameRank) Correct() bool {
 	return true
 }
 
-// Rank returns agent i's committed rank (0 if undecided).
-func (nr *NameRank) Rank(i int) int32 { return nr.rank[i] }
-
 // RankOutput returns agent i's committed rank (0 if undecided).
 func (nr *NameRank) RankOutput(i int) int32 { return nr.rank[i] }
 

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"testing"
 
 	"sspp/internal/rng"
@@ -20,7 +21,8 @@ func cleanPopulation(t *testing.T, n, r int) (*Params, []int32, []*State) {
 }
 
 // TestCoherentMatchesCheckCoherence pins the allocation-free Coherent to the
-// error-reporting CheckCoherence on clean, tampered, and duplicated states.
+// error-reporting CheckCoherence on clean, tampered, duplicated and
+// row-spilling states.
 func TestCoherentMatchesCheckCoherence(t *testing.T) {
 	const n, r = 8, 4
 	check := func(name string, p *Params, ranks []int32, states []*State, sc *CohScratch) {
@@ -43,6 +45,59 @@ func TestCoherentMatchesCheckCoherence(t *testing.T) {
 		t.Fatal("no message to duplicate")
 	}
 	check("duplicated", p2, ranks2, states2, sc)
+
+	// A seeded batch over one reused scratch: states that ran dynamics, then
+	// took random tampering, duplication and row spills (len(Msgs) > g, so
+	// a row governs a rank of the next group), polled over random
+	// subpopulations. Spills stay off the last group so every governing
+	// rank lies in [1, n], where the two checks are specified to agree.
+	const bn, br = 12, 4
+	src := rng.New(21)
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 200; trial++ {
+		h, err := NewHarness(bn, br, nil, rng.New(uint64(trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := src.Intn(400); k > 0; k-- {
+			a, b := src.Pair(bn)
+			h.Interact(a, b)
+		}
+		p := h.Params()
+		ranks := make([]int32, bn)
+		states := make([]*State, bn)
+		for i := range states {
+			ranks[i], states[i] = h.Rank(i), h.State(i).Clone()
+		}
+		for m := src.Intn(4); m > 0; m-- {
+			i := src.Intn(bn)
+			switch src.Intn(3) {
+			case 0:
+				TamperForeignMessage(p, ranks[i], states[i])
+			case 1:
+				j := src.Intn(bn)
+				DuplicateMessageInto(p, ranks[j], states[j], ranks[i], states[i])
+			case 2:
+				last := p.pt.Group(ranks[i]) == int32(p.pt.NumGroups()-1)
+				if row := states[i].Msgs[src.Intn(len(states[i].Msgs))]; !last {
+					states[i].Msgs = append(states[i].Msgs, slices.Clone(row))
+				}
+			}
+		}
+		var subRanks []int32
+		var subStates []*State
+		for i := range states {
+			if src.Intn(3) > 0 {
+				subRanks = append(subRanks, ranks[i])
+				subStates = append(subStates, states[i])
+			}
+		}
+		check("batch", p, subRanks, subStates, sc)
+		verdicts[Coherent(p, subRanks, subStates, sc)]++
+	}
+	if verdicts[true] < 20 || verdicts[false] < 20 {
+		t.Fatalf("batch verdicts %v: want at least 20 of each", verdicts)
+	}
 }
 
 // TestCohScratchAcrossParams reuses one scratch across two Params with the

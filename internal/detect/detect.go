@@ -158,6 +158,12 @@ func InitState(p *Params, rank int32) *State {
 // message and observation buffers when they have the right shape; a nil s
 // allocates fresh (InitState). Callers recycling states across role
 // transitions use this to avoid re-allocating the O(g²) detection state.
+//
+// A row whose capacity is below 2g gets the 3-index subslice
+// slab[2g·i : 2g·i : 2g·(i+1)] of one 2g²-message slab per call: its
+// capacity ends where its neighbour's begins, so a row that later grows past
+// 2g reallocates instead of overwriting row i+1. Every row of the clean state
+// is the same 2g-message block, so row 0 is written once and copied.
 func ReinitInto(p *Params, rank int32, s *State) *State {
 	g := p.pt.SizeOf(rank)
 	if g == 0 {
@@ -170,28 +176,41 @@ func ReinitInto(p *Params, rank int32, s *State) *State {
 	if s == nil {
 		s = &State{}
 	}
-	pos := p.pt.PosOf(rank)
+	w := int(2 * g) // row width: the 2g messages of one pre-mixed block
 	s.Err = false
 	s.Signature = 1
 	s.Counter = 1
-	if cap(s.Obs) >= int(2*g*g) {
-		s.Obs = s.Obs[:2*g*g]
+	if cap(s.Obs) >= w*int(g) {
+		s.Obs = s.Obs[:w*int(g)]
 	} else {
-		s.Obs = make([]int32, 2*g*g)
+		s.Obs = make([]int32, w*int(g))
 	}
-	for j := range s.Obs {
-		s.Obs[j] = 1
+	s.Obs[0] = 1
+	for k := 1; k < len(s.Obs); k *= 2 {
+		copy(s.Obs[k:], s.Obs[:k])
 	}
 	if cap(s.Msgs) >= int(g) {
 		s.Msgs = s.Msgs[:g]
 	} else {
 		s.Msgs = make([][]msg, g)
 	}
-	lo := 2 * (pos - 1) * g // exclusive of +1 offset; IDs lo+1 .. lo+2g
-	for i := int32(0); i < g; i++ {
-		row := s.Msgs[i][:0]
-		for k := int32(1); k <= 2*g; k++ {
-			row = append(row, msg{id: lo + k, content: 1})
+	var slab []msg
+	for i := range s.Msgs {
+		row := s.Msgs[i]
+		if cap(row) < w {
+			if slab == nil {
+				slab = make([]msg, w*int(g))
+			}
+			row = slab[w*i : w*i : w*(i+1)]
+		}
+		row = row[:w]
+		if i == 0 {
+			lo := 2 * (p.pt.PosOf(rank) - 1) * g // IDs lo+1 .. lo+2g
+			for k := range row {
+				row[k] = msg{id: lo + int32(k) + 1, content: 1}
+			}
+		} else {
+			copy(row, s.Msgs[0])
 		}
 		s.Msgs[i] = row
 	}
@@ -276,8 +295,7 @@ func (s *State) AppendKey(b []byte) []byte {
 // all agents of a single-threaded simulation; it grows on demand.
 type Scratch struct {
 	merged []msg
-	uOut   []msg
-	vOut   []msg
+	spill  []msg
 	seen   []int64
 	epoch  int64
 }
@@ -420,22 +438,31 @@ func restamp(row []msg, sig int32, obs []int32) {
 // class, the union of the pair's messages is split between them — ordered by
 // ID, first half / second half — with the ceil half going to whichever agent
 // has accumulated fewer messages so far. The exchange is deterministic; no
-// randomness is consumed.
+// randomness is consumed. sc.merged holds the union, so the halves are
+// appended straight into the agents' own rows; sc.spill receives the share of
+// an agent that has no row idx (adversarial states only), which is dropped.
 func balanceLoad(g int32, u, v *State, sc *Scratch) {
 	uCount, vCount := 0, 0
 	for idx := int32(0); idx < g; idx++ {
 		var uRow, vRow []msg
-		if int(idx) < len(u.Msgs) {
+		uHas, vHas := int(idx) < len(u.Msgs), int(idx) < len(v.Msgs)
+		if uHas {
 			uRow = u.Msgs[idx]
 		}
-		if int(idx) < len(v.Msgs) {
+		if vHas {
 			vRow = v.Msgs[idx]
 		}
 		if len(uRow)+len(vRow) == 0 {
 			continue
 		}
 		mergeRows(sc, uRow, vRow)
-		sc.uOut, sc.vOut = sc.uOut[:0], sc.vOut[:0]
+		uOut, vOut := sc.spill[:0], sc.spill[:0]
+		if uHas {
+			uOut = uRow[:0]
+		}
+		if vHas {
+			vOut = vRow[:0]
+		}
 		for lo := 0; lo < len(sc.merged); {
 			hi := lo + 1
 			for hi < len(sc.merged) && sc.merged[hi].content == sc.merged[lo].content {
@@ -445,23 +472,27 @@ func balanceLoad(g int32, u, v *State, sc *Scratch) {
 			floorHalf := run[:len(run)/2]
 			ceilHalf := run[len(run)/2:]
 			if uCount > vCount {
-				sc.uOut = append(sc.uOut, floorHalf...)
-				sc.vOut = append(sc.vOut, ceilHalf...)
+				uOut = append(uOut, floorHalf...)
+				vOut = append(vOut, ceilHalf...)
 				uCount += len(floorHalf)
 				vCount += len(ceilHalf)
 			} else {
-				sc.vOut = append(sc.vOut, floorHalf...)
-				sc.uOut = append(sc.uOut, ceilHalf...)
+				vOut = append(vOut, floorHalf...)
+				uOut = append(uOut, ceilHalf...)
 				vCount += len(floorHalf)
 				uCount += len(ceilHalf)
 			}
 			lo = hi
 		}
-		if int(idx) < len(u.Msgs) {
-			u.Msgs[idx] = append(u.Msgs[idx][:0], sc.uOut...)
+		if uHas {
+			u.Msgs[idx] = uOut
+		} else {
+			sc.spill = uOut
 		}
-		if int(idx) < len(v.Msgs) {
-			v.Msgs[idx] = append(v.Msgs[idx][:0], sc.vOut...)
+		if vHas {
+			v.Msgs[idx] = vOut
+		} else {
+			sc.spill = vOut
 		}
 	}
 }
@@ -497,30 +528,44 @@ func msgsSorted(ms []msg) bool {
 }
 
 // mergeRows fills sc.merged with the (content, id)-sorted union of uRow and
-// vRow: a linear two-way merge when both rows honor the row invariant, and an
-// explicit sort otherwise (adversarial states only). The result is exactly
-// what sorting the concatenation would produce — ties are identical msg
-// values, so run order is preserved bit-for-bit.
+// vRow: a linear merge when both rows honor the row invariant, and a sort of
+// the concatenation otherwise (adversarial states only). The result is
+// exactly what sorting the concatenation would produce — ties are identical
+// msg values, so run order is preserved bit-for-bit.
 func mergeRows(sc *Scratch, uRow, vRow []msg) {
-	sc.merged = sc.merged[:0]
-	if !msgsSorted(uRow) || !msgsSorted(vRow) {
-		sc.merged = append(sc.merged, uRow...)
-		sc.merged = append(sc.merged, vRow...)
-		sortMsgs(sc.merged)
-		return
+	merged, ok := mergeSorted(sc.merged[:0], uRow, vRow)
+	if !ok {
+		merged = append(append(merged[:0], uRow...), vRow...)
+		sortMsgs(merged)
 	}
+	sc.merged = merged
+}
+
+// mergeSorted appends the two-way merge of uRow and vRow to dst, checking
+// each row's (content, id) order against the row's previous element as it
+// goes, so the row invariant costs no separate pass. It reports false at the
+// first inversion, leaving dst partly filled.
+func mergeSorted(dst, uRow, vRow []msg) ([]msg, bool) {
 	i, j := 0, 0
 	for i < len(uRow) && j < len(vRow) {
 		if msgLess(vRow[j], uRow[i]) {
-			sc.merged = append(sc.merged, vRow[j])
+			if j > 0 && msgLess(vRow[j], vRow[j-1]) {
+				return dst, false
+			}
+			dst = append(dst, vRow[j])
 			j++
 		} else {
-			sc.merged = append(sc.merged, uRow[i])
+			if i > 0 && msgLess(uRow[i], uRow[i-1]) {
+				return dst, false
+			}
+			dst = append(dst, uRow[i])
 			i++
 		}
 	}
-	sc.merged = append(sc.merged, uRow[i:]...)
-	sc.merged = append(sc.merged, vRow[j:]...)
+	if !msgsSorted(uRow[max(i-1, 0):]) || !msgsSorted(vRow[max(j-1, 0):]) {
+		return dst, false
+	}
+	return append(append(dst, uRow[i:]...), vRow[j:]...), true
 }
 
 // CheckStateRestriction verifies the definitional restriction of §5.1: if an

@@ -94,10 +94,15 @@ func InitState(p Params, rank int32) *State {
 
 // ReinitInto resets s to q0,SV for rank, reusing the embedded detection
 // buffers; a nil s allocates fresh (InitState). Role-transition hot paths use
-// this to recycle the O(g²) detection state instead of re-allocating it.
+// this to recycle the O(g²) detection state instead of re-allocating it. A
+// fresh state and its detection state share one allocation.
 func ReinitInto(p Params, rank int32, s *State) *State {
 	if s == nil {
-		s = &State{}
+		fresh := new(struct {
+			sv State
+			dc detect.State
+		})
+		s, fresh.sv.DC = &fresh.sv, &fresh.dc
 	}
 	s.Generation = 0
 	s.Probation = p.PMax

@@ -239,3 +239,23 @@ func TestDefaultPMax(t *testing.T) {
 		t.Fatal("PMax must scale with n/r")
 	}
 }
+
+// TestReinitIntoAllocs pins the allocations of building a verifier state at
+// g = 64: a fresh one costs the State (shared with its detection state), the
+// row headers, the 2g² message slab and Obs; a recycled one costs nothing.
+func TestReinitIntoAllocs(t *testing.T) {
+	p := NewParams(256, 64)
+	const rank = 70
+	if g := p.Detect.Partition().SizeOf(rank); g != 64 {
+		t.Fatalf("group size %d, want 64", g)
+	}
+	fresh := testing.AllocsPerRun(20, func() { ReinitInto(p, rank, nil) })
+	if fresh > 4 {
+		t.Fatalf("ReinitInto(nil) allocated %.1f objects, want at most 4", fresh)
+	}
+	s := ReinitInto(p, rank, nil)
+	recycled := testing.AllocsPerRun(20, func() { ReinitInto(p, rank, s) })
+	if recycled != 0 {
+		t.Fatalf("ReinitInto on a recycled state allocated %.1f objects, want 0", recycled)
+	}
+}
