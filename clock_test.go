@@ -327,3 +327,96 @@ func TestDiscreteStepParallelTime(t *testing.T) {
 		t.Fatalf("Snapshot.ParallelTime %v, want 2.5", snap.ParallelTime)
 	}
 }
+
+// TestRecordedUntimedSchedulerKeepsTime: a Recorder around a scheduler that
+// does not time its pairs leaves time with the system's own clock, so a
+// recorded run stops where the unrecorded one does on both continuous
+// clocks — a Recorder has a Time method, but is not a time source unless
+// what it wraps is.
+func TestRecordedUntimedSchedulerKeepsTime(t *testing.T) {
+	for _, clock := range []string{ClockContinuous, ClockContinuousExact} {
+		run := func(sched Scheduler) (Result, float64) {
+			sys, err := New(Config{Protocol: ProtocolCIW, N: 64, Seed: 1, Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := sys.Run(Until(MaxParallelTime(4)), WithScheduler(sched), MaxInteractions(5000))
+			return res, sys.ParallelTime()
+		}
+		plain, ptPlain := run(NewUniform(2))
+		recorded, ptRecorded := run(NewRecorder(NewUniform(2)))
+		if !plain.Stabilized || plain.Interactions >= 5000 {
+			t.Fatalf("%s: unrecorded run did not stop on the clock: %+v", clock, plain)
+		}
+		if recorded != plain || ptRecorded != ptPlain {
+			t.Fatalf("%s: recorded run %+v at parallel time %v, unrecorded %+v at %v",
+				clock, recorded, ptRecorded, plain, ptPlain)
+		}
+	}
+}
+
+// stampedScheduler is a uniform scheduler that times its own pairs at the
+// mean rate of the continuous-time model: 2/n per interaction.
+type stampedScheduler struct {
+	src   Scheduler
+	n     int
+	dealt int
+}
+
+func (s *stampedScheduler) Pair(n int) (int, int) { s.dealt++; return s.src.Pair(n) }
+func (s *stampedScheduler) Time() float64         { return 2 * float64(s.dealt) / float64(s.n) }
+
+// TestTimedSchedulerOwnsTime: on a continuous complete-topology agent
+// system, a scheduler that times its own pairs owns the system's parallel
+// time while it deals — Run stops on it and ParallelTime reads it — and the
+// system's own clock resumes from there under the next untimed scheduler.
+func TestTimedSchedulerOwnsTime(t *testing.T) {
+	const n = 64
+	sys, err := New(Config{Protocol: ProtocolCIW, N: n, Seed: 1, Clock: ClockContinuous})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := &stampedScheduler{src: NewUniform(2), n: n}
+	res := sys.Run(Until(MaxParallelTime(4)), WithScheduler(sched), MaxInteractions(5000))
+	if !res.Stabilized || res.Interactions >= 5000 {
+		t.Fatalf("run did not stop on the scheduler's clock: %+v (scheduler at %v)", res, sched.Time())
+	}
+	if got := sys.ParallelTime(); got != sched.Time() || res.ParallelTime != got {
+		t.Fatalf("ParallelTime %v, Result.ParallelTime %v, scheduler's clock %v", got, res.ParallelTime, sched.Time())
+	}
+	if err := sys.StepSched(sched, 100); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.ParallelTime(); got != sched.Time() {
+		t.Fatalf("after StepSched: ParallelTime %v, scheduler's clock %v", got, sched.Time())
+	}
+	before := sys.ParallelTime()
+	sys.Step(3, 640)
+	if got := sys.ParallelTime(); got <= before || got > before+40 {
+		t.Fatalf("own clock resumed at %v after the timed scheduler left it at %v", got, before)
+	}
+}
+
+// TestDiscreteRunClockAgreement: after a fresh discrete Run that stops at
+// its final poll, System.ParallelTime, Result.ParallelTime and the final
+// Observe snapshot read the same value, bit for bit.
+func TestDiscreteRunClockAgreement(t *testing.T) {
+	const seeds = 50
+	for _, n := range []int{3, 7, 10, 24, 100, 333} {
+		for seed := uint64(1); seed <= seeds; seed++ {
+			sys, err := New(Config{Protocol: ProtocolCIW, N: n, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var last Snapshot
+			res := sys.Run(Until(CorrectOutput), SchedulerSeed(seed+1000), Observe(0, func(s Snapshot) { last = s }))
+			if !res.Stabilized || res.Interactions != res.StabilizedAt {
+				t.Fatalf("n=%d seed=%d: run did not stop at its final poll: %+v", n, seed, res)
+			}
+			if pt := sys.ParallelTime(); pt != res.ParallelTime || pt != last.ParallelTime {
+				t.Fatalf("n=%d seed=%d: ParallelTime %v, Result.ParallelTime %v, last snapshot %v",
+					n, seed, pt, res.ParallelTime, last.ParallelTime)
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package sspp
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzSystem drives the public construction and run surface with small
 // arbitrary inputs: any registry protocol (or an unknown name), backend,
@@ -8,7 +11,9 @@ import "testing"
 // a transient burst size (negative included) and a one- or two-phase
 // workload, all within a budget of 10⁴ interactions. New, Inject,
 // InjectTransient, Run with the workload, StepSched and a one-cell Ensemble
-// may reject an input with an error; none of them may panic.
+// may reject an input with an error; none of them may panic. Parallel time
+// stays finite and never decreases across Run and StepSched, and a
+// churn-free discrete system reads exactly Interactions()/N().
 func FuzzSystem(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(16), int8(4), uint64(1), false, uint8(0), int8(2), uint8(0x09), uint16(4000))
 	f.Add(uint8(1), uint8(2), uint8(2), uint8(0), uint8(12), int8(0), uint64(7), false, uint8(1), int8(3), uint8(0x8b), uint16(9999))
@@ -16,6 +21,9 @@ func FuzzSystem(f *testing.F) {
 	f.Add(uint8(3), uint8(3), uint8(1), uint8(0x1b), uint8(10), int8(2), uint64(11), false, uint8(3), int8(1), uint8(0xa3), uint16(800))
 	f.Add(uint8(4), uint8(0), uint8(4), uint8(0x7c), uint8(16), int8(40), uint64(5), true, uint8(9), int8(16), uint8(0x2d), uint16(6000))
 	f.Add(uint8(6), uint8(4), uint8(0), uint8(2), uint8(1), int8(1), uint64(0), false, uint8(0), int8(0), uint8(0xf6), uint16(0))
+	// A discrete Run of one interaction, then StepSched(64) at n = 14: the
+	// clock must read 65/14, not 1/14 + 64/14.
+	f.Add(uint8('z'), uint8('V'), uint8('t'), uint8('T'), uint8(14), int8(-11), uint64(44), false, uint8(1), int8(42), uint8('M'), uint16(0))
 
 	var protos []string
 	for _, info := range Protocols() {
@@ -79,11 +87,29 @@ func FuzzSystem(f *testing.F) {
 			Clock:          clocks[int(clock)%len(clocks)],
 		}
 		if sys, err := New(cfg); err == nil {
+			churned := false
+			last := 0.0
+			checkTime := func(after string) {
+				pt := sys.ParallelTime()
+				if math.IsNaN(pt) || math.IsInf(pt, 0) || pt < last {
+					t.Fatalf("after %s: ParallelTime %v (was %v)", after, pt, last)
+				}
+				last = pt
+				if want := float64(sys.Interactions()) / float64(sys.N()); sys.cfg.Clock == ClockDiscrete && !churned && pt != want {
+					t.Fatalf("after %s: churn-free discrete ParallelTime %v, want Interactions()/N() = %v", after, pt, want)
+				}
+			}
+			checkTime("New")
 			_ = sys.Inject(class, seed)
 			_, _ = sys.InjectTransient(int(k), seed)
-			sys.Run(WithWorkload(w), MaxInteractions(max), SchedulerSeed(seed))
+			res := sys.Run(WithWorkload(w), MaxInteractions(max), SchedulerSeed(seed))
+			for _, eo := range res.EventOutcomes() {
+				churned = churned || eo.Fired && (eo.Kind == "join" || eo.Kind == "leave")
+			}
+			checkTime("Run")
 			scheds := []Scheduler{NewUniform(seed), NewBatch(seed, 0), NewZipf(seed, cfg.N, 1), sys.Sampler(seed)}
 			_ = sys.StepSched(scheds[seed%uint64(len(scheds))], 64)
+			checkTime("StepSched")
 		}
 
 		g := Grid{

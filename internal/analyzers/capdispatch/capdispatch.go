@@ -49,6 +49,7 @@ var capabilities = map[string]bool{
 	"Compactable":       true,
 	"CountBased":        true,
 	"ContinuousStepper": true,
+	"Timed":             true,
 }
 
 // capabilityMethods maps each capability to its exact method-name set, in
@@ -71,6 +72,7 @@ var capabilityMethods = map[string][]string{
 	"Compactable":       {"Compact"},
 	"CountBased":        {"BindSource", "StepMany"},
 	"ContinuousStepper": {"ParallelTime", "StartContinuous"},
+	"Timed":             {"Time"},
 }
 
 func run(pass *analysis.Pass) error {

@@ -80,3 +80,24 @@ func supersetProbe(p sim.Protocol) bool {
 	})
 	return ok
 }
+
+// A scheduler that times its own pairs is a capability too: the time source
+// is chosen by sim.AsTimed, which sees through recorders, and nowhere else.
+func adHocTimed(sched any) float64 {
+	if td, ok := sched.(sim.Timed); ok { // want `capability interface sim\.Timed outside internal/sim/capability\.go`
+		return td.Time()
+	}
+	return 0
+}
+
+func adHocTimedAnonymous(sched any) bool {
+	_, ok := sched.(interface{ Time() float64 }) // want `anonymous interface assertion has the method set of capability sim\.Timed`
+	return ok
+}
+
+func timedViaHelper(sched any) float64 {
+	if td, ok := sim.AsTimed(sched); ok {
+		return td.Time()
+	}
+	return 0
+}

@@ -38,3 +38,12 @@ func AsSafeSetter(p any) (SafeSetter, bool) {
 	s, ok := p.(SafeSetter)
 	return s, ok
 }
+
+type Timed interface {
+	Time() float64
+}
+
+func AsTimed(v any) (Timed, bool) {
+	t, ok := v.(Timed)
+	return t, ok
+}

@@ -61,6 +61,8 @@ type Injectable interface {
 type Snapshot struct {
 	// Interactions is the total interactions executed so far.
 	Interactions uint64
+	// ParallelTime is the parallel time elapsed so far.
+	ParallelTime float64
 	// Resetting, Ranking, Verifying are role counts (ElectLeader_r only).
 	Resetting, Ranking, Verifying int
 	// Leaders is the number of agents currently outputting "leader".
@@ -76,7 +78,7 @@ type Snapshot struct {
 // summary than the generic Correct/Leaders fallback.
 type Snapshotter interface {
 	// SnapshotInto fills every field of s the protocol knows about; the
-	// engine pre-fills Interactions.
+	// engine pre-fills Interactions and ParallelTime.
 	SnapshotInto(s *Snapshot)
 }
 
@@ -274,6 +276,17 @@ type ContinuousStepper interface {
 	ParallelTime() float64
 }
 
+// Timed is the scheduler-side capability behind native event times: a
+// scheduler (or replayed recording) that knows the parallel time at which
+// its last pair was dealt reports it here. While bound under a continuous
+// clock it owns the run's time (BindClock), and a Recorder wrapping one
+// stores per-event times in its Recording (wire version 2).
+type Timed interface {
+	// Time returns the parallel time of the most recently dealt pair (the
+	// start time before any pair is dealt).
+	Time() float64
+}
+
 // Capability dispatch helpers. Everything outside this file asks for a
 // capability through one of these instead of type-asserting against the
 // interface directly (enforced by the capdispatch analyzer, DESIGN.md §11).
@@ -326,4 +339,14 @@ func AsCountBased(v any) (CountBased, bool) { c, ok := v.(CountBased); return c,
 func AsContinuousStepper(v any) (ContinuousStepper, bool) {
 	c, ok := v.(ContinuousStepper)
 	return c, ok
+}
+
+// AsTimed reports whether v times its own pairs. It sees through Recorders:
+// one is timed exactly when the scheduler it wraps is.
+func AsTimed(v any) (Timed, bool) {
+	if r, ok := v.(interface{ recorder() *Recorder }); ok {
+		v = r.recorder().timed
+	}
+	t, ok := v.(Timed)
+	return t, ok
 }

@@ -10,6 +10,7 @@ package sim
 import (
 	"testing"
 
+	"sspp/internal/graph"
 	"sspp/internal/rng"
 )
 
@@ -66,6 +67,33 @@ func TestCapabilityHelpers(t *testing.T) {
 		}
 		if p.ok(&none) {
 			t.Errorf("%s: helper claims the capability on a bare value", p.name)
+		}
+	}
+}
+
+// TestAsTimedSeesThroughRecorders: the time-source helper reports a
+// Recorder as timed exactly when the scheduler it wraps (at any depth) is.
+func TestAsTimedSeesThroughRecorders(t *testing.T) {
+	g, err := graph.Ring(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timed := NewNextReaction(g, rng.New(1), 0)
+	for _, c := range []struct {
+		name  string
+		sched any
+		want  bool
+	}{
+		{"uniform", rng.New(1), false},
+		{"recorder(uniform)", NewRecorder(rng.New(1)), false},
+		{"recorder(recorder(uniform))", NewRecorder(NewRecorder(rng.New(1))), false},
+		{"next-reaction", timed, true},
+		{"recorder(next-reaction)", NewRecorder(timed), true},
+		{"recorder(recorder(next-reaction))", NewRecorder(NewRecorder(timed)), true},
+		{"time-keeper", NewTimeKeeper(rng.New(1), 4), true},
+	} {
+		if _, got := AsTimed(c.sched); got != c.want {
+			t.Errorf("AsTimed(%s) = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -1,10 +1,10 @@
-// clock.go is the continuous-time half of the scheduler layer: the paper's
-// analyses are phrased in parallel time, and under the standard
-// continuous-time population model interactions form a Poisson process of
-// rate n/2 per unit parallel time (each of the n agents carries a rate-1/2
-// pairing clock). A TimeKeeper simulates exactly that global clock for
-// complete-topology runs: the jump chain (which pairs interact, in which
-// order) is untouched — holding times are drawn from a separate stream — so
+// clock.go holds the owners of parallel time, the paper's time unit: every
+// system has exactly one Clock. Under the standard continuous-time
+// population model interactions form a Poisson process of rate n/2 per unit
+// parallel time (each of the n agents carries a rate-1/2 pairing clock). A
+// TimeKeeper simulates exactly that global clock for complete-topology runs:
+// the jump chain (which pairs interact, in which order) is untouched —
+// holding times are drawn from a separate stream — so
 // a continuous-clock run deals the identical interaction sequence as the
 // discrete run with the same scheduler seed, and merely equips it with
 // native event times. Batch advances draw one Gamma(k) variate for k
@@ -14,17 +14,6 @@
 package sim
 
 import "sspp/internal/rng"
-
-// Timed is the scheduler-side capability behind native event times: a
-// scheduler (or replayed recording) that knows the parallel time at which
-// its last pair was dealt reports it here. The engine uses it as the run's
-// time source, and a Recorder wrapping a Timed scheduler stores per-event
-// times in its Recording (wire version 2).
-type Timed interface {
-	// Time returns the parallel time of the most recently dealt pair (the
-	// start time before any pair is dealt).
-	Time() float64
-}
 
 // TimeKeeper advances the global exponential clock of the continuous-time
 // population model on the complete topology: successive interactions are
@@ -82,4 +71,77 @@ func (tk *TimeKeeper) AdvanceMany(k uint64) {
 // Time returns the current parallel time.
 func (tk *TimeKeeper) Time() float64 { return tk.t }
 
-var _ Timed = (*TimeKeeper)(nil)
+// Clock is the one owner of a system's parallel time: the engine advances
+// it once per stepping chunk and re-rates it at every churn event.
+type Clock interface {
+	Time() float64        // the parallel time elapsed so far
+	AdvanceMany(k uint64) // accrue k just-executed interactions
+	SetN(n int)           // move to a population of n agents
+}
+
+// DiscreteClock counts 1/n per interaction at the live population size n,
+// one segment per size: base + steps/n, with SetN closing the open segment,
+// so a churn-free history reads exactly interactions/n.
+type DiscreteClock struct {
+	base  float64 // time of the closed segments
+	steps uint64  // interactions in the open segment
+	n     int
+}
+
+// NewDiscreteClock returns a discrete clock at time zero for n agents.
+func NewDiscreteClock(n int) *DiscreteClock { return &DiscreteClock{n: n} }
+
+func (c *DiscreteClock) Time() float64        { return c.base + float64(c.steps)/float64(c.n) }
+func (c *DiscreteClock) AdvanceMany(k uint64) { c.steps += k }
+func (c *DiscreteClock) SetN(n int) {
+	if n != c.n {
+		c.base, c.steps, c.n = c.Time(), 0, n
+	}
+}
+
+// NativeClock is the clock of a count-based backend that accrues parallel
+// time inside its own stepping, at its own population size.
+type NativeClock struct{ ContinuousStepper }
+
+func (c NativeClock) Time() float64    { return c.ParallelTime() }
+func (NativeClock) AdvanceMany(uint64) {}
+func (NativeClock) SetN(int)           {}
+
+// BindClock returns the clock that owns parallel time while sched deals
+// pairs under a continuous clock. A scheduler that times its own pairs
+// (AsTimed) takes over, counted from c's present so time never runs back;
+// any other leaves time with the system's own clock, resumed where a timed
+// scheduler bound before left it.
+func BindClock(c Clock, sched Scheduler) Clock {
+	if tc, ok := c.(*timedClock); ok {
+		c = tc.own
+		switch own := c.(type) {
+		case *DiscreteClock:
+			own.base, own.steps = tc.Time(), 0
+		case *TimeKeeper:
+			own.t = tc.Time()
+		}
+	}
+	if td, ok := AsTimed(sched); ok {
+		return &timedClock{td: td, own: c, from: c.Time(), at: td.Time()}
+	}
+	return c
+}
+
+// timedClock reads a bound scheduler's time elapsed since binding (at) on
+// top of the system's time then (from). A next-reaction schedule, or a fresh
+// replay on a fresh system, starts at from: both read as the scheduler.
+type timedClock struct {
+	td       Timed
+	own      Clock // the system's own clock, resumed by the next untimed bind
+	from, at float64
+}
+
+func (c *timedClock) Time() float64 {
+	if c.from == c.at {
+		return c.td.Time()
+	}
+	return c.from + (c.td.Time() - c.at)
+}
+func (*timedClock) AdvanceMany(uint64) {}
+func (c *timedClock) SetN(n int)       { c.own.SetN(n) }

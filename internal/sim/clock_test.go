@@ -247,3 +247,82 @@ func TestClockHotPathsDoNotAllocate(t *testing.T) {
 		t.Errorf("NextReaction.PairEdge allocates %.1f objects per call", avg)
 	}
 }
+
+// TestDiscreteClockSegments: the discrete clock reads base + steps/n with
+// one segment per population size, so a churn-free history is exactly
+// interactions/n however it was chunked, and SetN at an unchanged size
+// leaves the reading alone.
+func TestDiscreteClockSegments(t *testing.T) {
+	c := NewDiscreteClock(10)
+	if c.Time() != 0 {
+		t.Fatalf("fresh clock at %v", c.Time())
+	}
+	for _, k := range []uint64{6, 1, 35} {
+		c.AdvanceMany(k)
+	}
+	c.SetN(10)
+	if got := c.Time(); got != 42.0/10 {
+		t.Fatalf("42 interactions at n=10 read %v, want %v", got, 42.0/10)
+	}
+	c.SetN(20)
+	c.AdvanceMany(10)
+	if got, want := c.Time(), 42.0/10+10.0/20; got != want {
+		t.Fatalf("after re-rating: %v, want %v", got, want)
+	}
+}
+
+// TestBindClockOwnership: a scheduler that times its own pairs owns the
+// clock while bound, read from the own clock's present on; an untimed one
+// leaves the own clock in charge, resumed where the timed one stopped; and
+// a Recorder is a time source only when what it wraps is.
+func TestBindClockOwnership(t *testing.T) {
+	g, err := graph.Ring(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := NewDiscreteClock(8)
+	own.AdvanceMany(16)
+	if c := BindClock(own, NewRecorder(rng.New(1))); c != Clock(own) {
+		t.Fatalf("a recorder around a uniform stream took the clock over: %T", c)
+	}
+
+	// A next-reaction schedule started at the own clock's time reads its
+	// own time exactly, through a recorder too.
+	nr := NewNextReaction(g, rng.New(2), own.Time())
+	rec := NewRecorder(NewRecorder(nr))
+	c := BindClock(own, rec)
+	for i := 0; i < 50; i++ {
+		rec.Pair(8)
+	}
+	if c.Time() != nr.Time() || c.Time() <= 2 {
+		t.Fatalf("bound clock reads %v, next-reaction schedule %v", c.Time(), nr.Time())
+	}
+	c.AdvanceMany(50) // the scheduler times itself: no double count
+	if c.Time() != nr.Time() {
+		t.Fatalf("AdvanceMany moved a scheduler-owned clock to %v", c.Time())
+	}
+
+	// A replay of that timed recording restarts at its own zero; bound at
+	// the present, its timeline continues the system's.
+	end := nr.Time()
+	replay := rec.Recording().Replay()
+	c = BindClock(c, replay)
+	if c.Time() != end {
+		t.Fatalf("replay bound at %v reads %v", end, c.Time())
+	}
+	replay.Pair(8)
+	if c.Time() <= end {
+		t.Fatalf("replayed pair left the clock at %v (bound at %v)", c.Time(), end)
+	}
+
+	// An untimed scheduler hands time back to the own clock, resumed.
+	last := c.Time()
+	c = BindClock(c, rng.New(3))
+	if c != Clock(own) || c.Time() != last {
+		t.Fatalf("own clock %T resumed at %v, timed clock ended at %v", c, c.Time(), last)
+	}
+	c.AdvanceMany(8)
+	if c.Time() != last+1 {
+		t.Fatalf("resumed own clock reads %v after 8 interactions at n=8, want %v", c.Time(), last+1)
+	}
+}

@@ -180,9 +180,7 @@ func NewRecorder(inner Scheduler) *Recorder {
 		r.edges = ep
 		r.rec.g = ep.Graph()
 	}
-	if td, ok := inner.(Timed); ok {
-		r.timed = td
-	}
+	r.timed, _ = AsTimed(inner)
 	return r
 }
 
@@ -204,15 +202,7 @@ func (r *Recorder) Pair(n int) (int, int) {
 	return a, b
 }
 
-// Time returns the inner scheduler's current parallel time (0 when the
-// inner scheduler is not time-aware), so a Recorder around a timed
-// schedule remains a valid time source itself.
-func (r *Recorder) Time() float64 {
-	if r.timed == nil {
-		return 0
-	}
-	return r.timed.Time()
-}
+func (r *Recorder) recorder() *Recorder { return r }
 
 // Recording returns the schedule captured so far. The recording keeps
 // growing while the Recorder is used; replay what has been captured at any

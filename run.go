@@ -229,10 +229,10 @@ type Result struct {
 	// Confirm, had held for the full window).
 	Stabilized bool
 	// ParallelTime is the paper's time measure at StabilizedAt, counted from
-	// the start of this Run call (-1 when not stabilized). Under the discrete
-	// clock it is interactions over the live population size, accrued per
-	// stepping segment so churn re-anchors it (for churn-free runs exactly
-	// StabilizedAt/n, the historical value, bit for bit); under the
+	// the start of this Run call (-1 when not stabilized): the difference of
+	// System.ParallelTime between the two instants. Under the discrete clock
+	// it is interactions over the live population size, one segment per
+	// size (for a fresh churn-free run exactly StabilizedAt/n); under the
 	// continuous clocks it is the native event time of the Poisson process.
 	ParallelTime float64
 	// StabilizedAt is the interaction count at which the final satisfied
@@ -384,46 +384,8 @@ func (s *System) Run(opts ...RunOption) Result {
 	var pending []int
 	var t, since uint64
 	fi := 0
-	// Parallel-time plumbing. Under the continuous clocks some component
-	// carries native event time — the protocol's own continuous stepper, the
-	// TimeKeeper, or a Timed scheduler (the next-reaction scheduler topologize
-	// builds) — and the run reads it back relative to the run's start. Under
-	// the discrete clock the run derives time as interactions over the live
-	// population size, closed into a segment at every churn event so each
-	// interaction contributes 1/n_live (churn-free runs reduce to exactly
-	// t/n₀, the historical value bit for bit).
-	continuous := s.cfg.Clock != ClockDiscrete
-	var timedSched sim.Timed
-	if continuous {
-		if _, ok := sim.AsContinuousStepper(s.proto); !ok {
-			timedSched, _ = sched.(sim.Timed)
-		}
-	}
-	var pt0 float64
-	if continuous {
-		pt0 = s.ParallelTime()
-	}
-	var rBase float64   // parallel time accrued by closed discrete segments
-	var segStart uint64 // interaction count opening the current segment
-	ptRun := func() float64 {
-		if continuous {
-			return s.ParallelTime() - pt0
-		}
-		return rBase + float64(t-segStart)/float64(n)
-	}
-	var ptSince float64 // ptRun() at the moment since was last set
-	// advance accrues system-level parallel time for one just-stepped chunk
-	// (the Timed scheduler carries its own clock; everything else goes
-	// through advanceClock).
-	advance := func(step uint64) {
-		if timedSched != nil {
-			if step != 0 {
-				s.pt = timedSched.Time()
-			}
-			return
-		}
-		s.advanceClock(step)
-	}
+	pt0 := s.ParallelTime() // on the clock bind has just settled
+	var ptSince float64     // run-relative parallel time at the moment since was last set
 	// fire applies every event scheduled for the current interaction count,
 	// in order (leaves before joins within an instant); a failing event
 	// aborts the run with Result.Err.
@@ -439,16 +401,9 @@ func (s *System) Run(opts ...RunOption) Result {
 				return false
 			}
 			if nn := s.N(); nn != n {
-				// Churn changed the population: close the discrete-time
-				// segment at the old rate and re-anchor the clocks at the new
-				// one, so every interaction contributes 1/n_live.
-				if !continuous {
-					rBase += float64(t-segStart) / float64(n)
-					segStart = t
-				}
-				if s.tk != nil {
-					s.tk.SetN(nn)
-				}
+				// Churn changed the population: re-rate the clock, so every
+				// interaction contributes 1/n_live.
+				s.timeline().SetN(nn)
 				n = nn
 				// Re-derive every defaulted n-anchored cadence from the live
 				// population. Anchoring them at n₀ forever would confirm a 10×
@@ -538,11 +493,8 @@ func (s *System) Run(opts ...RunOption) Result {
 		if fi < len(spec.events) && spec.events[fi].At < next {
 			next = spec.events[fi].At
 		}
-		step := next - t
-		s.clock += step
-		sim.Steps(s.proto, stepSched, step)
+		s.step(stepSched, next-t)
 		t = next
-		advance(step)
 		if !fire() {
 			break
 		}
@@ -559,7 +511,7 @@ func (s *System) Run(opts ...RunOption) Result {
 			if now != held {
 				if now {
 					since = t
-					ptSince = ptRun()
+					ptSince = s.ParallelTime() - pt0
 				}
 				held = now
 			}
@@ -603,12 +555,6 @@ func (s *System) StepSched(sched Scheduler, k uint64) error {
 	if err != nil {
 		return err
 	}
-	sim.Steps(s.proto, sched, k)
-	s.clock += k
-	if td, ok := sched.(sim.Timed); ok && s.cfg.Clock != ClockDiscrete {
-		s.pt = td.Time()
-		return nil
-	}
-	s.advanceClock(k)
+	s.step(sched, k)
 	return nil
 }

@@ -135,9 +135,8 @@ type System struct {
 	plan
 	proto  sim.Protocol
 	events *sim.Events
-	clock  uint64          // engine-counted interactions (Clocked protocols report their own)
-	tk     *sim.TimeKeeper // continuous clock on the complete topology, agent backend
-	pt     float64         // accumulated parallel time (see ParallelTime)
+	steps  uint64    // engine-counted interactions (Clocked protocols report their own)
+	clock  sim.Clock // the one owner of parallel time (see ParallelTime)
 }
 
 // plan is a Config that has passed every construction-time check (see
@@ -286,16 +285,17 @@ func (pl plan) build() (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sspp: %w", err)
 	}
-	sys := &System{plan: pl, proto: p, events: ev}
+	sys := &System{plan: pl, proto: p, events: ev, clock: sim.NewDiscreteClock(cfg.N)}
 	if cfg.Clock != ClockDiscrete {
 		timeSrc := rng.New(cfg.Seed ^ clockSeedSalt)
 		if cs, ok := sim.AsContinuousStepper(p); ok {
 			cs.StartContinuous(timeSrc, cfg.Clock == ClockContinuous)
+			sys.clock = sim.NativeClock{ContinuousStepper: cs}
 		} else if pl.graph == nil {
-			sys.tk = sim.NewTimeKeeper(timeSrc, cfg.N)
+			sys.clock = sim.NewTimeKeeper(timeSrc, cfg.N)
 		}
-		// On a non-complete topology the per-run next-reaction scheduler
-		// carries the clock itself (see topologize).
+		// On a non-complete topology a bound next-reaction scheduler owns the
+		// time (see bind); the discrete clock keeps it for untimed ones.
 	}
 	return sys, nil
 }
@@ -330,45 +330,28 @@ func (s *System) Interactions() uint64 {
 	if c, ok := sim.AsClocked(s.proto); ok {
 		return c.Clock()
 	}
+	return s.steps
+}
+
+// ParallelTime returns the parallel time elapsed so far on the system's one
+// clock: interactions over the live population size under the discrete
+// clock, the native event time of the Poisson process under the continuous
+// ones (DESIGN.md §12 lists which component keeps it).
+func (s *System) ParallelTime() float64 { return s.timeline().Time() }
+
+// timeline returns the clock: the discrete one for a System built by hand.
+func (s *System) timeline() sim.Clock {
+	if s.clock == nil {
+		s.clock = sim.NewDiscreteClock(s.N())
+	}
 	return s.clock
 }
 
-// ParallelTime returns the parallel time elapsed so far. Under the
-// discrete clock it is the deterministic count of interactions divided by
-// the live population size (accrued per stepping chunk, so it tracks churn);
-// under the continuous clocks it is the native event time of the underlying
-// Poisson process — read from the protocol's own continuous stepper, the
-// TimeKeeper, or the next-reaction scheduler, whichever carries the clock.
-func (s *System) ParallelTime() float64 {
-	if s.cfg.Clock != ClockDiscrete {
-		if cs, ok := sim.AsContinuousStepper(s.proto); ok {
-			return cs.ParallelTime()
-		}
-	}
-	if s.tk != nil {
-		return s.tk.Time()
-	}
-	return s.pt
-}
-
-// advanceClock accrues parallel time for k just-executed interactions on
-// whichever clock the system carries — except the protocol's own continuous
-// stepper, which accrues natively, and the next-reaction scheduler, whose
-// time the stepping loops read back directly.
-func (s *System) advanceClock(k uint64) {
-	if k == 0 {
-		return
-	}
-	if s.cfg.Clock != ClockDiscrete {
-		if _, ok := sim.AsContinuousStepper(s.proto); ok {
-			return
-		}
-	}
-	if s.tk != nil {
-		s.tk.AdvanceMany(k)
-		return
-	}
-	s.pt += float64(k) / float64(s.N())
+// step deals k interactions from sched and advances the clock past them.
+func (s *System) step(sched Scheduler, k uint64) {
+	sim.Steps(s.proto, sched, k)
+	s.steps += k
+	s.timeline().AdvanceMany(k)
 }
 
 // DefaultBudget returns the default interaction budget: a generous
@@ -505,24 +488,12 @@ type Snapshot struct {
 // snapshotter capability fill the full role/event detail; the generic
 // fallback reports the interaction count, leader count and safe-set flag.
 func (s *System) Snapshot() Snapshot {
-	var ss sim.Snapshot
-	ss.Interactions = s.Interactions()
+	ss := sim.Snapshot{Interactions: s.Interactions(), ParallelTime: s.ParallelTime()}
 	if sn, ok := sim.AsSnapshotter(s.proto); ok {
 		sn.SnapshotInto(&ss)
 	} else {
 		ss.Leaders = s.Leaders()
 		ss.InSafeSet = s.InSafeSet()
 	}
-	return Snapshot{
-		Interactions: ss.Interactions,
-		ParallelTime: s.ParallelTime(),
-		Resetting:    ss.Resetting,
-		Ranking:      ss.Ranking,
-		Verifying:    ss.Verifying,
-		Leaders:      ss.Leaders,
-		HardResets:   ss.HardResets,
-		SoftResets:   ss.SoftResets,
-		Tops:         ss.Tops,
-		InSafeSet:    ss.InSafeSet,
-	}
+	return Snapshot(ss)
 }

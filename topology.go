@@ -224,7 +224,9 @@ func (s *System) TopologyConnected() bool {
 
 // bind is the scheduler check of Run and StepSched: a population with a
 // pair to deal, topologize, then the count-based backend's rule that only a
-// uniform stream seeds its draws.
+// uniform stream seeds its draws. Under a continuous clock a scheduler that
+// times its own pairs then owns the system's time while it deals
+// (sim.BindClock).
 func (s *System) bind(sched Scheduler) (Scheduler, error) {
 	if n := s.N(); n < 2 {
 		// A workload join that fails after its paired leave can leave a
@@ -234,6 +236,9 @@ func (s *System) bind(sched Scheduler) (Scheduler, error) {
 	sched, err := s.topologize(sched)
 	if err == nil {
 		_, err = sim.CountSource(s.proto, sched)
+	}
+	if err == nil && s.cfg.Clock != ClockDiscrete {
+		s.clock = sim.BindClock(s.timeline(), sched)
 	}
 	return sched, err
 }

@@ -279,13 +279,15 @@ type countReplayer interface {
 }
 
 // ReplayTrace re-executes a recorded workload trace on this system, which
-// must run the trace's protocol at the trace's population size, positioned
-// at the same starting configuration the recording started from. On the
-// agent backend the recorded pairs are re-dealt and the events re-fired from
-// their recorded seeds; on the species backend the recorded state-key pairs
-// and per-event count deltas are applied. Both reproduce the recording's
-// final configuration exactly (the bit-exact replay property pinned by the
-// workload property tests).
+// must run the trace's protocol at the trace's population size on the
+// complete topology, positioned at the same starting configuration the
+// recording started from. On the agent backend the recorded pairs are
+// re-dealt and the events re-fired from their recorded seeds; on the species
+// backend the recorded state-key pairs and per-event count deltas are
+// applied. Both reproduce the recording's final configuration exactly (the
+// bit-exact replay property pinned by the workload property tests). The
+// clock advances over the replay and follows every replayed event's
+// population, so a discrete replay ends at the recording's parallel time.
 func (s *System) ReplayTrace(t *WorkloadTrace) error {
 	if t == nil || t.tr == nil {
 		return fmt.Errorf("sspp: nil workload trace")
@@ -297,45 +299,46 @@ func (s *System) ReplayTrace(t *WorkloadTrace) error {
 	if tr.Topology != "" {
 		return fmt.Errorf("sspp: edge-indexed traces (topology %q) replay through DecodeRecording", tr.Topology)
 	}
+	if s.graph != nil {
+		return fmt.Errorf("sspp: traces replay on the complete topology, this system runs %q", s.cfg.Topology.Name())
+	}
 	if got := s.ProtocolName(); got != tr.Protocol {
 		return fmt.Errorf("sspp: trace was recorded from protocol %q, this system runs %q", tr.Protocol, got)
 	}
 	if got := s.N(); got != tr.N {
 		return fmt.Errorf("sspp: trace starts at population %d, this system holds %d", tr.N, got)
 	}
+	event := func(te workload.TraceEvent) error { return s.applyWorkloadEvent(te.Event) }
+	pair := func(i uint64) error {
+		s.proto.Interact(int(tr.Pairs[2*i]), int(tr.Pairs[2*i+1]))
+		return nil
+	}
 	if cr, ok := s.proto.(countReplayer); ok {
 		if uint64(len(tr.Keys)) != 2*tr.Steps {
 			return fmt.Errorf("sspp: trace carries no state keys (recorded from a protocol without the state-key capability); replay it on the agent backend")
 		}
-		ei := 0
-		for step := uint64(0); step <= tr.Steps; step++ {
-			for ei < len(tr.Events) && tr.Events[ei].At == step {
-				if err := cr.ApplyDeltas(tr.Events[ei].Deltas); err != nil {
-					return err
-				}
-				ei++
-			}
-			if step < tr.Steps {
-				if err := cr.ApplyPair(tr.Keys[2*step], tr.Keys[2*step+1]); err != nil {
-					return err
-				}
-			}
-		}
-		s.clock += tr.Steps
-		return nil
+		event = func(te workload.TraceEvent) error { return cr.ApplyDeltas(te.Deltas) }
+		pair = func(i uint64) error { return cr.ApplyPair(tr.Keys[2*i], tr.Keys[2*i+1]) }
 	}
+	clock := s.timeline()
+	var done uint64 // replayed interactions the clock has accrued
 	ei := 0
 	for step := uint64(0); step <= tr.Steps; step++ {
-		for ei < len(tr.Events) && tr.Events[ei].At == step {
-			if err := s.applyWorkloadEvent(tr.Events[ei].Event); err != nil {
+		for ; ei < len(tr.Events) && tr.Events[ei].At == step; ei++ {
+			clock.AdvanceMany(step - done)
+			done = step
+			if err := event(tr.Events[ei]); err != nil {
 				return err
 			}
-			ei++
+			clock.SetN(s.N())
 		}
 		if step < tr.Steps {
-			s.proto.Interact(int(tr.Pairs[2*step]), int(tr.Pairs[2*step+1]))
+			if err := pair(step); err != nil {
+				return err
+			}
 		}
 	}
-	s.clock += tr.Steps
+	clock.AdvanceMany(tr.Steps - done)
+	s.steps += tr.Steps
 	return nil
 }

@@ -548,3 +548,69 @@ func TestWorkloadReinjectionAndJoinLeaveChurn(t *testing.T) {
 		t.Fatalf("replaying the recorded mix: %v", err)
 	}
 }
+
+// TestReplayTraceAdvancesClock: replaying a trace advances the system's
+// clock over the replayed interactions and re-rates it at every replayed
+// churn event, so on both backends a discrete replay ends at the
+// recording's parallel time exactly.
+func TestReplayTraceAdvancesClock(t *testing.T) {
+	never := ConditionFunc("never", func(*System) bool { return false })
+	for _, tc := range []struct {
+		name string
+		wl   *Workload
+	}{
+		{"churn-free", nil},
+		{"population-steps", NewWorkload(PopulationStep(1000, 8, "", 6), PopulationStep(3000, -16, "", 7))},
+	} {
+		cfg := Config{Protocol: ProtocolCIW, N: 64, Seed: 2}
+		rec, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr *WorkloadTrace
+		res := rec.Run(Until(never), SchedulerSeed(3), MaxInteractions(6400), WithWorkload(tc.wl), RecordTrace(&tr))
+		if res.Err != nil || tr == nil || res.Interactions != 6400 {
+			t.Fatalf("%s: recording run %+v", tc.name, res)
+		}
+		if tc.wl == nil && rec.ParallelTime() != 100 {
+			t.Fatalf("%s: recording reads parallel time %v, want 100", tc.name, rec.ParallelTime())
+		}
+		for _, backend := range []string{BackendAgent, BackendSpecies} {
+			cfg.Backend = backend
+			replay, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := replay.ReplayTrace(tr); err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, backend, err)
+			}
+			if got, want := replay.ParallelTime(), rec.ParallelTime(); got != want {
+				t.Fatalf("%s/%s: replay reads parallel time %v, recording %v", tc.name, backend, got, want)
+			}
+		}
+	}
+}
+
+// TestReplayTraceRequiresCompleteTopology: traces record complete-topology
+// runs, whose pairs are not edges of any other interaction graph, so a
+// replay onto a non-complete topology is refused.
+func TestReplayTraceRequiresCompleteTopology(t *testing.T) {
+	rec, err := New(Config{Protocol: ProtocolCIW, N: 64, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr *WorkloadTrace
+	if res := rec.Run(SchedulerSeed(3), MaxInteractions(400), RecordTrace(&tr)); res.Err != nil || tr == nil {
+		t.Fatalf("recording run: %+v", res)
+	}
+	ring, err := New(Config{Protocol: ProtocolCIW, N: 64, Seed: 2, Topology: Ring()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ring.ReplayTrace(tr); err == nil {
+		t.Fatal("complete-topology trace replayed onto a ring")
+	}
+	if ring.Interactions() != 0 {
+		t.Fatalf("refused replay still dealt %d interactions", ring.Interactions())
+	}
+}
