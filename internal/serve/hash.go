@@ -65,7 +65,10 @@ func (h *hasher) bool(v bool) {
 
 // Hash returns the cell's content address: 64 lowercase hex digits.
 func (c *CellSpec) Hash() string {
-	var h hasher
+	// A cell without a workload encodes to well under 256 bytes, so one
+	// buffer on the stack holds it; a longer workload grows it.
+	var scratch [256]byte
+	h := hasher{buf: scratch[:0]}
 	h.u64(HashVersion)
 	h.u64(EngineEpoch)
 	h.u64(sspp.EnsembleSchemaVersion)

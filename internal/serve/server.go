@@ -42,7 +42,10 @@ const ResultSchemaVersion = 1
 // address, and the aggregated trial statistics the Ensemble computed for
 // it. The marshaled bytes are what the cache stores and what every
 // response body carries — assembled, never re-marshaled, so byte identity
-// is structural rather than an accident of encoder stability.
+// is structural rather than an accident of encoder stability. Bytes enter
+// the cache only in canonical form (compact and HTML-escaped, as
+// json.Marshal writes them; see diskStore.getCell), so a grid body
+// stitched from them equals json.Marshal of its GridResult.
 type CellResult struct {
 	SchemaVersion int       `json:"schema_version"`
 	Hash          string    `json:"hash"`
@@ -52,7 +55,8 @@ type CellResult struct {
 
 // GridResult is the response body of a finished grid: the cells of the
 // cross product in decomposition order, each embedded verbatim as its
-// cached CellResult bytes.
+// cached CellResult bytes. The server writes it without marshaling it (see
+// writeJobResult); the type documents the layout and decodes it.
 type GridResult struct {
 	SchemaVersion int               `json:"schema_version"`
 	Cells         []json.RawMessage `json:"cells"`
@@ -97,6 +101,21 @@ type Options struct {
 	MaxTrialInteractions uint64
 }
 
+// source names where a job's cell came from.
+type source uint8
+
+const (
+	srcComputed source = iota // simulated for this job
+	srcDedup                  // coalesced onto an identical in-flight computation
+	srcMemory                 // the in-memory LRU
+	srcDisk                   // the on-disk store
+	numSources
+)
+
+// sourceNames are the words X-Sppd-Cache and the SSE cell frames carry,
+// in X-Sppd-Cache order.
+var sourceNames = [numSources]string{"computed", "dedup", "memory", "disk"}
+
 // flight is one in-progress cell computation; concurrent requests for the
 // same content address block on done and share the result (singleflight).
 type flight struct {
@@ -113,18 +132,22 @@ type job struct {
 	// checkpointEvery is the submitting grid's SSE checkpoint cadence.
 	checkpointEvery uint64
 
-	done chan struct{} // closed after result/err and sources are final
+	// results[i] is cell i's CellResult bytes: the slice the cache holds,
+	// shared, never copied or written. Memory hits are filled at submit;
+	// runJob fills the misses, each from its own goroutine. sources[i] is
+	// where results[i] came from.
+	results [][]byte
+	sources []source
+	err     error
+	done    chan struct{} // closed once results, sources and err are final
 
 	mu sync.Mutex
 	// stored holds the frames replayed to late SSE subscribers. Cell
 	// completions and the terminal frame are always stored; checkpoint
 	// frames are stored up to storedFrameCap (they can number in the
 	// thousands per trial) and are live-only past it.
-	stored  [][]byte
-	subs    []chan []byte
-	sources []string // per-cell provenance: computed | dedup | memory | disk
-	result  []byte   // marshaled GridResult
-	err     error
+	stored [][]byte
+	subs   []chan []byte
 }
 
 // Server implements the sppd API over a result cache and a bounded
@@ -329,41 +352,65 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"grid crosses to %d cells, over this server's %d-cell limit", len(cells), s.maxCells)
 		return
 	}
-	// Fail fast: every cell must compile to a valid one-cell Ensemble
-	// before anything runs, so an illegal combination deep in the cross
-	// product rejects the whole grid instead of surfacing mid-run.
+	// One hash and one LRU lookup per cell. Fail fast: every other cell
+	// must compile to a valid one-cell Ensemble before anything runs, so an
+	// illegal combination deep in the cross product rejects the whole grid
+	// instead of surfacing mid-run. A memory-resident cell skips that
+	// check: its address entered the cache only once its cell had compiled
+	// and run.
 	keys := make([]string, len(cells))
 	for i := range cells {
-		if _, err := cells[i].ensemble(); err != nil {
-			httpError(w, http.StatusBadRequest, "cell %d (%s): %v", i, cells[i].Hash()[:12], err)
-			return
-		}
 		keys[i] = cells[i].Hash()
 	}
-	j := s.newJob(spec, cells, keys)
+	results := make([][]byte, len(cells))
+	s.mu.Lock()
+	for i, key := range keys {
+		results[i] = s.cache.get(key)
+	}
+	s.mu.Unlock()
+	hits := 0
+	for i := range cells {
+		if results[i] != nil {
+			hits++
+			continue
+		}
+		if _, err := cells[i].ensemble(); err != nil {
+			httpError(w, http.StatusBadRequest, "cell %d (%s): %v", i, keys[i][:12], err)
+			return
+		}
+	}
+	j := s.newJob(spec, cells, keys, results)
 	s.grids.Add(1)
-	go s.runJob(j)
+	s.memHits.Add(uint64(hits))
 
-	w.Header().Set("X-Sppd-Job", j.id)
 	if r.URL.Query().Get("async") == "1" {
+		go s.runJob(j)
+		w.Header().Set("X-Sppd-Job", j.id)
 		writeJSON(w, http.StatusAccepted, map[string]any{
 			"job": j.id, "status": "running", "cells": keys,
 		})
 		return
 	}
-	<-j.done
+	s.runJob(j)
 	s.writeJobResult(w, j)
 }
 
-// newJob registers a job and its checkpoint watches.
-func (s *Server) newJob(spec GridSpec, cells []CellSpec, keys []string) *job {
+// newJob registers a job and its checkpoint watches. results holds the
+// memory hits found at submit, nil for every other cell.
+func (s *Server) newJob(spec GridSpec, cells []CellSpec, keys []string, results [][]byte) *job {
 	j := &job{
-		id:              fmt.Sprintf("j-%d", s.jobSeq.Add(1)),
+		id:              "j-" + strconv.FormatUint(s.jobSeq.Add(1), 10),
 		cells:           cells,
 		keys:            keys,
 		checkpointEvery: spec.CheckpointEvery,
+		results:         results,
+		sources:         make([]source, len(cells)),
 		done:            make(chan struct{}),
-		sources:         make([]string, len(cells)),
+	}
+	for i, b := range results {
+		if b != nil {
+			j.sources[i] = srcMemory
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -407,68 +454,54 @@ func (s *Server) evictJobsLocked() {
 	}
 }
 
-// runJob computes every cell of the job (concurrently, bounded by the
-// server pool), assembles the GridResult, and closes the job.
+// runJob fills the job's missing cells, each on its own goroutine (the
+// server pool bounds the simulations), and closes the job. Memory hits
+// only announce themselves, so a job of hits starts no goroutine.
 func (s *Server) runJob(j *job) {
-	results := make([][]byte, len(j.cells))
-	errs := make([]error, len(j.cells))
+	errs := make([]error, len(j.results))
 	var wg sync.WaitGroup
-	for i := range j.cells {
+	for i, b := range j.results {
+		if b != nil {
+			j.emit(cellFrame(i, j.keys[i], srcMemory, nil), true)
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			b, source, err := s.cellBytes(&j.cells[i], j.keys[i], j.checkpointEvery)
-			results[i], errs[i] = b, err
-			j.mu.Lock()
-			j.sources[i] = source
-			j.mu.Unlock()
-			if err != nil {
-				j.emit("cell", map[string]any{"index": i, "hash": j.keys[i], "error": err.Error()}, true)
-			} else {
-				j.emit("cell", map[string]any{"index": i, "hash": j.keys[i], "source": source}, true)
-			}
+			b, src, err := s.cellBytes(&j.cells[i], j.keys[i], j.checkpointEvery)
+			j.results[i], j.sources[i], errs[i] = b, src, err
+			j.emit(cellFrame(i, j.keys[i], src, err), true)
 		}(i)
 	}
 	wg.Wait()
-
-	var firstErr error
 	for _, err := range errs {
 		if err != nil {
-			firstErr = err
+			j.err = err
 			break
 		}
 	}
-	j.mu.Lock()
-	if firstErr != nil {
-		j.err = firstErr
-	} else {
-		raw := make([]json.RawMessage, len(results))
-		for i, b := range results {
-			raw[i] = b
-		}
-		j.result, j.err = json.Marshal(GridResult{SchemaVersion: ResultSchemaVersion, Cells: raw})
-	}
-	j.mu.Unlock()
 
-	s.mu.Lock()
-	for _, key := range j.keys {
-		watchers := s.watch[key]
-		for i, wj := range watchers {
-			if wj == j {
-				s.watch[key] = append(watchers[:i:i], watchers[i+1:]...)
-				break
+	if j.checkpointEvery > 0 {
+		s.mu.Lock()
+		for _, key := range j.keys {
+			watchers := s.watch[key]
+			for i, wj := range watchers {
+				if wj == j {
+					s.watch[key] = append(watchers[:i:i], watchers[i+1:]...)
+					break
+				}
+			}
+			if len(s.watch[key]) == 0 {
+				delete(s.watch, key)
 			}
 		}
-		if len(s.watch[key]) == 0 {
-			delete(s.watch, key)
-		}
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 
 	if j.err != nil {
-		j.emit("error", map[string]string{"error": j.err.Error()}, true)
+		j.emit(errorFrame(j.err), true)
 	} else {
-		j.emit("done", map[string]string{"job": j.id}, true)
+		j.emit(doneFrame(j.id), true)
 	}
 	close(j.done)
 }
@@ -477,18 +510,18 @@ func (s *Server) runJob(j *job) {
 // the in-memory LRU, an identical in-flight computation, the disk store,
 // or a fresh simulation on the bounded pool. The source return names which
 // (memory | dedup | disk | computed).
-func (s *Server) cellBytes(cs *CellSpec, key string, checkpointEvery uint64) (b []byte, source string, err error) {
+func (s *Server) cellBytes(cs *CellSpec, key string, checkpointEvery uint64) (b []byte, src source, err error) {
 	s.mu.Lock()
 	if b := s.cache.get(key); b != nil {
 		s.mu.Unlock()
 		s.memHits.Add(1)
-		return b, "memory", nil
+		return b, srcMemory, nil
 	}
 	if fl, ok := s.flight[key]; ok {
 		s.mu.Unlock()
 		s.deduped.Add(1)
 		<-fl.done
-		return fl.bytes, "dedup", fl.err
+		return fl.bytes, srcDedup, fl.err
 	}
 	fl := &flight{done: make(chan struct{})}
 	s.flight[key] = fl
@@ -508,7 +541,7 @@ func (s *Server) cellBytes(cs *CellSpec, key string, checkpointEvery uint64) (b 
 	if s.store != nil {
 		if b := s.store.getCell(key); b != nil {
 			s.diskHits.Add(1)
-			return b, "disk", nil
+			return b, srcDisk, nil
 		}
 	}
 
@@ -517,7 +550,7 @@ func (s *Server) cellBytes(cs *CellSpec, key string, checkpointEvery uint64) (b 
 
 	g, err := cs.compileGrid()
 	if err != nil {
-		return nil, "", err
+		return nil, srcComputed, err
 	}
 	// Each cell's seeds run sequentially (Workers(1)); the server pool is
 	// the only parallelism. Checkpoints attach only where observation is
@@ -534,7 +567,7 @@ func (s *Server) cellBytes(cs *CellSpec, key string, checkpointEvery uint64) (b 
 	}
 	ens, err := sspp.NewEnsemble(g, opts...)
 	if err != nil {
-		return nil, "", err
+		return nil, srcComputed, err
 	}
 	res := ens.Run()
 	s.computed.Add(1)
@@ -545,7 +578,7 @@ func (s *Server) cellBytes(cs *CellSpec, key string, checkpointEvery uint64) (b 
 		Cell:          res.Cells[0],
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, srcComputed, err
 	}
 	if s.store != nil {
 		// Best effort: the disk layer is an accelerator, so a failed write
@@ -554,7 +587,7 @@ func (s *Server) cellBytes(cs *CellSpec, key string, checkpointEvery uint64) (b 
 			s.diskErrs.Add(1)
 		}
 	}
-	return b, "computed", nil
+	return b, srcComputed, nil
 }
 
 // broadcast fans one trial checkpoint out to every job watching the cell.
@@ -579,9 +612,57 @@ func (s *Server) broadcast(key string, obs sspp.TrialObservation) {
 			"in_safe_set":   obs.Snapshot.InSafeSet,
 		},
 	}
-	for _, j := range watchers {
-		j.emit("checkpoint", payload, false)
+	data, err := json.Marshal(payload)
+	if err != nil {
+		return
 	}
+	frame := fmt.Appendf(nil, "event: checkpoint\ndata: %s\n\n", data)
+	for _, j := range watchers {
+		j.emit(frame, false)
+	}
+}
+
+// cellFrame is the SSE frame announcing cell i: event "cell" with data
+// {"hash","index","source"}, or {"error","hash","index"} when the cell
+// failed — the bytes json.Marshal writes for that map. The hash is hex
+// and the source one of four words, so only an error message needs JSON
+// string encoding.
+func cellFrame(i int, key string, src source, err error) []byte {
+	b := make([]byte, 0, 128)
+	b = append(b, "event: cell\ndata: {"...)
+	if err != nil {
+		b = append(b, `"error":`...)
+		b = appendJSONString(b, err.Error())
+		b = append(b, ',')
+	}
+	b = append(b, `"hash":"`...)
+	b = append(b, key...)
+	b = append(b, `","index":`...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	if err == nil {
+		b = append(b, `,"source":"`...)
+		b = append(b, sourceNames[src]...)
+		b = append(b, '"')
+	}
+	return append(b, "}\n\n"...)
+}
+
+// doneFrame is the terminal SSE frame of a finished job, {"job":id}; job
+// ids are "j-" and digits.
+func doneFrame(id string) []byte {
+	return append(append([]byte("event: done\ndata: {\"job\":\""), id...), "\"}\n\n"...)
+}
+
+// errorFrame is the terminal SSE frame of a failed job, {"error":msg}.
+func errorFrame(err error) []byte {
+	b := appendJSONString([]byte("event: error\ndata: {\"error\":"), err.Error())
+	return append(b, "}\n\n"...)
+}
+
+// appendJSONString appends s as json.Marshal encodes a string.
+func appendJSONString(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
 }
 
 // storedFrameCap bounds the checkpoint frames a job retains for replay to
@@ -593,16 +674,12 @@ const storedFrameCap = 1024
 // channel has room for the job's sticky frames on top of it.
 const subscriberBuffer = 256
 
-// emit frames an SSE event and delivers it: stored frames replay to late
-// subscribers, live frames go to current subscribers only. A slow
-// subscriber drops checkpoint frames rather than blocking simulation, but
-// never a sticky frame: checkpoints cannot take the room reserved for them.
-func (j *job) emit(event string, payload any, sticky bool) {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return
-	}
-	frame := []byte(fmt.Sprintf("event: %s\ndata: %s\n\n", event, data))
+// emit delivers an SSE frame: sticky frames replay to late subscribers,
+// as do checkpoint frames up to storedFrameCap; live frames go to current
+// subscribers only. A slow subscriber drops checkpoint frames rather than
+// blocking simulation, but never a sticky frame: checkpoints cannot take
+// the room reserved for them.
+func (j *job) emit(frame []byte, sticky bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if sticky || len(j.stored) < storedFrameCap {
@@ -647,25 +724,57 @@ func (s *Server) job(id string) *job {
 	return s.jobs[id]
 }
 
-// writeJobResult serves a finished job: the GridResult bytes with cache
-// provenance in X-Sppd-Cache ("computed=1 dedup=0 memory=3 disk=0").
+// gridOpen, gridComma and gridClose frame and separate a GridResult's
+// cells in the bytes json.Marshal writes for it.
+var (
+	gridOpen  = []byte(`{"schema_version":` + strconv.Itoa(ResultSchemaVersion) + `,"cells":[`)
+	gridComma = []byte{','}
+	gridClose = []byte("]}")
+)
+
+// writeJobResult serves a finished job, with cache provenance in
+// X-Sppd-Cache ("computed=1 dedup=0 memory=3 disk=0"). The body is the
+// cells' cached bytes joined by gridComma inside gridOpen and gridClose:
+// no encoding, no copy. Cached bytes are canonical, so this is exactly
+// json.Marshal of the job's GridResult. The job must be done.
 func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
-	j.mu.Lock()
-	result, err, sources := j.result, j.err, append([]string(nil), j.sources...)
-	j.mu.Unlock()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+	if j.err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", j.err)
 		return
 	}
-	counts := map[string]int{}
-	for _, src := range sources {
+	var counts [numSources]int
+	for _, src := range j.sources {
 		counts[src]++
 	}
-	w.Header().Set("X-Sppd-Cache", fmt.Sprintf("computed=%d dedup=%d memory=%d disk=%d",
-		counts["computed"], counts["dedup"], counts["memory"], counts["disk"]))
-	w.Header().Set("X-Sppd-Job", j.id)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(result)
+	var buf [64]byte
+	prov := buf[:0]
+	for src, name := range sourceNames {
+		if src > 0 {
+			prov = append(prov, ' ')
+		}
+		prov = append(append(prov, name...), '=')
+		prov = strconv.AppendInt(prov, int64(counts[src]), 10)
+	}
+	size := len(gridOpen) + len(gridClose)
+	for i, b := range j.results {
+		if i > 0 {
+			size++
+		}
+		size += len(b)
+	}
+	h := w.Header()
+	h.Set("X-Sppd-Cache", string(prov))
+	h.Set("X-Sppd-Job", j.id)
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(size))
+	w.Write(gridOpen)
+	for i, b := range j.results {
+		if i > 0 {
+			w.Write(gridComma)
+		}
+		w.Write(b)
+	}
+	w.Write(gridClose)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -745,15 +854,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookupCell fetches cached cell bytes by content address: LRU first, then
-// disk (promoting the hit into the LRU). No simulation — /v1/cells is a
-// read-only view of the cache.
-func (s *Server) lookupCell(key string) (b []byte, source string) {
+// disk (promoting the hit into the LRU); nil when neither holds them. No
+// simulation — /v1/cells is a read-only view of the cache.
+func (s *Server) lookupCell(key string) (b []byte, src source) {
 	s.mu.Lock()
 	b = s.cache.get(key)
 	s.mu.Unlock()
 	if b != nil {
 		s.memHits.Add(1)
-		return b, "memory"
+		return b, srcMemory
 	}
 	if s.store != nil {
 		if b = s.store.getCell(key); b != nil {
@@ -761,10 +870,10 @@ func (s *Server) lookupCell(key string) (b []byte, source string) {
 			s.mu.Lock()
 			s.cache.put(key, b)
 			s.mu.Unlock()
-			return b, "disk"
+			return b, srcDisk
 		}
 	}
-	return nil, ""
+	return nil, 0
 }
 
 // validHash reports whether key is a well-formed cell content address:
@@ -791,12 +900,12 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no cached cell %q (addresses are 64 lowercase hex characters)", key)
 		return
 	}
-	b, source := s.lookupCell(key)
+	b, src := s.lookupCell(key)
 	if b == nil {
 		httpError(w, http.StatusNotFound, "no cached cell %q (cells appear once a grid computes them)", key)
 		return
 	}
-	w.Header().Set("X-Sppd-Cache", source)
+	w.Header().Set("X-Sppd-Cache", sourceNames[src])
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)
 }

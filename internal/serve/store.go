@@ -3,11 +3,13 @@
 // address, so a restarted server (or a colleague pointed at the same
 // directory) serves warm bytes without re-simulating. Writes are atomic and
 // durable (temp file, fsync, rename in the same directory), and reads check
-// that the bytes decode to the result the address names, so a truncated or
-// foreign file is a miss — removed and recomputed — never served.
+// that the bytes decode to the result the address names (and, for cells,
+// are canonical), so a truncated, foreign or reformatted file is a miss —
+// removed and recomputed — never served.
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -81,12 +83,19 @@ func (d *diskStore) write(path string, b []byte) error {
 	return os.Rename(name, path)
 }
 
-// getCell returns the persisted result bytes for the address: nil if absent
-// or not a CellResult carrying that address.
+// getCell returns the persisted result bytes for the address: nil if absent,
+// not a CellResult carrying that address, or not canonical. Canonical bytes
+// are their own re-encoding, compact and HTML-escaped, exactly what the
+// server writes; grid bodies stitch cached cells verbatim, so no other
+// form may enter the cache.
 func (d *diskStore) getCell(key string) []byte {
 	return d.read(d.cellPath(key), func(b []byte) bool {
 		var cr CellResult
-		return json.Unmarshal(b, &cr) == nil && cr.Hash == key
+		if json.Unmarshal(b, &cr) != nil || cr.Hash != key {
+			return false
+		}
+		c, err := json.Marshal(json.RawMessage(b))
+		return err == nil && bytes.Equal(c, b)
 	})
 }
 
