@@ -8,10 +8,14 @@
 package sspp
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"sspp/internal/rng"
+	"sspp/internal/sim"
 	"sspp/internal/stats/statcheck"
 	"sspp/internal/trials"
 )
@@ -399,7 +403,10 @@ func TestTimedSchedulerOwnsTime(t *testing.T) {
 
 // TestDiscreteRunClockAgreement: after a fresh discrete Run that stops at
 // its final poll, System.ParallelTime, Result.ParallelTime and the final
-// Observe snapshot read the same value, bit for bit.
+// Observe snapshot read the same value, bit for bit. A second Run on the
+// same system (the TransientK recovery shape) reads its run-relative time
+// exactly as a fresh run does, StabilizedAt/n bit for bit, not the
+// last-ulp-off difference of two lifetime readings.
 func TestDiscreteRunClockAgreement(t *testing.T) {
 	const seeds = 50
 	for _, n := range []int{3, 7, 10, 24, 100, 333} {
@@ -417,6 +424,159 @@ func TestDiscreteRunClockAgreement(t *testing.T) {
 				t.Fatalf("n=%d seed=%d: ParallelTime %v, Result.ParallelTime %v, last snapshot %v",
 					n, seed, pt, res.ParallelTime, last.ParallelTime)
 			}
+			if _, err := sys.InjectTransient(1, seed); err != nil {
+				t.Fatal(err)
+			}
+			res = sys.Run(Until(CorrectOutput), SchedulerSeed(seed+2000))
+			if want := float64(res.StabilizedAt) / float64(n); !res.Stabilized || res.ParallelTime != want {
+				t.Fatalf("n=%d seed=%d: second run reads %v, want StabilizedAt/n = %v (%+v)",
+					n, seed, res.ParallelTime, want, res)
+			}
 		}
+	}
+}
+
+// TestDesignClockTable checks the owner-of-time table of DESIGN.md §12
+// against the engine: every row's (clock, backend, topology, scheduler)
+// combinations are built and bound, and the component that then owns the
+// system's parallel time has the concrete type the row names. A timed
+// scheduler owns time when the system's clock reads it after stepping.
+func TestDesignClockTable(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = "| Clock | Backend | Topology | Scheduler | Owner of parallel time |"
+	_, table, ok := strings.Cut(string(doc), header+"\n")
+	if !ok {
+		t.Fatalf("DESIGN.md has no table headed %q", header)
+	}
+	// The first backticked name of an owner cell, as the engine's type.
+	owners := map[string]string{
+		"sim.DiscreteClock": "*sim.DiscreteClock",
+		"sim.NativeClock":   "sim.NativeClock",
+		"sim.TimeKeeper":    "*sim.TimeKeeper",
+		"sim.NextReaction":  "*sim.NextReaction",
+	}
+	const n, steps = 16, 64
+	// schedulers returns a scheduler column's representatives for sys: kind
+	// is "uniform", "untimed", "timed" or "any".
+	schedulers := func(kind string, sys *System) []Scheduler {
+		var uniform, untimed, timed []Scheduler
+		uniform = []Scheduler{NewUniform(7)}
+		replay := func(s Scheduler) Scheduler {
+			r := NewRecorder(s)
+			for i := 0; i < steps; i++ {
+				r.Pair(n)
+			}
+			return r.Recording().Replay()
+		}
+		if sys.Backend() == BackendAgent {
+			if sys.graph == nil {
+				untimed = []Scheduler{NewUniform(7), NewBatch(7, 8), NewZipf(7, n, 1.1), NewWeighted(7, make([]float64, n)),
+					NewRecorder(NewUniform(7)), replay(NewUniform(7))}
+				stamped := func() Scheduler { return &stampedScheduler{src: NewUniform(7), n: n} }
+				timed = []Scheduler{stamped(), NewRecorder(stamped()), replay(stamped())}
+			} else {
+				untimed = []Scheduler{sys.Sampler(7), NewRecorder(sys.Sampler(7)), replay(sys.Sampler(7))}
+				nr := func() Scheduler { return sim.NewNextReaction(sys.graph, rng.New(7), 0) }
+				timed = []Scheduler{nr(), NewRecorder(nr()), replay(nr())}
+			}
+		}
+		switch kind {
+		case "uniform":
+			return uniform
+		case "untimed":
+			return untimed
+		case "timed":
+			return timed
+		}
+		return append(append(uniform, untimed...), timed...)
+	}
+	rows := 0
+	for _, line := range strings.Split(table, "\n")[1:] { // [0] is the separator
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		rows++
+		cols := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cols) != 5 {
+			t.Fatalf("clock table row has %d columns, want 5: %s", len(cols), line)
+		}
+		for i := range cols {
+			cols[i] = strings.TrimSpace(cols[i])
+		}
+		var kind string
+		switch sc := cols[3]; {
+		case strings.HasPrefix(sc, "any"):
+			kind = "any"
+		case strings.HasPrefix(sc, "untimed"):
+			kind = "untimed"
+		case strings.HasPrefix(sc, "timed"):
+			kind = "timed"
+		case strings.Contains(sc, "uniform stream"):
+			kind = "uniform"
+		default:
+			t.Fatalf("clock table row names no scheduler kind: %s", line)
+		}
+		want, byScheduler := "", strings.HasPrefix(cols[4], "the scheduler")
+		if !byScheduler {
+			_, name, _ := strings.Cut(cols[4], "`")
+			name, _, _ = strings.Cut(name, "`")
+			if want, ok = owners[name]; !ok {
+				t.Fatalf("clock table row names unknown owner %q: %s", name, line)
+			}
+		}
+		tops := map[string][]Topology{"any": {Complete(), Ring()}, "complete": {Complete()}, "non-complete": {Ring()}}[cols[2]]
+		if tops == nil {
+			t.Fatalf("clock table row names unknown topology %q: %s", cols[2], line)
+		}
+		combos := 0
+		for _, clock := range strings.Split(cols[0], ",") {
+			for _, backend := range strings.Split(cols[1], " or ") {
+				for _, top := range tops {
+					if backend == BackendSpecies && !top.IsComplete() {
+						continue // no species form on an interaction graph (§9)
+					}
+					cfg := Config{Protocol: ProtocolCIW, N: n, Seed: 3, Topology: top,
+						Backend: strings.TrimSpace(backend), Clock: strings.TrimSpace(clock)}
+					probe, err := New(cfg)
+					if err != nil {
+						t.Fatalf("%+v: %v", cfg, err)
+					}
+					for _, sched := range schedulers(kind, probe) {
+						combos++
+						sys, _ := New(cfg)
+						bound, err := sys.bind(sched)
+						if err != nil {
+							t.Fatalf("%s: binding %T: %v", line, sched, err)
+						}
+						sys.step(bound, steps)
+						var owner any = sys.clock
+						if td, ok := sim.AsTimed(bound); ok && sys.ParallelTime() == td.Time() {
+							owner = td
+						}
+						rowWant := want
+						if byScheduler {
+							td, ok := sim.AsTimed(sched)
+							if !ok {
+								t.Fatalf("%s: scheduler %T does not time its pairs", line, sched)
+							}
+							rowWant = fmt.Sprintf("%T", td)
+						}
+						if got := fmt.Sprintf("%T", owner); got != rowWant {
+							t.Errorf("%s clock, %s backend, %s, scheduler %T: time is owned by %s, DESIGN.md says %s",
+								clock, backend, top.Name(), sched, got, rowWant)
+						}
+					}
+				}
+			}
+		}
+		if combos == 0 {
+			t.Errorf("clock table row checks no combination: %s", line)
+		}
+	}
+	if rows != 6 {
+		t.Fatalf("clock table has %d rows, want 6", rows)
 	}
 }

@@ -269,7 +269,9 @@ type Cell struct {
 	// Interactions summarizes stabilization arrival times over recovered
 	// trials, in interactions (with TransientK: post-fault recovery times).
 	Interactions Distribution `json:"interactions"`
-	// ParallelTime is Interactions scaled by 1/n (the paper's time unit).
+	// ParallelTime summarizes each recovered trial's Result.ParallelTime,
+	// the paper's time unit read off its clock, counted from the start of
+	// its final run (with TransientK or a Workload, the recovery run).
 	ParallelTime Distribution `json:"parallel_time"`
 	// HardResets summarizes full resets per recovered trial (with
 	// TransientK: resets after the fault burst only).
@@ -453,15 +455,12 @@ func (r *CompareResult) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// trialOutcome is the raw result of one (cell, seed) trial.
+// trialOutcome is the raw result of one (cell, seed) trial: its final run
+// (zero when the trial failed before running; a Workload trial's per-event
+// outcomes align by index across a cell's seeds) and that run's hard resets.
 type trialOutcome struct {
-	ok   bool
-	took uint64
+	res  Result
 	hard uint64
-	// events holds the per-event outcomes of Workload trials (nil otherwise);
-	// the schedule is identical across a cell's seeds, so outcomes align by
-	// index during aggregation.
-	events []EventOutcome
 }
 
 // seedStreams holds the pre-derived randomness of one seed index: the
@@ -608,7 +607,7 @@ func (e *Ensemble) runTrial(ci, s int) trialOutcome {
 	}
 	res := sys.Run(opts...)
 	if !res.Stabilized {
-		return trialOutcome{}
+		return trialOutcome{res: res}
 	}
 	var hardBefore uint64
 	if g.Workload != nil || g.TransientK > 0 {
@@ -624,11 +623,7 @@ func (e *Ensemble) runTrial(ci, s int) trialOutcome {
 		}
 		res = sys.Run(opts...)
 	}
-	out := trialOutcome{events: res.EventOutcomes()}
-	if res.Stabilized {
-		out.ok, out.took, out.hard = true, res.StabilizedAt, sys.HardResets()-hardBefore
-	}
-	return out
+	return trialOutcome{res: res, hard: sys.HardResets() - hardBefore}
 }
 
 // Run executes every trial of the grid across the worker pool and
@@ -669,13 +664,13 @@ func (e *Ensemble) Run() *EnsembleResult {
 		var par, hard []float64
 		for s := 0; s < g.Seeds; s++ {
 			o := outs[ci*g.Seeds+s]
-			if !o.ok {
+			if !o.res.Stabilized {
 				cell.Failures++
 				continue
 			}
 			cell.Recovered++
-			cell.Samples = append(cell.Samples, float64(o.took))
-			par = append(par, float64(o.took)/float64(cell.Point.N))
+			cell.Samples = append(cell.Samples, float64(o.res.StabilizedAt))
+			par = append(par, o.res.ParallelTime)
 			hard = append(hard, float64(o.hard))
 		}
 		cell.Interactions = summarize(cell.Samples)
@@ -687,7 +682,7 @@ func (e *Ensemble) Run() *EnsembleResult {
 		var evCells []EventCell
 		var recSamples [][]float64
 		for s := 0; s < g.Seeds; s++ {
-			for i, eo := range outs[ci*g.Seeds+s].events {
+			for i, eo := range outs[ci*g.Seeds+s].res.EventOutcomes() {
 				if i == len(evCells) {
 					evCells = append(evCells, EventCell{At: eo.At, Kind: eo.Kind, K: eo.K, Class: eo.Class})
 					recSamples = append(recSamples, nil)

@@ -303,3 +303,95 @@ func TestEnsembleValidation(t *testing.T) {
 		t.Fatal("unknown clock accepted")
 	}
 }
+
+// TestEnsembleCellTimeFromClock: a cell's ParallelTime summarizes its
+// trials' Result.ParallelTime, the time each trial's own clock read, for
+// every owner of time (DESIGN.md §12) and for the recovery shapes. Each
+// cell is checked, field for field and bit for bit, against the same trials
+// rebuilt outside the Ensemble from the historical per-seed derivation.
+// Discrete cells whose population never changes from one instant to the
+// next also read exactly StabilizedAt/n, their historical values.
+func TestEnsembleCellTimeFromClock(t *testing.T) {
+	churn := NewWorkload(JoinLeaveChurn(0, 640, 0.5, 0.5, "", 17))
+	for _, tc := range []struct {
+		name  string
+		cfg   Config // the cell's trial Config, Seed unset
+		k     int    // Grid.TransientK
+		wl    *Workload
+		exact bool // the cell reads summarize(StabilizedAt/n)
+	}{
+		{name: "discrete-agent", cfg: Config{Protocol: ProtocolCIW, N: 24}, exact: true},
+		{name: "discrete-species", cfg: Config{Protocol: ProtocolCIW, N: 24, Backend: BackendSpecies}, exact: true},
+		{name: "continuous-agent-timekeeper", cfg: Config{Protocol: ProtocolCIW, N: 32, Clock: ClockContinuousExact}},
+		{name: "continuous-species-native", cfg: Config{Protocol: ProtocolCIW, N: 32, Backend: BackendSpecies, Clock: ClockContinuous}},
+		{name: "continuous-agent-ring-nextreaction", cfg: Config{Protocol: ProtocolNameRank, N: 16, Topology: Ring(), Clock: ClockContinuous}},
+		{name: "discrete-transient", cfg: Config{Protocol: ProtocolCIW, N: 24}, k: 3, exact: true},
+		{name: "replacement-churn-discrete", cfg: Config{Protocol: ProtocolCIW, N: 24},
+			wl: NewWorkload(ReplacementChurn(0, 480, 2, "", 97)), exact: true},
+		{name: "churn-discrete", cfg: Config{Protocol: ProtocolCIW, N: 32}, wl: churn},
+		{name: "churn-continuous", cfg: Config{Protocol: ProtocolCIW, N: 32, Clock: ClockContinuous}, wl: churn},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := Grid{
+				Protocols:  []string{tc.cfg.Protocol},
+				Topologies: []Topology{tc.cfg.Topology},
+				Clocks:     []string{tc.cfg.Clock},
+				Points:     []Point{{N: tc.cfg.N}},
+				Seeds:      3,
+				BaseSeed:   5,
+				TransientK: tc.k,
+				Workload:   tc.wl,
+				Backend:    tc.cfg.Backend,
+			}
+			if tc.cfg.Clock == "" {
+				g.Clocks = nil
+			}
+			ens, err := NewEnsemble(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := ens.Run().Cells[0]
+
+			var times []float64
+			root := rng.New(g.BaseSeed)
+			for s := 0; s < g.Seeds; s++ {
+				src := root.Fork()
+				cfg := tc.cfg
+				cfg.Seed = src.Uint64()
+				adv, sched := src.Fork(), src.Fork()
+				sys, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := []RunOption{Until(SafeSet), WithScheduler(sched)}
+				res := sys.Run(opts...)
+				if res.Stabilized && tc.k > 0 {
+					if _, err := sys.injectTransientWith(tc.k, adv); err != nil {
+						t.Fatal(err)
+					}
+					res = sys.Run(opts...)
+				} else if res.Stabilized && tc.wl != nil {
+					res = sys.Run(append(opts, WithWorkload(tc.wl))...)
+				}
+				if res.Stabilized {
+					times = append(times, res.ParallelTime)
+				}
+			}
+			if len(times) == 0 || cell.Recovered != len(times) {
+				t.Fatalf("cell recovered %d trials, the rebuilt trials %d", cell.Recovered, len(times))
+			}
+			if want := summarize(times); cell.ParallelTime != want {
+				t.Fatalf("cell ParallelTime %+v,\nthe trials' clocks read %+v", cell.ParallelTime, want)
+			}
+			if tc.exact {
+				var steps []float64
+				for _, x := range cell.Samples {
+					steps = append(steps, x/float64(tc.cfg.N))
+				}
+				if want := summarize(steps); cell.ParallelTime != want {
+					t.Fatalf("cell ParallelTime %+v,\nStabilizedAt/n reads %+v", cell.ParallelTime, want)
+				}
+			}
+		})
+	}
+}

@@ -30,7 +30,10 @@ const (
 	// HashVersion identifies the canonical CellSpec encoding below.
 	HashVersion = 1
 	// EngineEpoch identifies the engine's simulation semantics; see above.
-	EngineEpoch = 1
+	// Epoch 2: a cell's parallel time summarizes each trial's clock reading
+	// rather than interactions/n₀, which moves continuous-clock and churn
+	// cells (DESIGN.md §13).
+	EngineEpoch = 2
 )
 
 // hasher accumulates the canonical encoding.

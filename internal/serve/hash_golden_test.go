@@ -64,9 +64,9 @@ func TestCanonicalHashGolden(t *testing.T) {
 	// First and last cell pinned in full, the whole set pinned through a
 	// combined digest over the 64 hex strings in decomposition order.
 	const (
-		wantFirst    = "85a5474fe27817125c7fa714062ba1f0919478be45cb323e024f85acbe691954"
-		wantLast     = "482f832e27013ce8e9a2a8f3392000c35a59641a5117e13c6a81867db540d42c"
-		wantCombined = "e07f625b901edcab1f26aac9663486994b9b950640f6cddf5ed75017cec98bfa"
+		wantFirst    = "106d8be73c67cb3d865afad11caf270b89ab931351f79caf1b3a1613f6d286cf"
+		wantLast     = "671e14fe2410d22d6b085fad21d4cbb45ffd79dac3424ee450a295654591b6e3"
+		wantCombined = "d3207ff1c53eec41771961b4c048d5441e4f0cc5b4be5a1d4f81716293c5b0d4"
 	)
 	combined := sha256.New()
 	for _, h := range hashes {

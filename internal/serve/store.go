@@ -3,8 +3,8 @@
 // address, so a restarted server (or a colleague pointed at the same
 // directory) serves warm bytes without re-simulating. Writes are atomic and
 // durable (temp file, fsync, rename in the same directory), and reads check
-// that the bytes decode to the result the address names (and, for cells,
-// are canonical), so a truncated, foreign or reformatted file is a miss —
+// that the bytes decode to the result the address names and are canonical,
+// so a truncated, foreign or reformatted file is a miss —
 // removed and recomputed — never served.
 package serve
 
@@ -83,31 +83,33 @@ func (d *diskStore) write(path string, b []byte) error {
 	return os.Rename(name, path)
 }
 
+// canonical reports whether b is its own re-encoding, compact and
+// HTML-escaped: exactly what the server writes. Grid bodies stitch cached
+// cells verbatim and replays are served as stored, so a disk read in any
+// other form is a miss, never served.
+func canonical(b []byte) bool {
+	c, err := json.Marshal(json.RawMessage(b))
+	return err == nil && bytes.Equal(c, b)
+}
+
 // getCell returns the persisted result bytes for the address: nil if absent,
-// not a CellResult carrying that address, or not canonical. Canonical bytes
-// are their own re-encoding, compact and HTML-escaped, exactly what the
-// server writes; grid bodies stitch cached cells verbatim, so no other
-// form may enter the cache.
+// not a CellResult carrying that address, or not canonical.
 func (d *diskStore) getCell(key string) []byte {
 	return d.read(d.cellPath(key), func(b []byte) bool {
 		var cr CellResult
-		if json.Unmarshal(b, &cr) != nil || cr.Hash != key {
-			return false
-		}
-		c, err := json.Marshal(json.RawMessage(b))
-		return err == nil && bytes.Equal(c, b)
+		return json.Unmarshal(b, &cr) == nil && cr.Hash == key && canonical(b)
 	})
 }
 
 // putCell persists the result bytes for the address.
 func (d *diskStore) putCell(key string, b []byte) error { return d.write(d.cellPath(key), b) }
 
-// getReplay returns the persisted replay bytes: nil if absent or not a
-// ReplayResult carrying that address and seed.
+// getReplay returns the persisted replay bytes: nil if absent, not a
+// ReplayResult carrying that address and seed, or not canonical.
 func (d *diskStore) getReplay(key string, seed int) []byte {
 	return d.read(d.replayPath(key, seed), func(b []byte) bool {
 		var rr ReplayResult
-		return json.Unmarshal(b, &rr) == nil && rr.Hash == key && rr.Seed == seed
+		return json.Unmarshal(b, &rr) == nil && rr.Hash == key && rr.Seed == seed && canonical(b)
 	})
 }
 

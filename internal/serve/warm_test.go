@@ -349,6 +349,63 @@ func TestReindentedDiskCellIsRecomputed(t *testing.T) {
 	}
 }
 
+// TestReindentedDiskReplayIsRecomputed: a replay file that decodes to the
+// right ReplayResult but is not the canonical bytes the server writes (here,
+// re-indented) is a miss: recomputed, rewritten, and served byte-identical
+// to the first compute.
+func TestReindentedDiskReplayIsRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := newTestServer(t, Options{Workers: 1, Dir: dir})
+	if code, _, _ := submit(t, ts1, smallGrid(), ""); code != http.StatusOK {
+		t.Fatalf("cold submit: status %d", code)
+	}
+	spec := smallGrid()
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cells[0].Hash()
+	replay := func(url string) ([]byte, string) {
+		resp, err := http.Get(url + "/v1/cells/" + key + "/replay?seed=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("replay: status %d, %v: %s", resp.StatusCode, err, b)
+		}
+		return b, resp.Header.Get("X-Sppd-Cache")
+	}
+	computed, src := replay(ts1.URL)
+	if src != "computed" {
+		t.Fatalf("first replay source %q, want computed", src)
+	}
+	path := filepath.Join(dir, "replays", key+"-0.json")
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, computed, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newTestServer(t, Options{Workers: 1, Dir: dir})
+	again, src := replay(ts2.URL)
+	if src != "computed" {
+		t.Fatalf("replay over a re-indented file: source %q, want a recompute", src)
+	}
+	if !bytes.Equal(again, computed) {
+		t.Fatalf("recomputed replay (%d bytes) differs from the first compute (%d bytes)", len(again), len(computed))
+	}
+	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, computed) {
+		t.Fatalf("replay file not rewritten canonically (%v): %d bytes", err, len(onDisk))
+	}
+	if fromDisk, src := replay(ts2.URL); src != "disk" || !bytes.Equal(fromDisk, computed) {
+		t.Fatalf("repeat replay: source %q, byte-identical %v", src, bytes.Equal(fromDisk, computed))
+	}
+}
+
 // TestMemoryHitDoesNotSkipValidation: a grid that pairs a memory-resident
 // cell with an illegal one (species on a ring) is still rejected before
 // any cell runs.

@@ -86,6 +86,7 @@ type DiscreteClock struct {
 	base  float64 // time of the closed segments
 	steps uint64  // interactions in the open segment
 	n     int
+	seg   uint64 // segments closed so far: the open segment's identity
 }
 
 // NewDiscreteClock returns a discrete clock at time zero for n agents.
@@ -95,12 +96,46 @@ func (c *DiscreteClock) Time() float64        { return c.base + float64(c.steps)
 func (c *DiscreteClock) AdvanceMany(k uint64) { c.steps += k }
 func (c *DiscreteClock) SetN(n int) {
 	if n != c.n {
-		c.base, c.steps, c.n = c.Time(), 0, n
+		c.restart(c.Time(), n)
 	}
 }
 
+// restart closes the open segment and opens one at time base for n agents.
+func (c *DiscreteClock) restart(base float64, n int) {
+	c.base, c.steps, c.n = base, 0, n
+	c.seg++
+}
+
+// Mark is a reading of a Clock, the origin Since measures from.
+type Mark struct {
+	t          float64 // the clock's Time at the mark
+	seg, steps uint64  // a discrete clock's open segment and its interactions then
+}
+
+// MarkOf reads c now.
+func MarkOf(c Clock) Mark {
+	m := Mark{t: c.Time()}
+	if d, ok := c.(*DiscreteClock); ok {
+		m.seg, m.steps = d.seg, d.steps
+	}
+	return m
+}
+
+// Since returns the parallel time c has accrued since the mark m read off
+// it. A discrete clock whose population has not changed since the mark
+// answers from its step counts, (steps − m.steps)/n, so a system that has
+// already run reads exactly what a fresh one does; otherwise it is the
+// difference of the two readings.
+func Since(c Clock, m Mark) float64 {
+	if d, ok := c.(*DiscreteClock); ok && d.seg == m.seg {
+		return float64(d.steps-m.steps) / float64(d.n)
+	}
+	return c.Time() - m.t
+}
+
 // NativeClock is the clock of a count-based backend that accrues parallel
-// time inside its own stepping, at its own population size.
+// time inside every interaction it executes (its own stepping and the pairs
+// a trace replay applies), at its own population size.
 type NativeClock struct{ ContinuousStepper }
 
 func (c NativeClock) Time() float64    { return c.ParallelTime() }
@@ -117,7 +152,7 @@ func BindClock(c Clock, sched Scheduler) Clock {
 		c = tc.own
 		switch own := c.(type) {
 		case *DiscreteClock:
-			own.base, own.steps = tc.Time(), 0
+			own.restart(tc.Time(), own.n)
 		case *TimeKeeper:
 			own.t = tc.Time()
 		}

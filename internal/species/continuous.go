@@ -75,8 +75,7 @@ func (s *System) stepContinuous(k uint64) {
 }
 
 // stepExactTimed steps the exact jump chain for k interactions and advances
-// the parallel-time clock past them in one Gamma draw: the sum of k unit
-// exponentials at rate n/2 is Gamma(k)·(2/n).
+// the parallel-time clock past them in one Gamma draw.
 //
 //sspp:hotpath
 func (s *System) stepExactTimed(k uint64) {
@@ -88,5 +87,13 @@ func (s *System) stepExactTimed(k uint64) {
 	} else {
 		s.stepAll(k)
 	}
+	s.accrue(k)
+}
+
+// accrue advances the native clock past k just-executed interactions: the
+// sum of k unit exponentials at rate n/2 is Gamma(k)·(2/n).
+//
+//sspp:hotpath
+func (s *System) accrue(k uint64) {
 	s.pt += s.timeSrc.Gamma(float64(k)) * 2 / float64(s.n)
 }

@@ -153,7 +153,7 @@ func (s *System) leapOnce(budget uint64) uint64 {
 		// passes. (Deterministic dynamics, so this cannot change until churn
 		// or injection does.)
 		s.clock += budget
-		s.pt += s.timeSrc.Gamma(float64(budget)) * 2 / float64(s.n)
+		s.accrue(budget)
 		return budget
 	}
 
@@ -275,7 +275,7 @@ func (s *System) leapOnce(budget uint64) uint64 {
 				consumed++ // window ≥ leapMinLen when no critical fires, so consumed ≥ 1 always
 			}
 			s.clock += consumed
-			s.pt += s.timeSrc.Gamma(float64(consumed)) * 2 / float64(s.n)
+			s.accrue(consumed)
 			return consumed
 		}
 		// Overdraw: halve the leap and redraw the bundles.

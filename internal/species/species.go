@@ -441,7 +441,9 @@ func (s *System) sampleSecond(a int32) int32 {
 // ApplyPair applies the transition to the explicit ordered state pair
 // (a, b), mirroring one agent-level interaction between an agent in state a
 // and one in state b. It is the hook the mirror-equivalence property tests
-// drive with a recorded agent-level schedule.
+// and trace replay drive with a recorded agent-level schedule. Under the
+// continuous clock the interaction accrues a fresh holding time, as every
+// interaction the system executes does.
 func (s *System) ApplyPair(a, b uint64) error {
 	need := int64(1)
 	if a == b {
@@ -452,6 +454,9 @@ func (s *System) ApplyPair(a, b uint64) error {
 	}
 	k1, k2 := s.model.React(a, b, s.src)
 	s.clock++
+	if s.continuous {
+		s.accrue(1)
+	}
 	if k1 == a && k2 == b {
 		return nil
 	}

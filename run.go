@@ -229,11 +229,12 @@ type Result struct {
 	// Confirm, had held for the full window).
 	Stabilized bool
 	// ParallelTime is the paper's time measure at StabilizedAt, counted from
-	// the start of this Run call (-1 when not stabilized): the difference of
-	// System.ParallelTime between the two instants. Under the discrete clock
-	// it is interactions over the live population size, one segment per
-	// size (for a fresh churn-free run exactly StabilizedAt/n); under the
-	// continuous clocks it is the native event time of the Poisson process.
+	// the start of this Run call (-1 when not stabilized): the time the
+	// system's clock accrued between the two instants. Under the discrete
+	// clock it is interactions over the live population size, one segment
+	// per size (exactly StabilizedAt/n while the population stays put, also
+	// on a system that has run before); under the continuous clocks it is
+	// the native event time of the Poisson process.
 	ParallelTime float64
 	// StabilizedAt is the interaction count at which the final satisfied
 	// stretch of the condition began (0 when not stabilized). Without
@@ -384,12 +385,14 @@ func (s *System) Run(opts ...RunOption) Result {
 	var pending []int
 	var t, since uint64
 	fi := 0
-	pt0 := s.ParallelTime() // on the clock bind has just settled
-	var ptSince float64     // run-relative parallel time at the moment since was last set
+	clock := s.timeline()      // the clock bind has just settled
+	start := sim.MarkOf(clock) // Result.ParallelTime counts from here
+	var ptSince float64        // run-relative parallel time at the moment since was last set
 	// fire applies every event scheduled for the current interaction count,
 	// in order (leaves before joins within an instant); a failing event
 	// aborts the run with Result.Err.
 	fire := func() bool {
+		from := fi
 		for fi < len(spec.events) && spec.events[fi].At == t {
 			ev := spec.events[fi]
 			var before map[uint64]int64
@@ -398,12 +401,9 @@ func (s *System) Run(opts ...RunOption) Result {
 			}
 			if err := s.applyWorkloadEvent(ev); err != nil {
 				res.Err = err
-				return false
+				break
 			}
 			if nn := s.N(); nn != n {
-				// Churn changed the population: re-rate the clock, so every
-				// interaction contributes 1/n_live.
-				s.timeline().SetN(nn)
 				n = nn
 				// Re-derive every defaulted n-anchored cadence from the live
 				// population. Anchoring them at n₀ forever would confirm a 10×
@@ -428,7 +428,13 @@ func (s *System) Run(opts ...RunOption) Result {
 			}
 			fi++
 		}
-		return true
+		if fi > from {
+			// Re-rate the clock once the instant's events have fired, so
+			// every interaction contributes 1/n_live, and a leave paired
+			// with a join at one instant leaves its segment open.
+			clock.SetN(n)
+		}
+		return res.Err == nil
 	}
 	// Events at t = 0 strike the starting configuration, before the initial
 	// condition poll.
@@ -511,7 +517,7 @@ func (s *System) Run(opts ...RunOption) Result {
 			if now != held {
 				if now {
 					since = t
-					ptSince = s.ParallelTime() - pt0
+					ptSince = sim.Since(clock, start)
 				}
 				held = now
 			}

@@ -5,8 +5,10 @@
 # show the repeat was served entirely from cache — the service's two
 # headline contracts, end to end over real HTTP. Then drain the server with
 # SIGTERM (it must exit 0), restart it on the same directory, and require
-# the third submission to come from disk, byte-identical again. Runs in
-# seconds; CI runs it on every push.
+# the third submission to come from disk, byte-identical again. The cell's
+# seed-0 replay is fetched before and after the restart: the second fetch
+# must come from disk, byte-identical to the computed one. Runs in seconds;
+# CI runs it on every push.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,9 +47,15 @@ submit() {
     curl -sS -D "$OUT/h$1" -o "$OUT/r$1" -X POST -H 'Content-Type: application/json' -d "$GRID" "http://$ADDR/v1/grids"
 }
 
-# provenance fails unless response $1 carries the X-Sppd-Cache value $2.
+# replay GETs the grid cell's seed-0 replay into $OUT/h$1 and $OUT/r$1.
+replay() {
+    HASH=$(sed -n 's/.*"hash":"\([0-9a-f]\{64\}\)".*/\1/p' "$OUT/r1")
+    curl -sS -f -D "$OUT/h$1" -o "$OUT/r$1" "http://$ADDR/v1/cells/$HASH/replay?seed=0"
+}
+
+# provenance fails unless response $1 carries exactly the X-Sppd-Cache value $2.
 provenance() {
-    if ! grep -qi "x-sppd-cache: $2" "$OUT/h$1"; then
+    if ! tr -d '\r' < "$OUT/h$1" | grep -qix "x-sppd-cache: $2"; then
         echo "FAIL: $3" >&2
         cat "$OUT/h$1" >&2
         exit 1
@@ -64,6 +72,8 @@ fi
 provenance 1 'computed=1 dedup=0 memory=0 disk=0' "cold submission provenance is not computed=1"
 provenance 2 'computed=0 dedup=0 memory=1 disk=0' "warm repeat was not served from the in-memory cache"
 curl -sS "http://$ADDR/v1/healthz" | grep -q '"ok": true'
+replay 4
+provenance 4 'computed' "first replay was not computed"
 
 # Drain: SIGTERM must shut the server down cleanly, with exit status 0.
 kill -TERM "$SPPD_PID"
@@ -83,5 +93,11 @@ if ! cmp -s "$OUT/r1" "$OUT/r3"; then
     exit 1
 fi
 provenance 3 'computed=0 dedup=0 memory=0 disk=1' "repeat after a restart was not served from disk"
+replay 5
+if ! cmp -s "$OUT/r4" "$OUT/r5"; then
+    echo "FAIL: disk-served replay after a restart is not byte-identical to the computed one" >&2
+    exit 1
+fi
+provenance 5 'disk' "replay after a restart was not served from disk"
 
-echo "sppd smoke: OK (warm repeat byte-identical from memory, clean SIGTERM drain, restart served from disk)"
+echo "sppd smoke: OK (warm repeat byte-identical from memory, clean SIGTERM drain, restart served grid and replay from disk)"

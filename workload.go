@@ -287,7 +287,9 @@ type countReplayer interface {
 // applied. Both reproduce the recording's final configuration exactly (the
 // bit-exact replay property pinned by the workload property tests). The
 // clock advances over the replay and follows every replayed event's
-// population, so a discrete replay ends at the recording's parallel time.
+// population, so a discrete replay ends at the recording's parallel time;
+// a continuous one draws fresh holding times for the replayed interactions
+// on either backend (the trace carries no times).
 func (s *System) ReplayTrace(t *WorkloadTrace) error {
 	if t == nil || t.tr == nil {
 		return fmt.Errorf("sspp: nil workload trace")

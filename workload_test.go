@@ -591,6 +591,37 @@ func TestReplayTraceAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestContinuousReplayTraceAdvancesClock: under the continuous clock a
+// replay draws fresh holding times for the replayed interactions on both
+// backends — the agent backend's TimeKeeper and the species system's native
+// clock alike — so 6400 interactions at n = 64 read about the recording's
+// 200 units of parallel time, not zero.
+func TestContinuousReplayTraceAdvancesClock(t *testing.T) {
+	never := ConditionFunc("never", func(*System) bool { return false })
+	cfg := Config{Protocol: ProtocolCIW, N: 64, Seed: 2, Clock: ClockContinuous}
+	rec, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr *WorkloadTrace
+	if res := rec.Run(Until(never), SchedulerSeed(3), MaxInteractions(6400), RecordTrace(&tr)); res.Err != nil || tr == nil {
+		t.Fatalf("recording run %+v", res)
+	}
+	for _, backend := range []string{BackendAgent, BackendSpecies} {
+		cfg.Backend = backend
+		replay, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replay.ReplayTrace(tr); err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		if got := replay.ParallelTime(); got < 150 || got > 250 {
+			t.Fatalf("%s: replay reads parallel time %v, recording %v", backend, got, rec.ParallelTime())
+		}
+	}
+}
+
 // TestReplayTraceRequiresCompleteTopology: traces record complete-topology
 // runs, whose pairs are not edges of any other interaction graph, so a
 // replay onto a non-complete topology is refused.
