@@ -15,8 +15,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -49,28 +51,37 @@ type jsonReport struct {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and writes the requested tables or comparison to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	var (
-		quick    = flag.Bool("quick", false, "reduced sizes and seed counts")
-		exp      = flag.String("experiment", "", "run a single experiment by ID (e.g. T7)")
-		seeds    = flag.Int("seeds", 0, "override the number of seeds per point")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		workers  = flag.Int("workers", 0, "trial-engine workers (0 = GOMAXPROCS, 1 = sequential)")
-		jsonOut  = flag.Bool("json", false, "emit a machine-readable JSON report instead of text tables")
-		baseSeed = flag.Uint64("baseseed", 0, "offset all trial seeds (reproducibility studies)")
-		compare  = flag.Bool("compare", false, "run the cross-protocol comparison grid through the public Ensemble")
-		topology = flag.String("topology", "", "interaction topology for -compare: complete (default), ring, torus, random-regular=D, erdos-renyi=P")
+		quick    = fs.Bool("quick", false, "reduced sizes and seed counts")
+		exp      = fs.String("experiment", "", "run a single experiment by ID (e.g. T7)")
+		seeds    = fs.Int("seeds", 0, "override the number of seeds per point")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		workers  = fs.Int("workers", 0, "trial-engine workers (0 = GOMAXPROCS, 1 = sequential)")
+		jsonOut  = fs.Bool("json", false, "emit a machine-readable JSON report instead of text tables")
+		baseSeed = fs.Uint64("baseseed", 0, "root of every trial's seed derivation (reproducibility studies)")
+		compare  = fs.Bool("compare", false, "run the cross-protocol comparison grid through the public Ensemble")
+		topology = fs.String("topology", "", "interaction topology for -compare: complete (default), ring, torus, random-regular=D, erdos-renyi=P")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	if *seeds < 0 {
+		return fmt.Errorf("-seeds must be non-negative, got %d", *seeds)
+	}
 
 	if *compare {
-		return runCompare(*quick, *seeds, *baseSeed, *workers, *jsonOut, *topology)
+		return runCompare(stdout, *quick, *seeds, *baseSeed, *workers, *jsonOut, *topology)
 	}
 	if *topology != "" {
 		return fmt.Errorf("-topology applies to the -compare faceoff (the experiment tables fix their own topologies; see T-ring)")
@@ -78,7 +89,7 @@ func run() error {
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
 		return nil
 	}
@@ -106,10 +117,10 @@ func run() error {
 			report.Tables = append(report.Tables, table)
 			continue
 		}
-		table.Render(os.Stdout)
+		table.Render(stdout)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(report)
 	}
@@ -122,7 +133,7 @@ func run() error {
 // JSON, byte-identical at any worker count). A non-complete -topology runs
 // the identical faceoff on that interaction graph (with a correspondingly
 // larger budget — sparse topologies mix slower).
-func runCompare(quick bool, seeds int, baseSeed uint64, workers int, jsonOut bool, topology string) error {
+func runCompare(stdout io.Writer, quick bool, seeds int, baseSeed uint64, workers int, jsonOut bool, topology string) error {
 	if seeds == 0 {
 		seeds = 5
 		if quick {
@@ -166,11 +177,11 @@ func runCompare(quick bool, seeds int, baseSeed uint64, workers int, jsonOut boo
 	}
 	cmp := ens.Run().Compare()
 	if jsonOut {
-		return cmp.WriteJSON(os.Stdout)
+		return cmp.WriteJSON(stdout)
 	}
-	fmt.Printf("cross-protocol faceoff (%d seeds per cell; topology %s; ElectLeader_r uses r; baselines ignore it)\n\n",
+	fmt.Fprintf(stdout, "cross-protocol faceoff (%d seeds per cell; topology %s; ElectLeader_r uses r; baselines ignore it)\n\n",
 		seeds, top.Name())
-	fmt.Printf("  %-12s %-4s %-3s %-12s %-10s %-18s %-14s\n",
+	fmt.Fprintf(stdout, "  %-12s %-4s %-3s %-12s %-10s %-18s %-14s\n",
 		"protocol", "n", "r", "start", "recovered", "mean interactions", "parallel time")
 	for _, row := range cmp.Rows {
 		start := "clean"
@@ -183,15 +194,15 @@ func runCompare(quick bool, seeds int, baseSeed uint64, workers int, jsonOut boo
 				mean = fmt.Sprintf("%.0f", cell.Interactions.Mean)
 				pt = fmt.Sprintf("%.1f", cell.ParallelTime.Mean)
 			}
-			fmt.Printf("  %-12s %-4d %-3d %-12s %-10s %-18s %-14s\n",
+			fmt.Fprintf(stdout, "  %-12s %-4d %-3d %-12s %-10s %-18s %-14s\n",
 				cell.Protocol, row.Point.N, row.Point.R, start,
 				fmt.Sprintf("%d/%d", cell.Recovered, cell.Seeds), mean, pt)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Println("  0/n recovered under an adversarial start marks protocols without the")
-	fmt.Println("  injectable capability (namerank, fastle) — no recovery guarantee to measure —")
-	fmt.Println("  or classes the protocol cannot realize. loosele is measured by the safe-set")
-	fmt.Println("  fallback: correct output confirmed for 20·n interactions.")
+	fmt.Fprintln(stdout, "  0/n recovered under an adversarial start marks protocols without the")
+	fmt.Fprintln(stdout, "  injectable capability (namerank, fastle) — no recovery guarantee to measure —")
+	fmt.Fprintln(stdout, "  or classes the protocol cannot realize. loosele is measured by the safe-set")
+	fmt.Fprintln(stdout, "  fallback: correct output confirmed for 20·n interactions.")
 	return nil
 }

@@ -7,11 +7,10 @@
 // the summary statistics — and their JSON export, plus the pivoted
 // CompareResult — are a pure function of the Grid.
 //
-// The per-seed randomness derivation matches the historical
-// internal/experiments harness (stream s is the s-th sequential Fork of
-// rng.New(BaseSeed); each trial draws protoSeed, then forks adversary and
-// scheduler streams), so Ensemble cells reproduce the experiment tables'
-// numbers byte-identically.
+// Seed s of every cell runs on trials.Derive(BaseSeed, Seeds)[s]: the
+// protocol seed, adversary stream and scheduler stream of the one seed
+// derivation, which the internal/experiments tables take too, so a cell's
+// trials are the tables' trials at the same base seed.
 
 package sspp
 
@@ -73,7 +72,8 @@ type Grid struct {
 	Adversaries []Adversary
 	// Seeds is the number of independent runs per cell (default 5).
 	Seeds int
-	// BaseSeed offsets all trial randomness for reproducibility studies.
+	// BaseSeed roots all trial randomness (trials.Derive) for
+	// reproducibility studies.
 	BaseSeed uint64
 	// MaxInteractions is the per-run budget (0: each system's
 	// DefaultBudget, the generous multiple of its expected shape).
@@ -117,7 +117,7 @@ type Grid struct {
 type Ensemble struct {
 	grid     Grid
 	ax       gridAxes
-	streams  []seedStreams
+	streams  []trials.Streams
 	workers  int
 	obsEvery uint64
 	obsFn    func(TrialObservation)
@@ -194,13 +194,13 @@ func NewEnsemble(g Grid, opts ...EnsembleOption) (*Ensemble, error) {
 	// New's text. A non-complete topology is planned at every seed's protocol
 	// seed, the seed each trial draws its graph from, so an unbuildable or
 	// disconnected draw fails the grid instead of its trials.
-	e := &Ensemble{grid: g, ax: g.axes(), streams: deriveSeedStreams(g.BaseSeed, g.Seeds)}
+	e := &Ensemble{grid: g, ax: g.axes(), streams: trials.Derive(g.BaseSeed, g.Seeds)}
 	u := g.use(start)
 	u.grid = true
 	for ci := 0; ci < e.ax.cells(); ci += len(e.ax.advs) {
 		_, cfg := e.ax.at(ci)
 		for s, st := range e.streams {
-			cfg.Seed, u.seed = st.protoSeed, s
+			cfg.Seed, u.seed = st.ProtoSeed, s
 			if _, err := newPlan(cfg, u); err != nil {
 				return nil, err
 			}
@@ -463,31 +463,6 @@ type trialOutcome struct {
 	hard uint64
 }
 
-// seedStreams holds the pre-derived randomness of one seed index: the
-// protocol seed plus the initial states of the adversary and scheduler
-// streams. Every cell uses the same per-seed derivation — stream s is the
-// s-th sequential Fork of rng.New(BaseSeed), then protoSeed is drawn and
-// the two sub-streams forked, exactly as the historical experiment harness
-// did — so cell results are independent of the grid layout and the worker
-// count. Trials copy the PRNG states by value, never sharing instances.
-type seedStreams struct {
-	protoSeed  uint64
-	adv, sched rng.PRNG
-}
-
-// deriveSeedStreams pre-derives the per-seed randomness once, O(seeds).
-func deriveSeedStreams(baseSeed uint64, seeds int) []seedStreams {
-	root := rng.New(baseSeed)
-	out := make([]seedStreams, seeds)
-	for s := range out {
-		src := root.Fork()
-		out[s].protoSeed = src.Uint64()
-		out[s].adv = *src.Fork()
-		out[s].sched = *src.Fork()
-	}
-	return out
-}
-
 // gridAxes is the resolved axis layout of a grid: every axis slice with its
 // empty-means-default resolution applied, and the grid-wide fields of every
 // trial Config. Its method at is the one decoding of a cell index.
@@ -567,7 +542,7 @@ func (g *Grid) use(start bool) use {
 func (e *Ensemble) trial(ci, s int, sched Scheduler, record bool) (*System, Adversary, []RunOption, error) {
 	g := &e.grid
 	key, cfg := e.ax.at(ci)
-	cfg.Seed = e.streams[s].protoSeed
+	cfg.Seed = e.streams[s].ProtoSeed
 	u := g.use(key.Adversary != "")
 	u.record, u.replay = record, record
 	p, err := newPlan(cfg, u)
@@ -595,7 +570,7 @@ func (e *Ensemble) trial(ci, s int, sched Scheduler, record bool) (*System, Adve
 // mode, corrupt and run again, reporting the recovery.
 func (e *Ensemble) runTrial(ci, s int) trialOutcome {
 	g := &e.grid
-	advSrc, schedSrc := e.streams[s].adv, e.streams[s].sched
+	advSrc, schedSrc := e.streams[s].Adv, e.streams[s].Sched
 	sys, class, opts, err := e.trial(ci, s, &schedSrc, false)
 	if err != nil {
 		return trialOutcome{}
@@ -730,7 +705,7 @@ func (e *Ensemble) TrialRecording(ci, s int) (*Recording, uint64, error) {
 	if s < 0 || s >= e.grid.Seeds {
 		return nil, 0, fmt.Errorf("sspp: seed index %d out of range [0, %d)", s, e.grid.Seeds)
 	}
-	schedSrc := e.streams[s].sched
+	schedSrc := e.streams[s].Sched
 	rec := NewRecorder(&schedSrc)
 	sys, _, opts, err := e.trial(ci, s, rec, true)
 	if err != nil {
@@ -739,5 +714,5 @@ func (e *Ensemble) TrialRecording(ci, s int) (*Recording, uint64, error) {
 	if res := sys.Run(opts...); res.Err != nil {
 		return nil, 0, res.Err
 	}
-	return rec.Recording(), e.streams[s].protoSeed, nil
+	return rec.Recording(), e.streams[s].ProtoSeed, nil
 }

@@ -22,6 +22,7 @@ import (
 	"sspp/internal/rng"
 	"sspp/internal/sim"
 	"sspp/internal/stats"
+	"sspp/internal/trials"
 	"sspp/internal/verify"
 )
 
@@ -43,10 +44,10 @@ func A1SoftResetAblation(cfg Config) *Table {
 		if hardOnly {
 			name = "ablated (hard only)"
 		}
-		results := seedTrials(cfg, cfg.seeds(), func(s int) preservationOutcome {
+		results := seedTrials(cfg, cfg.seeds(), func(st trials.Streams) preservationOutcome {
 			consts := core.DefaultConstants(n, r)
 			consts.DisableSoftReset = hardOnly
-			return preservationTrial(n, r, &consts, cfg.BaseSeed+uint64(s), adversary.ClassCorruptMessages)
+			return preservationTrial(n, r, &consts, st, adversary.ClassCorruptMessages)
 		})
 		var hard, times stats.Acc
 		preserved, runs := 0, 0
@@ -93,19 +94,18 @@ func A2ProbationAblation(cfg Config) *Table {
 			ok               bool
 			took, soft, hard float64
 		}
-		results := seedTrials(cfg, cfg.seeds(), func(s int) outcome {
-			seed := cfg.BaseSeed + uint64(s)
+		results := seedTrials(cfg, cfg.seeds(), func(st trials.Streams) outcome {
 			consts := core.DefaultConstants(n, r)
 			consts.PMax = pmax
 			ev := sim.NewEvents()
-			p, err := core.New(n, r, core.WithSeed(seed), core.WithConstants(consts), core.WithEvents(ev))
+			p, err := core.New(n, r, core.WithSeed(st.ProtoSeed), core.WithConstants(consts), core.WithEvents(ev))
 			if err != nil {
 				return outcome{}
 			}
-			if err := adversary.Apply(p, adversary.ClassTwoLeaders, rng.New(seed+3)); err != nil {
+			if err := adversary.Apply(p, adversary.ClassTwoLeaders, &st.Adv); err != nil {
 				return outcome{}
 			}
-			res := runCustom(p, sspp.SchedulerSeed(seed+5), sspp.MaxInteractions(safeSetBudget(n, r)))
+			res := runCustom(p, sspp.WithScheduler(&st.Sched), sspp.MaxInteractions(safeSetBudget(n, r)))
 			if !res.Stabilized {
 				return outcome{}
 			}
@@ -153,13 +153,12 @@ func A3RefreshAblation(cfg Config) *Table {
 	}
 	ranks[1] = 1
 	for _, c := range []int{1, 8, 64, 100000} {
-		times, misses := seedTimes(cfg, 2*cfg.seeds(), func(s int) (float64, bool) {
-			seed := cfg.BaseSeed + uint64(s)
-			h, err := newHarnessWithRefresh(n, r, ranks, seed, c)
+		times, misses := seedTimes(cfg, 2*cfg.seeds(), func(st trials.Streams) (float64, bool) {
+			h, err := newHarnessWithRefresh(n, r, ranks, st.ProtoSeed, c)
 			if err != nil {
 				return 0, false
 			}
-			res := runCustom(h, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed+41),
+			res := runCustom(h, sspp.Until(sspp.CorrectOutput), sspp.WithScheduler(&st.Sched),
 				sspp.MaxInteractions(4*safeSetBudget(n, r)), sspp.PollEvery(uint64(n/2)), sspp.Confirm(1))
 			return float64(res.StabilizedAt), res.Stabilized
 		})
@@ -211,9 +210,8 @@ func A4LoadBalanceAblation(cfg Config) *Table {
 		if disable {
 			name = "ablated (no balancing)"
 		}
-		times, misses := seedTimes(cfg, 2*cfg.seeds(), func(s int) (float64, bool) {
-			seed := cfg.BaseSeed + uint64(s)
-			h, err := detect.NewHarness(n, n/2, ranks, rng.New(seed))
+		times, misses := seedTimes(cfg, 2*cfg.seeds(), func(st trials.Streams) (float64, bool) {
+			h, err := detect.NewHarness(n, n/2, ranks, rng.New(st.ProtoSeed))
 			if err != nil {
 				return 0, false
 			}
@@ -221,7 +219,7 @@ func A4LoadBalanceAblation(cfg Config) *Table {
 			if err := h.ClumpRankMessages(1, 4); err != nil {
 				return 0, false
 			}
-			res := runCustom(h, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed+41),
+			res := runCustom(h, sspp.Until(sspp.CorrectOutput), sspp.WithScheduler(&st.Sched),
 				sspp.MaxInteractions(8*safeSetBudget(n, n/2)), sspp.PollEvery(uint64(n/2)), sspp.Confirm(1))
 			return float64(res.StabilizedAt), res.Stabilized
 		})

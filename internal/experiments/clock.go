@@ -16,7 +16,6 @@ package experiments
 
 import (
 	"sspp/internal/baseline"
-	"sspp/internal/rng"
 	"sspp/internal/sim"
 	"sspp/internal/species"
 )
@@ -76,9 +75,11 @@ func S2TauLeapClock(cfg Config) *Table {
 					t.Note("%s n=%d: %v", proto.name, n, err)
 					continue
 				}
-				sched := rng.New(cfg.BaseSeed + 29)
-				sp.StartContinuous(rng.New(cfg.BaseSeed+31), arm.leap)
-				sim.Steps(sp, sched, budget)
+				// Trial 0's streams: the scheduler stream deals the pairs and
+				// an extra role draws the holding times.
+				st := firstTrial(cfg)
+				sp.StartContinuous(st.Fork(), arm.leap)
+				sim.Steps(sp, &st.Sched, budget)
 				t.Append(proto.name, fmtU(uint64(n)), arm.name, fmtU(budget),
 					fmtF(sp.ParallelTime(), 3), fmtU(uint64(sp.Occupied())))
 			}

@@ -12,9 +12,9 @@ import (
 	"sspp/internal/baseline"
 	"sspp/internal/coin"
 	"sspp/internal/core"
-	"sspp/internal/rng"
 	"sspp/internal/sim"
 	"sspp/internal/stats"
+	"sspp/internal/trials"
 )
 
 // T11Baselines compares end-to-end stabilization of ElectLeader_r against
@@ -36,24 +36,15 @@ func T11Baselines(cfg Config) *Table {
 	var cCIW, cEL stats.Acc // fitted constants of c·n² and c·n·ln n
 	for _, n := range ns {
 		// CIW from the all-rank-1 start, measured to output stability.
-		results := seedTrials(cfg, cfg.seeds(), func(s int) float64 {
-			c := baseline.NewCIW(n)
-			res := runCustom(c, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(cfg.BaseSeed+uint64(s)),
+		ciwTimes, _ := seedTimes(cfg, cfg.seeds(), func(st trials.Streams) (float64, bool) {
+			res := runCustom(baseline.NewCIW(n), sspp.Until(sspp.CorrectOutput), sspp.WithScheduler(&st.Sched),
 				sspp.MaxInteractions(uint64(2000*n*n)), sspp.PollEvery(uint64(n/4)), sspp.Confirm(uint64(20*n*n)))
-			if !res.Stabilized {
-				return -1
-			}
-			return float64(res.StabilizedAt)
+			return float64(res.StabilizedAt), res.Stabilized
 		})
-		var ciw stats.Acc
-		for _, took := range results {
-			if took >= 0 {
-				ciw.Add(took)
-			}
-		}
-		cCIW.Add(ciw.Mean() / float64(n*n))
-		t.Append("CIW (n states)", itoa(n), fmtU(uint64(ciw.Mean())), fmtU(uint64(ciw.CI95())),
-			fmtF(ciw.Mean()/float64(n), 1), fmtF(core.CaiIzumiWadaBits(float64(n)), 1))
+		ciw := stats.Summarize(ciwTimes)
+		cCIW.Add(ciw.Mean / float64(n*n))
+		t.Append("CIW (n states)", itoa(n), fmtU(uint64(ciw.Mean)), fmtU(uint64(ciw.CI95)),
+			fmtF(ciw.Mean/float64(n), 1), fmtF(core.CaiIzumiWadaBits(float64(n)), 1))
 
 		// ElectLeader_r at r = n/4 from a triggered configuration.
 		r := maxInt(1, n/4)
@@ -102,23 +93,26 @@ func T12SyntheticCoin(cfg Config) *Table {
 			"derandomized ElectLeader_r stabilizes like the PRNG mode",
 		Header: []string{"measurement", "value"},
 	}
-	// Part a: sampling census over a mixing population.
+	// Part a: sampling census over a mixing population, on trial 0's
+	// streams: the scheduler stream mixes, an extra role picks the sampled
+	// agents.
 	const (
 		n     = 64
 		space = 16
 	)
-	r := rng.New(cfg.BaseSeed + 1)
+	st := firstTrial(cfg)
+	census := st.Fork()
 	agents := make(coinMixing, n)
 	for i := range agents {
 		agents[i] = coin.NewState(coin.WidthFor(space), uint64(i))
 	}
-	mix := func(k int) { sim.Steps(agents, r, uint64(k)) }
+	mix := func(k int) { sim.Steps(agents, &st.Sched, uint64(k)) }
 	mix(50 * n)
 	rounds := 2000 * cfg.seeds()
 	counts := make([]int, space)
 	for i := 0; i < rounds; i++ {
 		mix(2 * n * int(agents[0].Width))
-		counts[agents[r.Intn(n)].Sample(space)]++
+		counts[agents[census.Intn(n)].Sample(space)]++
 	}
 	minC, maxC := counts[0], counts[0]
 	for _, c := range counts[1:] {
@@ -137,11 +131,10 @@ func T12SyntheticCoin(cfg Config) *Table {
 	type modePair struct {
 		prng, synth float64 // -1 when the mode did not stabilize
 	}
-	pairs := seedTrials(cfg, cfg.seeds(), func(s int) modePair {
-		seed := cfg.BaseSeed + uint64(s)
+	pairs := seedTrials(cfg, cfg.seeds(), func(st trials.Streams) modePair {
 		out := modePair{prng: -1, synth: -1}
 		for _, mode := range []bool{false, true} {
-			opts := []core.Option{core.WithSeed(seed)}
+			opts := []core.Option{core.WithSeed(st.ProtoSeed)}
 			if mode {
 				opts = append(opts, core.WithSyntheticCoins())
 			}
@@ -149,7 +142,8 @@ func T12SyntheticCoin(cfg Config) *Table {
 			if err != nil {
 				continue
 			}
-			res := runCustom(p, sspp.SchedulerSeed(seed+9), sspp.MaxInteractions(safeSetBudget(en, er)))
+			sched := st.Sched // both modes deal the same schedule
+			res := runCustom(p, sspp.WithScheduler(&sched), sspp.MaxInteractions(safeSetBudget(en, er)))
 			if !res.Stabilized {
 				continue
 			}
@@ -188,7 +182,6 @@ func T12SyntheticCoin(cfg Config) *Table {
 // notion); the holding fraction is measured by follow-up runs through the
 // same public engine.
 func T13LooseLeader(cfg Config) *Table {
-	const n = 64
 	t := &Table{
 		ID:    "T13",
 		Title: "loosely-stabilizing leader election: convergence vs holding",
@@ -196,58 +189,16 @@ func T13LooseLeader(cfg Config) *Table {
 			"above it the leader is held long — but only for a finite time, unlike Thm 1.1",
 		Header: []string{"τ/ln(n)", "τ", "converged runs", "mean convergence", "held fraction"},
 	}
-	// The timer ticks on an agent's own interactions, and the leader's
-	// heartbeat epidemic needs Θ(log n) of them to arrive, so the
-	// interesting τ scale is Θ(log n) — not Θ(n·log n).
-	ln := math.Log(float64(n))
-	budget := uint64(200 * float64(n) * ln)
-	confirm := uint64(4 * n)
 	for _, factor := range []float64{0.5, 1, 4, 16} {
-		tau := int32(factor * ln)
-		ens, err := sspp.NewEnsemble(sspp.Grid{
-			Protocols:       []string{sspp.ProtocolLooseLE},
-			Points:          []sspp.Point{{N: n}},
-			Seeds:           cfg.seeds(),
-			BaseSeed:        cfg.BaseSeed,
-			MaxInteractions: budget,
-			Confirm:         confirm,
-			Tau:             tau,
-		}, sspp.Workers(cfg.Workers))
+		g := t13Grid(cfg, factor)
+		ens, err := sspp.NewEnsemble(g, sspp.Workers(cfg.Workers))
 		if err != nil {
-			t.Note("τ=%d grid rejected: %v", tau, err)
+			t.Note("τ=%d grid rejected: %v", g.Tau, err)
 			continue
 		}
 		cell := ens.Run().Cells[0]
-		// Holding fraction over a follow-up window: converge first (same run
-		// shape as the Ensemble trials), then poll the output while the
-		// scheduler stream continues. The extra convergence run per seed is
-		// deliberate: the Ensemble owns the convergence measurement and does
-		// not expose live systems, and a T13 trial is ~200·n·ln n
-		// interactions — cheap enough to repeat for a clean separation.
-		type holding struct{ held, polls float64 }
-		results := seedTrials(cfg, cfg.seeds(), func(s int) holding {
-			sys, err := sspp.New(sspp.Config{Protocol: sspp.ProtocolLooseLE, N: n, Tau: tau,
-				Seed: cfg.BaseSeed + uint64(s)})
-			if err != nil {
-				return holding{}
-			}
-			sched := sspp.NewUniform(cfg.BaseSeed + uint64(s)*31 + 7)
-			sys.Run(sspp.WithScheduler(sched), sspp.MaxInteractions(budget),
-				sspp.Confirm(confirm))
-			out := holding{}
-			for i := 0; i < 200; i++ {
-				if sys.StepSched(sched, uint64(n)) != nil {
-					return holding{}
-				}
-				out.polls++
-				if sys.Correct() {
-					out.held++
-				}
-			}
-			return out
-		})
 		held, polls := 0.0, 0.0
-		for _, o := range results {
+		for _, o := range t13Holding(cfg, g) {
 			held += o.held
 			polls += o.polls
 		}
@@ -255,12 +206,64 @@ func T13LooseLeader(cfg Config) *Table {
 		if cell.Recovered > 0 {
 			convStr = fmtU(uint64(cell.Interactions.Mean))
 		}
-		t.Append(fmtF(factor, 2), fmtU(uint64(tau)), itoa(cell.Recovered)+"/"+itoa(cfg.seeds()),
+		t.Append(fmtF(factor, 2), fmtU(uint64(g.Tau)), itoa(cell.Recovered)+"/"+itoa(cfg.seeds()),
 			convStr, fmtF(held/polls, 3))
 	}
 	t.Note("convergence measured through the cross-protocol Ensemble (loosele runs under the " +
 		"safe-set fallback: correct output confirmed for 4·n interactions)")
 	return t
+}
+
+// t13Grid is T13's convergence grid at τ = factor·ln n, n = 64: one loosele
+// cell, run to correct output confirmed for 4·n interactions within
+// 200·n·ln n. The timer ticks on an agent's own interactions, and the
+// leader's heartbeat epidemic needs Θ(log n) of them to arrive, so the
+// interesting τ scale is Θ(log n) — not Θ(n·log n).
+func t13Grid(cfg Config, factor float64) sspp.Grid {
+	const n = 64
+	ln := math.Log(n)
+	return sspp.Grid{
+		Protocols:       []string{sspp.ProtocolLooseLE},
+		Points:          []sspp.Point{{N: n}},
+		Seeds:           cfg.seeds(),
+		BaseSeed:        cfg.BaseSeed,
+		MaxInteractions: uint64(200 * n * ln),
+		Confirm:         4 * n,
+		Tau:             int32(factor * ln),
+	}
+}
+
+// holding is one T13 follow-up trial: its convergence run and how many of
+// the output polls after it found exactly one leader.
+type holding struct {
+	converged   sspp.Result
+	held, polls float64
+}
+
+// t13Holding measures the holding fraction of g's cell over a follow-up
+// window. Each seed re-runs the cell's trial on its own protocol seed and
+// scheduler stream (the Ensemble does not expose live systems, and a T13
+// trial is cheap), then polls the output while that stream continues.
+func t13Holding(cfg Config, g sspp.Grid) []holding {
+	n := g.Points[0].N
+	return seedTrials(cfg, g.Seeds, func(st trials.Streams) holding {
+		sys, err := sspp.New(sspp.Config{Protocol: sspp.ProtocolLooseLE, N: n, Tau: g.Tau, Seed: st.ProtoSeed})
+		if err != nil {
+			return holding{}
+		}
+		out := holding{converged: sys.Run(sspp.WithScheduler(&st.Sched),
+			sspp.MaxInteractions(g.MaxInteractions), sspp.Confirm(g.Confirm))}
+		for i := 0; i < 200; i++ {
+			if sys.StepSched(&st.Sched, uint64(n)) != nil {
+				return holding{}
+			}
+			out.polls++
+			if sys.Correct() {
+				out.held++
+			}
+		}
+		return out
+	})
 }
 
 func minInt(a, b int) int {

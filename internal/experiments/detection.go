@@ -12,6 +12,7 @@ import (
 	"sspp/internal/rng"
 	"sspp/internal/sim"
 	"sspp/internal/stats"
+	"sspp/internal/trials"
 )
 
 // T7DetectionLatency validates Lemma E.1(b): from a configuration with a
@@ -33,18 +34,17 @@ func T7DetectionLatency(cfg Config) *Table {
 			if r > n/2 {
 				continue
 			}
-			times, misses := seedTimes(cfg, 2*cfg.seeds(), func(s int) (float64, bool) {
-				seed := cfg.BaseSeed + uint64(s)
+			times, misses := seedTimes(cfg, 2*cfg.seeds(), func(st trials.Streams) (float64, bool) {
 				ranks := make([]int32, n)
 				for i := range ranks {
 					ranks[i] = int32(i + 1)
 				}
 				ranks[1] = 1 // duplicate inside the first group
-				h, err := detect.NewHarness(n, r, ranks, rng.New(seed))
+				h, err := detect.NewHarness(n, r, ranks, rng.New(st.ProtoSeed))
 				if err != nil {
 					return 0, false
 				}
-				res := runCustom(h, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed+41),
+				res := runCustom(h, sspp.Until(sspp.CorrectOutput), sspp.WithScheduler(&st.Sched),
 					sspp.MaxInteractions(safeSetBudget(n, r)), sspp.PollEvery(uint64(n/2)), sspp.Confirm(1))
 				return float64(res.StabilizedAt), res.Stabilized
 			})
@@ -85,13 +85,12 @@ func T8Soundness(cfg Config) *Table {
 		conservation, restriction string
 	}
 	for _, c := range cases {
-		results := seedTrials(cfg, cfg.seeds(), func(s int) outcome {
-			seed := cfg.BaseSeed + uint64(s)
-			h, err := detect.NewHarness(c.n, c.r, nil, rng.New(seed))
+		results := seedTrials(cfg, cfg.seeds(), func(st trials.Streams) outcome {
+			h, err := detect.NewHarness(c.n, c.r, nil, rng.New(st.ProtoSeed))
 			if err != nil {
 				return outcome{}
 			}
-			sim.Steps(h, rng.New(seed+51), perSeed)
+			sim.Steps(h, &st.Sched, perSeed)
 			out := outcome{ran: true, tops: h.TopCount()}
 			if err := h.CheckMessageConservation(); err != nil {
 				out.conservation = err.Error()

@@ -21,9 +21,10 @@ func renderWith(t *testing.T, gen Generator, workers int) []byte {
 
 // TestTablesWorkerCountIndependent renders a representative slice of the
 // experiment registry — the measureSafeSet-based headline experiments, the
-// harness-based detection experiments, an events-reading recovery
-// experiment, an ablation, and the sppd cache table — sequentially and in
-// parallel, and requires byte identity. The parallel worker count is at least 4 even on a
+// internal-protocol module experiments, the harness-based detection
+// experiments, an events-reading recovery experiment, the Ensemble-plus-
+// follow-up T13, an ablation, and the sppd cache table — sequentially and
+// in parallel, and requires byte identity. The parallel worker count is at least 4 even on a
 // single-CPU host: goroutine interleaving still exercises out-of-order
 // completion, which is what the aggregation must be robust to.
 func TestTablesWorkerCountIndependent(t *testing.T) {
@@ -31,7 +32,7 @@ func TestTablesWorkerCountIndependent(t *testing.T) {
 	if parallel < 4 {
 		parallel = 4
 	}
-	for _, id := range []string{"T1", "T7", "T9", "T14", "A2", "T-ring", "S4"} {
+	for _, id := range []string{"T1", "T3", "T5", "T6", "T7", "T9", "T13", "T14", "A2", "T-ring", "S4"} {
 		gen := Lookup(id)
 		if gen == nil {
 			t.Fatalf("experiment %s missing from registry", id)

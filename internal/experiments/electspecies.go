@@ -21,10 +21,10 @@ import (
 
 	"sspp"
 	"sspp/internal/core"
-	"sspp/internal/rng"
 	"sspp/internal/sim"
 	"sspp/internal/species"
 	"sspp/internal/stats"
+	"sspp/internal/trials"
 )
 
 // s3OccupancyPoints are the (n, r) cells of the occupancy facet: n-scaling
@@ -77,7 +77,8 @@ func S3ElectLeaderSpecies(cfg Config) *Table {
 	}
 	for _, pt := range s3OccupancyPoints(cfg.Quick) {
 		budget := perAgent * uint64(pt.n)
-		agent, err := core.New(pt.n, pt.r, core.WithSeed(cfg.BaseSeed+31))
+		st := firstTrial(cfg)
+		agent, err := core.New(pt.n, pt.r, core.WithSeed(st.ProtoSeed))
 		if err != nil {
 			t.Note("n=%d r=%d: %v", pt.n, pt.r, err)
 			continue
@@ -87,7 +88,7 @@ func S3ElectLeaderSpecies(cfg Config) *Table {
 			t.Note("n=%d r=%d: %v", pt.n, pt.r, err)
 			continue
 		}
-		sim.Steps(sp, rng.New(cfg.BaseSeed+17), budget)
+		sim.Steps(sp, &st.Sched, budget)
 		t.Append("occupancy", fmtU(uint64(pt.n)), fmtU(uint64(pt.r)), "species", fmtU(budget),
 			fmtU(uint64(sp.Occupied())), "-", "")
 	}
@@ -102,27 +103,17 @@ func S3ElectLeaderSpecies(cfg Config) *Table {
 		r := n / 4
 		var agentMean float64
 		for _, backend := range []string{"agent", "species"} {
-			var times []float64
-			fails := 0
-			for s := 0; s < cfg.seeds(); s++ {
-				src := rng.New(cfg.BaseSeed + 23 + uint64(s))
-				protoSeed := src.Uint64()
-				schedSeed := src.Uint64()
+			times, fails := seedTimes(cfg, cfg.seeds(), func(st trials.Streams) (float64, bool) {
 				sys, err := sspp.New(sspp.Config{
 					Protocol: sspp.ProtocolElectLeader, N: n, R: r,
-					Seed: protoSeed, Backend: backend,
+					Seed: st.ProtoSeed, Backend: backend,
 				})
 				if err != nil {
-					fails++
-					continue
+					return 0, false
 				}
-				res := sys.Run(sspp.Until(sspp.SafeSet), sspp.SchedulerSeed(schedSeed))
-				if !res.Stabilized {
-					fails++
-					continue
-				}
-				times = append(times, float64(res.StabilizedAt))
-			}
+				res := sys.Run(sspp.Until(sspp.SafeSet), sspp.WithScheduler(&st.Sched))
+				return float64(res.StabilizedAt), res.Stabilized
+			})
 			if len(times) == 0 {
 				t.Append("safe-set", fmtU(uint64(n)), fmtU(uint64(r)), backend,
 					"-", "-", "-", fmt.Sprintf("%d fails", fails))

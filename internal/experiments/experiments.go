@@ -24,7 +24,8 @@ type Config struct {
 	// Seeds is the number of independent runs per configuration point
 	// (default 5, quick 3).
 	Seeds int
-	// BaseSeed offsets all seeds for reproducibility studies.
+	// BaseSeed roots every trial's streams (trials.Derive) for
+	// reproducibility studies.
 	BaseSeed uint64
 	// Workers is the trial-engine worker count: 0 (the default) means
 	// GOMAXPROCS, 1 forces sequential execution. Tables are byte-identical
@@ -47,14 +48,19 @@ func (c Config) seeds() int {
 func (c Config) workers() int { return trials.DefaultWorkers(c.Workers) }
 
 // seedTrials fans count independent per-seed trials of one configuration
-// point across the trial engine and returns the results in seed order. fn
-// must derive all randomness deterministically from its seed index (plus
-// cfg.BaseSeed), so tables do not depend on the worker count.
-func seedTrials[T any](cfg Config, count int, fn func(s int) T) []T {
-	return trials.Run(cfg.workers(), count, cfg.BaseSeed, func(s int, _ *rng.PRNG) T {
-		return fn(s)
+// point across the trial engine and returns the results in seed order.
+// Trial s receives the split streams of the Ensemble's seed s at
+// cfg.BaseSeed (trials.Split) and must draw all its randomness from them,
+// so tables do not depend on the worker count.
+func seedTrials[T any](cfg Config, count int, fn func(st trials.Streams) T) []T {
+	return trials.Run(cfg.workers(), count, cfg.BaseSeed, func(_ int, src *rng.PRNG) T {
+		return fn(trials.Split(src))
 	})
 }
+
+// firstTrial returns trial 0's streams, which the single-run experiments
+// take.
+func firstTrial(cfg Config) trials.Streams { return trials.Derive(cfg.BaseSeed, 1)[0] }
 
 // runCustom runs p on the public engine, System.Run, with the given
 // options; an unbuildable system is reported in Result.Err.
@@ -69,13 +75,13 @@ func runCustom(p sspp.Protocol, opts ...sspp.RunOption) sspp.Result {
 // seedTimes is seedTrials for the common single-measurement shape: each
 // trial yields one value or fails. It returns the successful measurements in
 // seed order and the number of failed trials.
-func seedTimes(cfg Config, count int, fn func(s int) (float64, bool)) (times []float64, misses int) {
+func seedTimes(cfg Config, count int, fn func(st trials.Streams) (float64, bool)) (times []float64, misses int) {
 	type outcome struct {
 		took float64
 		ok   bool
 	}
-	for _, o := range seedTrials(cfg, count, func(s int) outcome {
-		took, ok := fn(s)
+	for _, o := range seedTrials(cfg, count, func(st trials.Streams) outcome {
+		took, ok := fn(st)
 		return outcome{took: took, ok: ok}
 	}) {
 		if o.ok {

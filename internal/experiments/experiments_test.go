@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -39,6 +40,30 @@ func TestIDsOrderAndRegistry(t *testing.T) {
 	}
 	if Lookup("T0") != nil {
 		t.Fatal("an unknown ID must have no generator")
+	}
+}
+
+// TestDesignExperimentMap checks the experiment map of DESIGN.md §5 against
+// the registry: its ID column lists IDs() in presentation order.
+func TestDesignExperimentMap(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = "| ID | Workload | Paper statement |"
+	_, table, ok := strings.Cut(string(doc), header+"\n")
+	if !ok {
+		t.Fatalf("DESIGN.md has no table headed %q", header)
+	}
+	var ids []string
+	for _, line := range strings.Split(table, "\n")[1:] { // [0] is the separator
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		ids = append(ids, strings.TrimSpace(strings.Split(line, "|")[1]))
+	}
+	if got, want := strings.Join(ids, " "), strings.Join(IDs(), " "); got != want {
+		t.Fatalf("DESIGN.md §5 lists\n%s\nIDs() is\n%s", got, want)
 	}
 }
 

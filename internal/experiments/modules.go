@@ -15,6 +15,7 @@ import (
 	"sspp/internal/ranking"
 	"sspp/internal/rng"
 	"sspp/internal/stats"
+	"sspp/internal/trials"
 )
 
 // T2StateComplexity tabulates the bit complexity (log₂ of state count) of
@@ -82,23 +83,15 @@ func T3AssignRanks(cfg Config) *Table {
 	}
 	for _, n := range ns {
 		for _, r := range regimesFor(n) {
-			var times []float64
-			fails := 0
-			for s := 0; s < cfg.seeds(); s++ {
-				seed := cfg.BaseSeed + uint64(s)
-				pr, err := ranking.NewProtocol(n, r, rng.New(seed))
+			times, fails := seedTimes(cfg, cfg.seeds(), func(st trials.Streams) (float64, bool) {
+				pr, err := ranking.NewProtocol(n, r, rng.New(st.ProtoSeed))
 				if err != nil {
-					fails++
-					continue
+					return 0, false
 				}
-				res := runCustom(pr, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed+21),
+				res := runCustom(pr, sspp.Until(sspp.CorrectOutput), sspp.WithScheduler(&st.Sched),
 					sspp.MaxInteractions(safeSetBudget(n, r)), sspp.PollEvery(uint64(n/4)), sspp.Confirm(uint64(4*n)))
-				if !res.Stabilized {
-					fails++
-					continue
-				}
-				times = append(times, float64(res.StabilizedAt))
-			}
+				return float64(res.StabilizedAt), res.Stabilized
+			})
 			if len(times) == 0 {
 				t.Append(itoa(n), itoa(r), "-", "-", "-", itoa(fails))
 				continue
@@ -127,19 +120,13 @@ func T4FastLeaderElect(cfg Config) *Table {
 		ns = []int{64, 128, 256, 512, 1024}
 	}
 	for _, n := range ns {
-		var times []float64
-		unique := 0
-		for s := 0; s < cfg.seeds(); s++ {
-			seed := cfg.BaseSeed + uint64(s)
-			f := ranking.NewFastLE(n, coin.FromPRNG(rng.New(seed)))
-			res := runCustom(f, sspp.Until(sspp.CorrectOutput), sspp.SchedulerSeed(seed+31),
+		times, _ := seedTimes(cfg, cfg.seeds(), func(st trials.Streams) (float64, bool) {
+			f := ranking.NewFastLE(n, coin.FromPRNG(rng.New(st.ProtoSeed)))
+			res := runCustom(f, sspp.Until(sspp.CorrectOutput), sspp.WithScheduler(&st.Sched),
 				sspp.MaxInteractions(uint64(400*float64(n)*math.Log(float64(n)))),
 				sspp.PollEvery(uint64(n/4)), sspp.Confirm(uint64(4*n)))
-			if res.Stabilized {
-				unique++
-				times = append(times, float64(res.StabilizedAt))
-			}
-		}
+			return float64(res.StabilizedAt), res.Stabilized
+		})
 		if len(times) == 0 {
 			t.Append(itoa(n), "-", "-", "0/"+itoa(cfg.seeds()))
 			continue
@@ -147,7 +134,7 @@ func T4FastLeaderElect(cfg Config) *Table {
 		s := stats.Summarize(times)
 		t.Append(itoa(n), fmtU(uint64(s.Mean)),
 			fmtF(s.Mean/(float64(n)*math.Log(float64(n))), 2),
-			itoa(unique)+"/"+itoa(cfg.seeds()))
+			itoa(len(times))+"/"+itoa(cfg.seeds()))
 	}
 	return t
 }
@@ -172,24 +159,22 @@ func T5Epidemic(cfg Config) *Table {
 			mode = "two-way"
 		}
 		for _, n := range ns {
-			var acc stats.Acc
-			for s := 0; s < 4*cfg.seeds(); s++ {
-				// One stream picks the source, then deals the schedule;
-				// polling after every interaction makes StabilizedAt the
-				// exact completion time. The default budget, 1000·n·ln(n+1),
-				// is far beyond c_epi·n·log n.
-				r := rng.New(cfg.BaseSeed + uint64(s))
-				src := r.Intn(n)
+			// The adversary stream places the source and the scheduler
+			// stream deals the schedule; polling after every interaction
+			// makes StabilizedAt the exact completion time. The default
+			// budget, 1000·n·ln(n+1), is far beyond c_epi·n·log n.
+			s := stats.Summarize(seedTrials(cfg, 4*cfg.seeds(), func(st trials.Streams) float64 {
+				src := st.Adv.Intn(n)
 				var p sspp.Protocol = epidemic.NewOneWay(n, src)
 				if twoWay {
 					p = epidemic.NewTwoWay(n, src)
 				}
-				res := runCustom(p, sspp.Until(sspp.CorrectOutput), sspp.WithScheduler(r), sspp.PollEvery(1))
-				acc.Add(float64(res.StabilizedAt))
-			}
+				res := runCustom(p, sspp.Until(sspp.CorrectOutput), sspp.WithScheduler(&st.Sched), sspp.PollEvery(1))
+				return float64(res.StabilizedAt)
+			}))
 			norm := float64(n) * math.Log(float64(n))
-			t.Append(mode, itoa(n), fmtU(uint64(acc.Mean())), fmtU(uint64(acc.Max())),
-				fmtF(acc.Mean()/norm, 2), fmtF(acc.Max()/norm, 2))
+			t.Append(mode, itoa(n), fmtU(uint64(s.Mean)), fmtU(uint64(s.Max)),
+				fmtF(s.Mean/norm, 2), fmtF(s.Max/norm, 2))
 		}
 	}
 	return t
@@ -210,23 +195,17 @@ func T6LoadBalance(cfg Config) *Table {
 		ns = []int{128, 256, 512, 1024, 2048}
 	}
 	for _, n := range ns {
-		var acc stats.Acc
-		unreached := 0
-		for s := 0; s < 2*cfg.seeds(); s++ {
+		times, unreached := seedTimes(cfg, 2*cfg.seeds(), func(st trials.Streams) (float64, bool) {
 			p := loadbalance.NewPointMass(n, int64(2*n))
 			balanced := sspp.ConditionFunc("discrepancy<=3", func(*sspp.System) bool { return p.Discrepancy() <= 3 })
-			res := runCustom(p, sspp.Until(balanced),
-				sspp.SchedulerSeed(cfg.BaseSeed+uint64(s)),
+			res := runCustom(p, sspp.Until(balanced), sspp.WithScheduler(&st.Sched),
 				sspp.MaxInteractions(uint64(200*float64(n)*math.Log(float64(n)))))
-			if !res.Stabilized {
-				unreached++
-				continue
-			}
-			acc.Add(float64(res.StabilizedAt))
-		}
+			return float64(res.StabilizedAt), res.Stabilized
+		})
+		s := stats.Summarize(times)
 		norm := float64(n) * math.Log(float64(n))
-		t.Append(itoa(n), fmtU(uint64(acc.Mean())), fmtU(uint64(acc.Max())),
-			fmtF(acc.Mean()/norm, 2), itoa(unreached))
+		t.Append(itoa(n), fmtU(uint64(s.Mean)), fmtU(uint64(s.Max)),
+			fmtF(s.Mean/norm, 2), itoa(unreached))
 	}
 	return t
 }

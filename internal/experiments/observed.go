@@ -14,7 +14,6 @@ import (
 
 	"sspp/internal/adversary"
 	"sspp/internal/core"
-	"sspp/internal/rng"
 )
 
 // T15ObservedStates counts distinct full agent states over complete
@@ -32,12 +31,12 @@ func T15ObservedStates(cfg Config) *Table {
 		cases = append(cases, []struct{ n, r int }{{32, 4}, {32, 8}}...)
 	}
 	for _, c := range cases {
-		seed := cfg.BaseSeed + 1
-		p, err := core.New(c.n, c.r, core.WithSeed(seed))
+		st := firstTrial(cfg)
+		p, err := core.New(c.n, c.r, core.WithSeed(st.ProtoSeed))
 		if err != nil {
 			continue
 		}
-		if err := adversary.Apply(p, adversary.ClassTriggered, rng.New(seed+1)); err != nil {
+		if err := adversary.Apply(p, adversary.ClassTriggered, &st.Adv); err != nil {
 			continue
 		}
 		distinct := make(map[string]struct{}, 1<<16)
@@ -49,7 +48,7 @@ func T15ObservedStates(cfg Config) *Table {
 		for i := 0; i < c.n; i++ {
 			record(i)
 		}
-		sched := rng.New(seed + 2)
+		sched := &st.Sched
 		budget := safeSetBudget(c.n, c.r)
 		var took uint64
 		for took < budget {

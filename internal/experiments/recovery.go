@@ -8,9 +8,9 @@ import (
 	"sspp"
 	"sspp/internal/adversary"
 	"sspp/internal/core"
-	"sspp/internal/rng"
 	"sspp/internal/sim"
 	"sspp/internal/stats"
+	"sspp/internal/trials"
 )
 
 // preservationOutcome is the result of one ranking-preservation trial (T9
@@ -24,11 +24,12 @@ type preservationOutcome struct {
 
 // preservationTrial builds ElectLeader_r (with optional constant overrides),
 // applies the adversary class, snapshots the rank outputs, runs to the safe
-// set, and reports whether the ranking was preserved. The seed offsets (+3
-// adversary, +5 scheduler) are shared by T9 and A1.
-func preservationTrial(n, r int, consts *core.Constants, seed uint64, class adversary.Class) preservationOutcome {
+// set, and reports whether the ranking was preserved. The protocol, the
+// adversary and the scheduler each take their role of the trial's streams
+// (T9 and A1 share the trial).
+func preservationTrial(n, r int, consts *core.Constants, st trials.Streams, class adversary.Class) preservationOutcome {
 	ev := sim.NewEvents()
-	opts := []core.Option{core.WithSeed(seed), core.WithEvents(ev)}
+	opts := []core.Option{core.WithSeed(st.ProtoSeed), core.WithEvents(ev)}
 	if consts != nil {
 		opts = append(opts, core.WithConstants(*consts))
 	}
@@ -36,7 +37,7 @@ func preservationTrial(n, r int, consts *core.Constants, seed uint64, class adve
 	if err != nil {
 		return preservationOutcome{}
 	}
-	if err := adversary.Apply(p, class, rng.New(seed+3)); err != nil {
+	if err := adversary.Apply(p, class, &st.Adv); err != nil {
 		return preservationOutcome{} // class unrealizable at this (n, r); skip run
 	}
 	before := make([]int32, n)
@@ -44,7 +45,7 @@ func preservationTrial(n, r int, consts *core.Constants, seed uint64, class adve
 		before[i] = p.RankOutput(i)
 	}
 	out := preservationOutcome{ran: true}
-	res := runCustom(p, sspp.SchedulerSeed(seed+5), sspp.MaxInteractions(safeSetBudget(n, r)))
+	res := runCustom(p, sspp.WithScheduler(&st.Sched), sspp.MaxInteractions(safeSetBudget(n, r)))
 	if !res.Stabilized {
 		return out
 	}
@@ -78,8 +79,8 @@ func T9SoftReset(cfg Config) *Table {
 	}
 	for _, class := range []adversary.Class{adversary.ClassCorruptMessages, adversary.ClassDuplicateMessages} {
 		for _, c := range cases {
-			results := seedTrials(cfg, cfg.seeds(), func(s int) preservationOutcome {
-				return preservationTrial(c.n, c.r, nil, cfg.BaseSeed+uint64(s), class)
+			results := seedTrials(cfg, cfg.seeds(), func(st trials.Streams) preservationOutcome {
+				return preservationTrial(c.n, c.r, nil, st, class)
 			})
 			runs, hard := 0, uint64(0)
 			preserved := 0

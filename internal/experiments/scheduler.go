@@ -12,8 +12,8 @@ import (
 	"sspp"
 	"sspp/internal/adversary"
 	"sspp/internal/core"
-	"sspp/internal/rng"
 	"sspp/internal/stats"
+	"sspp/internal/trials"
 )
 
 // T16SchedulerRobustness measures safe-set arrival under increasingly
@@ -30,40 +30,35 @@ func T16SchedulerRobustness(cfg Config) *Table {
 	}
 	var uniform float64
 	for _, s := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-		measured, _ := seedTimes(cfg, cfg.seeds(), func(seed int) (float64, bool) {
-			sd := cfg.BaseSeed + uint64(seed)*13
-			p, err := core.New(n, r, core.WithSeed(sd))
+		measured, _ := seedTimes(cfg, cfg.seeds(), func(st trials.Streams) (float64, bool) {
+			p, err := core.New(n, r, core.WithSeed(st.ProtoSeed))
 			if err != nil {
 				return 0, false
 			}
-			if err := adversary.Apply(p, adversary.ClassTriggered, rng.New(sd+1)); err != nil {
+			if err := adversary.Apply(p, adversary.ClassTriggered, &st.Adv); err != nil {
 				return 0, false
 			}
-			sched := sspp.NewUniform(sd + 2)
+			var sched sspp.Scheduler = &st.Sched
 			if s > 0 {
-				sched = sspp.NewZipf(sd+2, n, s)
+				sched = sspp.NewZipf(st.Sched.Uint64(), n, s)
 			}
 			res := runCustom(p, sspp.WithScheduler(sched), sspp.MaxInteractions(8*safeSetBudget(n, r)))
 			return float64(res.StabilizedAt), res.Stabilized
 		})
-		var times stats.Acc
-		for _, took := range measured {
-			times.Add(took)
-		}
-		recovered := len(measured)
-		if times.N() == 0 {
+		times := stats.Summarize(measured)
+		if times.N == 0 {
 			t.Append(fmtF(s, 2), "0/"+itoa(cfg.seeds()), "-", "-", "-")
 			continue
 		}
 		if s == 0 {
-			uniform = times.Mean()
+			uniform = times.Mean
 		}
 		slow := "-"
 		if uniform > 0 {
-			slow = fmtF(times.Mean()/uniform, 2)
+			slow = fmtF(times.Mean/uniform, 2)
 		}
-		t.Append(fmtF(s, 2), itoa(recovered)+"/"+itoa(cfg.seeds()),
-			fmtU(uint64(times.Mean())), fmtU(uint64(times.CI95())), slow)
+		t.Append(fmtF(s, 2), itoa(times.N)+"/"+itoa(cfg.seeds()),
+			fmtU(uint64(times.Mean)), fmtU(uint64(times.CI95)), slow)
 	}
 	t.Note("s = 0 is the paper's model; at s = 1 the busiest agent interacts ≈ n/H_n ≈ 8× " +
 		"more often than the quietest")

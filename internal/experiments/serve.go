@@ -101,7 +101,7 @@ func S4ServeCache(cfg Config) *Table {
 	t := &Table{
 		ID:    "S4",
 		Title: "sppd result cache: cold vs warm provenance, hit ratios, singleflight dedup",
-		Claim: "cell results are pure functions of their resolved configs (deriveSeedStreams), so warm " +
+		Claim: "cell results are pure functions of their resolved configs (trials.Derive), so warm " +
 			"repeats are served from the content-addressed cache byte-identically without simulating; " +
 			"overlapping grids re-compute only their new cells",
 		Header: []string{"request", "cells", "computed", "cache-hits", "hit-ratio"},
@@ -135,7 +135,7 @@ func S4ServeCache(cfg Config) *Table {
 
 	// Singleflight: flood a fresh cell with identical concurrent
 	// submissions; the server must simulate once and coalesce the rest.
-	flood := serve.GridSpec{Points: []sspp.Point{{N: 72, R: 8}}, Seeds: cfg.seeds(), BaseSeed: cfg.BaseSeed + 1}
+	flood := serve.GridSpec{Points: []sspp.Point{{N: 72, R: 8}}, Seeds: cfg.seeds(), BaseSeed: cfg.BaseSeed}
 	const clients = 6
 	provs := make([]s4Provenance, clients)
 	var wg sync.WaitGroup

@@ -15,7 +15,6 @@ package experiments
 
 import (
 	"sspp/internal/baseline"
-	"sspp/internal/rng"
 	"sspp/internal/sim"
 	"sspp/internal/species"
 )
@@ -112,7 +111,8 @@ func S1SpeciesBackend(cfg Config) *Table {
 					}
 					p, count = sp, sp.Occupied
 				}
-				sim.Steps(p, rng.New(cfg.BaseSeed+17), budget)
+				sched := firstTrial(cfg).Sched
+				sim.Steps(p, &sched, budget)
 				t.Append(proto.name, fmtU(uint64(n)), backend, fmtU(budget), fmtU(uint64(count())))
 			}
 		}

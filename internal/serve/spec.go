@@ -5,8 +5,8 @@
 //
 // The whole design rests on one property of the public Ensemble layer: a
 // trial's randomness is derived per (cell config, seed index) independently
-// of the grid layout and the worker count (deriveSeedStreams in
-// ensemble.go), so the cell computed by a one-cell grid is byte-identical
+// of the grid layout and the worker count (trials.Derive, which the
+// Ensemble calls), so the cell computed by a one-cell grid is byte-identical
 // to the same cell inside any larger grid. That makes cells — not grids —
 // the cacheable unit: overlapping grids from different clients share cells,
 // and a warm repeat of any previously computed grid is assembled from

@@ -11,6 +11,10 @@
 // completion order or the worker count. Experiment tables built on top of
 // the engine are therefore byte-identical for one worker and for
 // GOMAXPROCS workers.
+//
+// A trial's stream is split into its named roles by Split, the one seed
+// derivation of the repository: the Ensemble and every experiment table
+// take their per-trial randomness from it.
 package trials
 
 import (
@@ -74,15 +78,6 @@ func Run[T any](workers, n int, baseSeed uint64, fn func(trial int, src *rng.PRN
 	return results
 }
 
-// Map executes fn over items across the worker pool, returning outputs in
-// item order. It is Run for workloads already carrying their own per-item
-// seeds; the PRNG stream handed to fn is forked per item as in Run.
-func Map[In, Out any](workers int, items []In, baseSeed uint64, fn func(item In, src *rng.PRNG) Out) []Out {
-	return Run(workers, len(items), baseSeed, func(i int, src *rng.PRNG) Out {
-		return fn(items[i], src)
-	})
-}
-
 // ForkStreams pre-forks k statistically independent PRNG streams from root.
 // The forks are drawn sequentially from root, so the resulting streams are a
 // deterministic function of root's state and k alone.
@@ -90,6 +85,45 @@ func ForkStreams(root *rng.PRNG, k int) []*rng.PRNG {
 	out := make([]*rng.PRNG, k)
 	for i := range out {
 		out[i] = root.Fork()
+	}
+	return out
+}
+
+// Streams is one trial's randomness split into its named roles: the
+// protocol seed (the protocol's own coins: identifiers, signatures, graph
+// draws), the adversary stream (the starting configuration and injected
+// faults) and the scheduler stream (the pairs). It is a value: a copy
+// replays the same randomness, so a trial that runs twice on the same
+// streams copies them first.
+type Streams struct {
+	ProtoSeed  uint64
+	Adv, Sched rng.PRNG
+	rest       rng.PRNG // the trial stream after the three roles
+}
+
+// Split splits the trial stream src into its roles in one fixed order: the
+// protocol seed is drawn first, then the adversary stream is forked, then
+// the scheduler stream. src is left untouched.
+func Split(src *rng.PRNG) Streams {
+	rest := *src
+	st := Streams{ProtoSeed: rest.Uint64()}
+	st.Adv = *rest.Fork()
+	st.Sched = *rest.Fork()
+	st.rest = rest
+	return st
+}
+
+// Fork returns the stream of a role beyond the three: such roles fork from
+// the trial stream after them, in the order the trial asks for them.
+func (st *Streams) Fork() *rng.PRNG { return st.rest.Fork() }
+
+// Derive returns the split streams of trials 0..n-1 rooted at baseSeed:
+// trial s splits the s-th sequential Fork of rng.New(baseSeed), the stream
+// Run hands trial s.
+func Derive(baseSeed uint64, n int) []Streams {
+	out := make([]Streams, n)
+	for s, src := range ForkStreams(rng.New(baseSeed), n) {
+		out[s] = Split(src)
 	}
 	return out
 }

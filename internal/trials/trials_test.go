@@ -54,17 +54,6 @@ func TestRunWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestMap checks the item-indexed wrapper.
-func TestMap(t *testing.T) {
-	items := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	got := Map(0, items, 1, func(item int, _ *rng.PRNG) int { return item * 2 })
-	for i, item := range items {
-		if got[i] != 2*item {
-			t.Fatalf("item %d: got %d, want %d", i, got[i], 2*item)
-		}
-	}
-}
-
 // TestRunEmpty checks the degenerate sizes.
 func TestRunEmpty(t *testing.T) {
 	if got := Run(4, 0, 1, func(int, *rng.PRNG) int { return 1 }); got != nil {
@@ -95,5 +84,35 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 	if got := DefaultWorkers(3); got != 3 {
 		t.Fatalf("DefaultWorkers(3) = %d", got)
+	}
+}
+
+// TestSplitRoles pins the one seed derivation: the protocol seed is the
+// trial stream's first draw, the adversary stream its first fork, the
+// scheduler stream its second, and extra roles fork after them in order.
+// Derive splits the streams Run hands its trials, and Split leaves the trial
+// stream untouched.
+func TestSplitRoles(t *testing.T) {
+	const base, n = 9, 4
+	got := Derive(base, n)
+	root := rng.New(base)
+	for s := 0; s < n; s++ {
+		src := root.Fork()
+		before := *src
+		st := Split(src)
+		if *src != before {
+			t.Fatalf("trial %d: Split advanced the trial stream", s)
+		}
+		if got[s].ProtoSeed != st.ProtoSeed || got[s].Adv != st.Adv || got[s].Sched != st.Sched {
+			t.Fatalf("trial %d: Derive disagrees with Split of Run's stream", s)
+		}
+		if st.ProtoSeed != src.Uint64() {
+			t.Fatalf("trial %d: protocol seed is not the first draw", s)
+		}
+		for role, want := range []rng.PRNG{st.Adv, st.Sched, *st.Fork(), *st.Fork()} {
+			if f := *src.Fork(); f != want {
+				t.Fatalf("trial %d: role %d is not fork %d of the trial stream", s, role, role+1)
+			}
+		}
 	}
 }
