@@ -1,5 +1,5 @@
 // Command verifyspace runs the repository's exhaustive/bounded verification
-// artifacts (internal/modelcheck):
+// artifacts (internal/modelcheck and its keyed sub-package):
 //
 //   - detect soundness: enumerate every schedule and every random draw of
 //     DetectCollision_r from a correct initialization and confirm the error
@@ -9,16 +9,16 @@
 //   - verify-closure: Lemma 6.1 for the StableVerify_r layer — from safe
 //     configurations (single-generation and the two-generation soft-reset
 //     wave) no schedule and no draws ever request a hard reset;
-//   - ciw: full state-space analysis of the n-state CIW baseline —
-//     closure (permutations are silent) and probabilistic stabilization
-//     (every configuration reaches a permutation).
+//   - ciw: count-vector analysis of the CIW baseline (n ≤ 12) through the
+//     rule the simulator runs — closure (the permutations, one multiset, are
+//     silent) and probabilistic stabilization (every multiset reaches them).
 //
 // Usage:
 //
 //	verifyspace -check detect-sound -n 3 -budget 50000
 //	verifyspace -check detect-complete -n 3
 //	verifyspace -check verify-closure -n 2
-//	verifyspace -check ciw -n 5
+//	verifyspace -check ciw -n 8
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"sspp/internal/modelcheck"
+	"sspp/internal/modelcheck/keyed"
 )
 
 func main() {
@@ -105,16 +106,21 @@ func run(args []string, w io.Writer) error {
 			"no hard reset within the explored bound (bounded guarantee)",
 			"reachable space fully closed — safe configurations stay safe, closure PROVED at this size")
 	case "ciw":
-		rep, err := modelcheck.CheckCIW(*n)
+		rep, err := keyed.CheckCIW(*n)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "CIW baseline full analysis, n=%d: %d configurations\n", rep.N, rep.States)
-		fmt.Fprintf(w, "  permutations (silent targets): %d\n", rep.Permutations)
-		fmt.Fprintf(w, "  permutations silent:           %v\n", rep.PermutationsSilent)
-		fmt.Fprintf(w, "  all configurations reach one:  %v\n", rep.AllReachStable)
+		perms := 1
+		for k := 2; k <= *n; k++ {
+			perms *= k
+		}
+		fmt.Fprintf(w, "CIW baseline count-vector analysis, n=%d: %d configurations (multisets of n ranks)\n", *n, rep.Configurations)
+		fmt.Fprintf(w, "  silent configurations:       %d\n", rep.Silent)
+		fmt.Fprintf(w, "  safe-set configurations:     %d (the %d permutations are one multiset)\n", rep.Target, perms)
+		fmt.Fprintf(w, "  safe set silent:             %v\n", rep.TargetSilent)
+		fmt.Fprintf(w, "  all configurations reach it: %v\n", rep.Unreached == 0)
 		var fail error
-		if !rep.AllReachStable || !rep.PermutationsSilent {
+		if rep.Unreached > 0 || !rep.TargetSilent {
 			fail = errors.New("CIW verification failed")
 		}
 		return report(w, start, fail, "closure + probabilistic stabilization PROVED exactly at this size")

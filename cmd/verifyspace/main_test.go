@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// TestRejectsBadSizes: a population below 2 agents, a signature space
-// below 2 values or a budget below 1 configuration is an error before any
-// check runs, not a panic or a silently replaced value.
+// TestRejectsBadSizes: a population below 2 agents (or above 12 for the
+// CIW analysis), a signature space below 2 values or a budget below 1
+// configuration is an error before any check runs, not a panic or a
+// silently replaced value.
 func TestRejectsBadSizes(t *testing.T) {
 	for _, args := range []string{
 		"-check detect-complete -n -1",
@@ -18,6 +19,7 @@ func TestRejectsBadSizes(t *testing.T) {
 		"-check verify-closure -n 2 -sig 0",
 		"-check detect-sound -n 2 -budget 0",
 		"-check detect-sound -n 2 -budget -7",
+		"-check ciw -n 13",
 	} {
 		var out bytes.Buffer
 		err := run(strings.Fields(args), &out)
@@ -51,10 +53,11 @@ verdict: reachable space fully closed — safe configurations stay safe, closure
   violations: 0
 verdict: no hard reset within the explored bound (bounded guarantee)
 `},
-		{"-check ciw -n 5", `CIW baseline full analysis, n=5: 3125 configurations
-  permutations (silent targets): 120
-  permutations silent:           true
-  all configurations reach one:  true
+		{"-check ciw -n 5", `CIW baseline count-vector analysis, n=5: 126 configurations (multisets of n ranks)
+  silent configurations:       1
+  safe-set configurations:     1 (the 120 permutations are one multiset)
+  safe set silent:             true
+  all configurations reach it: true
 verdict: closure + probabilistic stabilization PROVED exactly at this size
 `},
 	} {

@@ -31,10 +31,11 @@ func main() {
 
 	for _, factor := range []float64{0.5, 1, 4, 16} {
 		tau := int32(factor * ln)
-		if tau < 1 {
+		if tau < 2 {
 			// Keep the tiny-τ row honest at small n: Config.Tau = 0 would
-			// select the registry default (4·ln n) instead.
-			tau = 1
+			// select the registry default (4·ln n) instead, and τ = 1,
+			// which never elects a unique leader, is rejected.
+			tau = 2
 		}
 		sys, err := sspp.New(sspp.Config{Protocol: sspp.ProtocolLooseLE, N: *n, Tau: tau})
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"sspp/internal/coin"
+	"sspp/internal/modelcheck"
 	"sspp/internal/rng"
 	"sspp/internal/sim"
 )
@@ -164,8 +165,43 @@ func TestLooseLEHoldingIsFinite(t *testing.T) {
 	}
 }
 
+// TestLooseLETauFloor ties NewLooseLE's floor of 2 to the exhaustive
+// check of LooseLE's own rule at n = 8: at τ = 1 most count vectors cannot
+// reach a one-leader configuration, since every timer is 0 after each
+// interaction and every non-leader that interacts promotes itself; at
+// τ = 2 every one can.
+func TestLooseLETauFloor(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		tau                int32
+		configs, unreached int
+	}{{1, 165, 149}, {2, 1287, 0}} {
+		l := &LooseLE{keyed: keyed{keys: make([]uint32, n), rules: looseRules(tc.tau)}, tau: tc.tau}
+		m := l.Compact()
+		rep, err := modelcheck.CheckCounts(m, n, 0, m.StateSpace-1, func(v sim.CountView) bool {
+			var leaders int64
+			v.Each(func(key uint64, c int64) bool {
+				if m.Leader(key) {
+					leaders += c
+				}
+				return true
+			})
+			return leaders == 1
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Configurations != tc.configs || rep.Unreached != tc.unreached {
+			t.Errorf("τ=%d: %d configurations, %d cannot reach one leader; want %d and %d",
+				tc.tau, rep.Configurations, rep.Unreached, tc.configs, tc.unreached)
+		}
+	}
+}
+
 func TestLooseLETauClamp(t *testing.T) {
-	if NewLooseLE(4, 0).Tau() != 1 {
-		t.Fatal("τ must clamp to 1")
+	for _, tau := range []int32{0, 1} {
+		if got := NewLooseLE(4, tau).Tau(); got != 2 {
+			t.Fatalf("τ %d clamped to %d, want 2", tau, got)
+		}
 	}
 }

@@ -112,12 +112,14 @@ func looseRules(tau int32) *rules {
 	}
 }
 
-// NewLooseLE returns a LooseLE over n agents with timeout τ (clamped into
-// [1, MaxInt32-1], so the random-state draw's bound τ+1 stays an int32) and
-// no initial leader (all timers at zero forces an immediate self-promotion
-// burst — the adversarial start).
+// NewLooseLE returns a LooseLE over n agents with timeout τ and no initial
+// leader (all timers at zero forces an immediate self-promotion burst — the
+// adversarial start). τ is clamped into [2, MaxInt32-1]: at τ = 1 every
+// timer is 0 after each interaction, so every non-leader that interacts
+// promotes itself and a unique leader is never reached; MaxInt32-1 keeps
+// the random-state draw's bound τ+1 an int32.
 func NewLooseLE(n int, tau int32) *LooseLE {
-	tau = min(max(tau, 1), math.MaxInt32-1)
+	tau = min(max(tau, 2), math.MaxInt32-1)
 	return &LooseLE{keyed: keyed{keys: make([]uint32, n), rules: looseRules(tau)}, tau: tau}
 }
 

@@ -1,22 +1,19 @@
-// Package modelcheck provides bounded exhaustive verification of the
-// repository's safety-critical state machines, complementing the randomized
-// tests: instead of sampling schedules, it enumerates *every* schedule (and
-// every random draw) up to a configuration budget.
+// Package modelcheck provides exhaustive verification of the repository's
+// safety-critical state machines, complementing the randomized tests:
+// instead of sampling schedules, it enumerates every schedule and every
+// random draw, up to a configuration budget.
 //
-// Two checkers are provided:
-//
-//   - Explore: generic breadth-first search over a nondeterministic machine.
-//     Its one machine for population protocols is Pairwise (pairwise.go): a
-//     configuration is a vector of agents and a transition is one ordered
-//     pair with one assignment of the draws the interaction reads. Its
-//     layers verify Lemma E.2 (no ⊤ reachable from a correct
-//     initialization) on small DetectCollision_r instances, and dually that
-//     ⊤ *is* reachable whenever a rank is duplicated; the closure of
-//     StableVerify_r's safe configurations; and, from internal/core's
-//     tests, the closure of the composite protocol's safe set (Lemma 6.1).
-//   - CheckCIW: full state-space analysis of the n-state CIW baseline,
-//     proving (for small n) that every configuration can reach a silent
-//     permutation — which, under the uniform scheduler, is exactly
+//   - Explore: breadth-first search over a nondeterministic machine. Its
+//     machine for agent vectors is Pairwise (pairwise.go), over the draws
+//     each interaction reads. Its layers check Lemma E.2 on
+//     DetectCollision_r (no ⊤ from a correct initialization) and its dual,
+//     the closure of StableVerify_r's safe configurations and, from
+//     internal/core's tests, the closure of the composite safe set (Lemma
+//     6.1).
+//   - CheckCounts (counts.go): the count-vector explorer for deterministic
+//     models in species form, run on their own React. Sub-package keyed
+//     checks CIW with it: every configuration reaches the silent
+//     permutations, which under the uniform scheduler is exactly
 //     probabilistic self-stabilization.
 package modelcheck
 

@@ -286,38 +286,3 @@ func TestVerifyMachineValidation(t *testing.T) {
 		t.Fatal("two initial shapes expected")
 	}
 }
-
-// TestCheckCIW fully verifies the baseline for n = 2..5: closure (silent
-// permutations) and probabilistic stabilization (everything reaches a
-// permutation).
-func TestCheckCIW(t *testing.T) {
-	for n := 2; n <= 5; n++ {
-		rep, err := CheckCIW(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.AllReachStable {
-			t.Fatalf("n=%d: some configuration cannot reach a permutation", n)
-		}
-		if !rep.PermutationsSilent {
-			t.Fatalf("n=%d: a permutation is not silent", n)
-		}
-		wantPerms := 1
-		for k := 2; k <= n; k++ {
-			wantPerms *= k
-		}
-		if rep.Permutations != wantPerms {
-			t.Fatalf("n=%d: %d permutations, want %d", n, rep.Permutations, wantPerms)
-		}
-		t.Logf("n=%d: %d states fully verified", n, rep.States)
-	}
-}
-
-func TestCheckCIWValidation(t *testing.T) {
-	if _, err := CheckCIW(1); err == nil {
-		t.Fatal("n=1 must fail")
-	}
-	if _, err := CheckCIW(9); err == nil {
-		t.Fatal("n=9 must fail")
-	}
-}

@@ -1,4 +1,4 @@
-// pairwise.go is the one machine for the population protocols: a
+// pairwise.go is the agent-vector machine for the population protocols: a
 // configuration is the vector of all agents' states, and one transition is
 // one ordered scheduler pair combined with one assignment of the (at most
 // two) signature draws the interaction reads. A layer supplies only how to

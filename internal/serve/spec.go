@@ -62,7 +62,8 @@ type GridSpec struct {
 	Confirm uint64 `json:"confirm,omitempty"`
 	// TransientK switches trials to the stabilize-corrupt-recover shape.
 	TransientK int `json:"transient_k,omitempty"`
-	// Tau is the "loosele" timeout parameter (0: 4·ln n).
+	// Tau is the "loosele" timeout parameter (0: 4·ln n, at least 2; 1 is
+	// rejected).
 	Tau int32 `json:"tau,omitempty"`
 	// SyntheticCoins runs trials fully derandomized ("electleader" only).
 	SyntheticCoins bool `json:"synthetic_coins,omitempty"`

@@ -194,31 +194,28 @@ func validateBaseline(cfg Config) error {
 	return nil
 }
 
-// validateLooseLE adds LooseLE's timeout bounds to validateBaseline: τ must
-// be non-negative (0 selects the default), and τ+1 — the bound of the
-// random-state draw behind random-garbage starts and transient faults —
-// must not overflow int32.
+// validateLooseLE adds LooseLE's timeout bounds to validateBaseline: τ is 0
+// (the default) or at least 2, since at τ = 1 every interacting non-leader
+// promotes itself and no unique leader is ever reached; and τ+1 — the bound
+// of the random-state draw behind random-garbage starts and transient
+// faults — must not overflow int32.
 func validateLooseLE(cfg Config) error {
 	if err := validateBaseline(cfg); err != nil {
 		return err
 	}
-	if cfg.Tau < 0 || cfg.Tau == math.MaxInt32 {
-		return fmt.Errorf("loosele timeout tau %d outside [0, %d]", cfg.Tau, math.MaxInt32-1)
+	if cfg.Tau < 0 || cfg.Tau == 1 || cfg.Tau == math.MaxInt32 {
+		return fmt.Errorf("loosele timeout tau %d: want 0 (the default) or a value in [2, %d]", cfg.Tau, math.MaxInt32-1)
 	}
 	return nil
 }
 
-// looseTau resolves the LooseLE timeout: Config.Tau, defaulting to 4·ln n —
-// safely above the heartbeat-epidemic scale (T13).
+// looseTau resolves the LooseLE timeout: Config.Tau, defaulting to 4·ln n
+// (at least 2) — safely above the heartbeat-epidemic scale (T13).
 func looseTau(cfg Config) int32 {
 	if cfg.Tau > 0 {
 		return cfg.Tau
 	}
-	tau := int32(4 * math.Log(float64(cfg.N)))
-	if tau < 1 {
-		tau = 1
-	}
-	return tau
+	return max(int32(4*math.Log(float64(cfg.N))), 2)
 }
 
 // nLogBudget is the generic budget c·n·ln(n+1) for protocols with

@@ -337,6 +337,27 @@ func TestLooseLETauValidation(t *testing.T) {
 	}
 }
 
+// TestLooseLETauOneRejected: at τ = 1 every timer is 0 after each
+// interaction, so every non-leader that interacts promotes itself and no
+// unique leader is ever reached (internal/baseline's TestLooseLETauFloor
+// model-checks it). New and NewEnsemble reject it; τ = 2 runs and elects.
+func TestLooseLETauOneRejected(t *testing.T) {
+	if _, err := New(Config{Protocol: ProtocolLooseLE, N: 8, Tau: 1}); err == nil {
+		t.Error("tau 1 accepted by New")
+	}
+	g := Grid{Protocols: []string{ProtocolLooseLE}, Points: []Point{{N: 8}}, Seeds: 1, Tau: 1}
+	if _, err := NewEnsemble(g); err == nil {
+		t.Error("tau 1 accepted by NewEnsemble")
+	}
+	sys, err := New(Config{Protocol: ProtocolLooseLE, N: 8, Tau: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := sys.Run(SchedulerSeed(1), Confirm(1), PollEvery(1), MaxInteractions(1_000_000)); !res.Stabilized {
+		t.Fatalf("tau 2 did not elect a unique leader: %+v", res)
+	}
+}
+
 // TestRunBitStableAcrossSchedulerImplementations pins the cross-protocol
 // determinism contract of the engine: for every registry protocol, a run
 // under NewBatch deals the identical schedule as NewUniform with the same

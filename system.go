@@ -98,8 +98,9 @@ type Config struct {
 	// SyntheticCoins runs ElectLeader_r fully derandomized (Appendix B).
 	// Only supported by the "electleader" protocol.
 	SyntheticCoins bool
-	// Tau is the timeout parameter of the "loosele" protocol (0 selects
-	// 4·ln n). Ignored by every other protocol.
+	// Tau is the timeout parameter of the "loosele" protocol: 0 selects
+	// 4·ln n (at least 2), and 1 is rejected, since with it no unique
+	// leader is ever reached. Ignored by every other protocol.
 	Tau int32
 	// Backend selects the simulation backend: BackendAgent ("" or "agent",
 	// one struct per agent — the default), BackendSpecies ("species", the
