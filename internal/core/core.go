@@ -169,6 +169,7 @@ func New(n, r int, opts ...Option) (*Protocol, error) {
 		rankCount: make([]int32, n),
 		ptrs:      make([]*Agent, n),
 	}
+	p.dyn.home = &p.agents[0]
 	width := coin.WidthFor(int(dyn.consts.Ranking.IDSpace))
 	prngSampler := coin.FromPRNG(p.src)
 	// The rankers and their channels come from two slabs rather than 2n

@@ -21,7 +21,10 @@ import (
 // dynamics carries everything a pair transition needs besides the two
 // agents: the constants, the verify/detect parameters, the event sink, the
 // shared detect scratch, and the free lists recycling the O(g²) per-role
-// states across role transitions.
+// states across role transitions. home is set only on a Protocol's
+// dynamics, to the first agent of its array: its large verifier states come
+// from and return to the process-wide pools (svpool.go), and owned lists
+// them.
 type dynamics struct {
 	n      int
 	consts Constants
@@ -32,6 +35,8 @@ type dynamics struct {
 
 	arFree []*ranking.State
 	svFree []*verify.State
+	home   *Agent
+	owned  *svOwned
 }
 
 // detached returns dynamics with d's constants, parameters and event sink
@@ -124,7 +129,7 @@ func (d *dynamics) becomeVerifier(a *Agent) {
 	d.releaseAR(a)
 	a.Role = RoleVerifying
 	a.Rank = rank
-	a.SV = verify.ReinitInto(d.vp, rank, d.popSV())
+	a.SV = d.newSV(rank)
 	a.Countdown = 0
 	d.events.Inc(sim.EvBecameVerifier)
 }

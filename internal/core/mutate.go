@@ -27,11 +27,11 @@ func (p *Protocol) ForceVerifier(i int, rank int32) {
 	p.dyn.releaseAR(a)
 	a.Role = RoleVerifying
 	a.Rank = rank
-	sv := a.SV // reuse the agent's own state in place when it has one
-	if sv == nil {
-		sv = p.dyn.popSV()
+	if a.SV != nil { // reuse the agent's own state in place
+		a.SV = verify.ReinitInto(p.dyn.vp, rank, a.SV)
+	} else {
+		a.SV = p.dyn.newSV(rank)
 	}
-	a.SV = verify.ReinitInto(p.dyn.vp, rank, sv)
 	a.Countdown = 0
 	a.Reset = reset.State{}
 	p.track(i)

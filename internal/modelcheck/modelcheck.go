@@ -73,7 +73,7 @@ func Explore(m Machine, bad func(State) bool, stopOnViolation bool, opt Options)
 		panic(fmt.Sprintf("modelcheck: MaxStates %d is not a positive budget", maxStates))
 	}
 	rep := Report{FirstViolationDepth: -1}
-	seen := make(map[string]struct{}, maxStates)
+	seen := make(map[string]struct{})
 	type node struct {
 		s     State
 		depth int

@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -284,5 +285,37 @@ func TestVerifyMachineValidation(t *testing.T) {
 	m.Initial(func([]byte, State) bool { shapes++; return true })
 	if shapes != 2 {
 		t.Fatal("two initial shapes expected")
+	}
+}
+
+// TestExploreCostFollowsStatesNotBudget pins Explore's memory to the
+// configurations it visits rather than to its budget: the 24-configuration
+// detect search allocates within 2× as much at MaxStates 100 000 as at 100,
+// and reports the same.
+func TestExploreCostFollowsStatesNotBudget(t *testing.T) {
+	m, err := NewDetectMachine(2, 2, nil, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	cost := func(maxStates int) (rep Report, allocs float64, bytes uint64) {
+		explore := func() { rep = Explore(m, AnyTop, false, Options{MaxStates: maxStates}) }
+		allocs = testing.AllocsPerRun(runs, explore)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			explore()
+		}
+		runtime.ReadMemStats(&after)
+		return rep, allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, smallAllocs, smallBytes := cost(100)
+	large, largeAllocs, largeBytes := cost(100_000)
+	if small != large || small.Explored != 24 || small.Truncated {
+		t.Fatalf("reports differ or are not the full 24-configuration search: %+v at MaxStates 100, %+v at 100 000", small, large)
+	}
+	if largeAllocs > 2*smallAllocs || largeBytes > 2*smallBytes {
+		t.Fatalf("MaxStates 100 000 cost %.0f allocs and %d B a search, MaxStates 100 %.0f allocs and %d B: want within 2×",
+			largeAllocs, largeBytes, smallAllocs, smallBytes)
 	}
 }

@@ -63,7 +63,9 @@ type GridSpec struct {
 	// TransientK switches trials to the stabilize-corrupt-recover shape.
 	TransientK int `json:"transient_k,omitempty"`
 	// Tau is the "loosele" timeout parameter (0: 4·ln n, at least 2; 1 is
-	// rejected).
+	// rejected). Every τ ≥ 2 is accepted, but a small τ at a small n may
+	// never confirm a leader in the default confirm window (see
+	// sspp.Config.Tau).
 	Tau int32 `json:"tau,omitempty"`
 	// SyntheticCoins runs trials fully derandomized ("electleader" only).
 	SyntheticCoins bool `json:"synthetic_coins,omitempty"`
