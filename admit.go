@@ -58,9 +58,6 @@ func admit(cfg Config, p sim.Protocol, u use) error {
 			return fmt.Errorf("sspp: the species backend has no agent identities, so it supports neither adversarial starts "+
 				"nor transient faults (protocol %q runs on it; see the capability table, DESIGN.md §7)", cfg.Protocol)
 		}
-		if u.workload {
-			return fmt.Errorf("sspp: ensemble workloads require the agent backend (protocol %q would run trials on the species backend)", cfg.Protocol)
-		}
 		if u.record {
 			return fmt.Errorf("sspp: recording requires the agent backend (the species backend draws state pairs in bulk, " +
 				"so there are no agent pairs to record; record there, then replay on either backend)")
@@ -91,22 +88,14 @@ func admit(cfg Config, p sim.Protocol, u use) error {
 	return nil
 }
 
-// workloadCaps probes p's disruption capabilities. The count-based churn
-// capability wins over the agent-level one: species systems carry the churn
-// method set structurally and gate real support behind CanChurn. Churn
-// bounds are read only when bounds is set, from a built protocol.
+// workloadCaps probes p's disruption capabilities. Churn bounds are read
+// only when bounds is set, from a built protocol.
 func workloadCaps(p sim.Protocol, name string, bounds bool) workload.Caps {
 	caps := workload.Caps{Protocol: name}
 	_, caps.Injectable = sim.AsInjectable(p)
-	if cc, ok := sim.AsCountChurnable(p); ok {
-		if caps.Churnable = cc.CanChurn(); caps.Churnable && bounds {
-			caps.MinN, caps.MaxN = cc.ChurnBounds()
-		}
-	} else if ch, ok := sim.AsChurnable(p); ok {
-		caps.Churnable = true
-		if bounds {
-			caps.MinN, caps.MaxN = ch.ChurnBounds()
-		}
+	var ch sim.Churnable
+	if ch, caps.Churnable = sim.AsChurnable(p); caps.Churnable && bounds {
+		caps.MinN, caps.MaxN = ch.ChurnBounds()
 	}
 	return caps
 }

@@ -26,7 +26,7 @@ var capabilityProbes = []struct {
 	{CapabilitySnapshotter, func(p sim.Protocol) bool { _, ok := p.(sim.Snapshotter); return ok }},
 	{CapabilityCompactable, func(p sim.Protocol) bool { _, ok := p.(sim.Compactable); return ok }},
 	{"count-based", func(p sim.Protocol) bool { _, ok := p.(sim.CountBased); return ok }},
-	{"clocked", func(p sim.Protocol) bool { _, ok := p.(sim.Clocked); return ok }},
+	{CapabilityChurnable, func(p sim.Protocol) bool { _, ok := sim.AsChurnable(p); return ok }},
 	{"ranking-checker", func(p sim.Protocol) bool {
 		_, ok := p.(interface{ CorrectRanking() bool })
 		return ok
@@ -45,44 +45,45 @@ func TestCapabilityDispatchMatrix(t *testing.T) {
 	rows := []row{
 		{ProtocolElectLeader, BackendAgent, map[string]bool{
 			CapabilityRanker: true, CapabilitySafeSet: true, CapabilityInjectable: true,
-			CapabilitySnapshotter: true, CapabilityCompactable: true,
-			"ranking-checker": true, "clocked": true, "leader-indexer": true,
+			CapabilitySnapshotter: true, CapabilityCompactable: true, CapabilityChurnable: true,
+			"ranking-checker": true, "leader-indexer": true,
 		}},
 		{ProtocolCIW, BackendAgent, map[string]bool{
 			CapabilityRanker: true, CapabilitySafeSet: true, CapabilityInjectable: true,
-			CapabilityCompactable: true, "ranking-checker": true, "leader-indexer": true,
+			CapabilityCompactable: true, CapabilityChurnable: true, "ranking-checker": true, "leader-indexer": true,
 		}},
 		{ProtocolNameRank, BackendAgent, map[string]bool{
 			CapabilityRanker: true, CapabilitySafeSet: true, CapabilityCompactable: true,
 			"ranking-checker": true, "leader-indexer": true,
 		}},
 		{ProtocolLooseLE, BackendAgent, map[string]bool{
-			CapabilityInjectable: true, CapabilityCompactable: true, "leader-indexer": true,
+			CapabilityInjectable: true, CapabilityCompactable: true, CapabilityChurnable: true, "leader-indexer": true,
 		}},
 		{ProtocolFastLE, BackendAgent, map[string]bool{
 			CapabilitySafeSet: true, "leader-indexer": true,
 		}},
 		// The species backend swaps the protocol for its count-based form:
 		// per-agent capabilities (ranks, injection) disappear, the safe set
-		// survives exactly when the compact model defines one, and the
-		// count-based + clocked capabilities appear.
+		// survives exactly when the compact model defines one, churn exactly
+		// when it declares churn hooks, and the count-based capability
+		// appears.
 		{ProtocolCIW, BackendSpecies, map[string]bool{
-			CapabilitySafeSet: true, "count-based": true, "clocked": true,
+			CapabilitySafeSet: true, CapabilityChurnable: true, "count-based": true,
 			"ranking-checker": true,
 		}},
 		{ProtocolNameRank, BackendSpecies, map[string]bool{
-			CapabilitySafeSet: true, "count-based": true, "clocked": true,
+			CapabilitySafeSet: true, "count-based": true,
 			"ranking-checker": true,
 		}},
 		{ProtocolLooseLE, BackendSpecies, map[string]bool{
-			"count-based": true, "clocked": true, "ranking-checker": true,
+			CapabilityChurnable: true, "count-based": true, "ranking-checker": true,
 		}},
 		// ElectLeader_r's species form (internal/core/compact.go): the safe
 		// set survives — the compact model checks Lemma 6.1 over counts —
 		// but per-agent surfaces (ranks, injection, snapshots, the leader's
 		// index) do not exist in a multiset.
 		{ProtocolElectLeader, BackendSpecies, map[string]bool{
-			CapabilitySafeSet: true, "count-based": true, "clocked": true,
+			CapabilitySafeSet: true, CapabilityChurnable: true, "count-based": true,
 			"ranking-checker": true,
 		}},
 	}
@@ -143,6 +144,18 @@ func TestCapabilitiesReflectBackend(t *testing.T) {
 	}
 	if !hasCapability(caps, CapabilitySafeSet) {
 		t.Fatalf("species CIW capabilities %v lost the safe set", caps)
+	}
+	// CIW's species form declares churn hooks, so the species system joins
+	// and leaves and must say so; NameRank's declares none.
+	if !hasCapability(caps, CapabilityChurnable) {
+		t.Fatalf("species CIW capabilities %v lack %q", caps, CapabilityChurnable)
+	}
+	names, err := New(Config{Protocol: ProtocolNameRank, N: 16, Seed: 1, Backend: BackendSpecies})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if caps := names.Capabilities(); hasCapability(caps, CapabilityChurnable) {
+		t.Fatalf("species namerank capabilities %v report churn its model lacks", caps)
 	}
 }
 

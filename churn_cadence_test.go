@@ -31,15 +31,15 @@ func (p *churnStubProto) N() int            { return p.n }
 func (p *churnStubProto) Interact(a, b int) {}
 func (p *churnStubProto) Correct() bool     { return true }
 
-func (p *churnStubProto) JoinAgent(class string, src *rng.PRNG) (int, error) {
+func (p *churnStubProto) Join(class string, src *rng.PRNG) error {
 	if class != "" {
-		return 0, fmt.Errorf("churn stub: unknown join class %q", class)
+		return fmt.Errorf("churn stub: unknown join class %q", class)
 	}
 	p.n++
-	return p.n - 1, nil
+	return nil
 }
 
-func (p *churnStubProto) LeaveAgent(i int) error {
+func (p *churnStubProto) Leave(src *rng.PRNG) error {
 	if p.n <= 2 {
 		return fmt.Errorf("churn stub: population at minimum")
 	}

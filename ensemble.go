@@ -95,9 +95,9 @@ type Grid struct {
 	// statistics across seeds (Cell.Events). Workload phases carry their own
 	// seeds, so a cell's schedule is identical across its seeds — which is
 	// what makes per-event aggregation well-defined. Exclusive with
-	// TransientK; requires the agent backend, fault phases require the
-	// injectable capability, churn phases the churnable capability and the
-	// complete topology.
+	// TransientK; fault phases require the injectable capability and the
+	// agent backend, churn phases the churnable capability and the complete
+	// topology.
 	Workload *Workload
 	// Tau is the timeout parameter for "loosele" points (0: 4·ln n).
 	Tau int32

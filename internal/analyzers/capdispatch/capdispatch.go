@@ -42,9 +42,7 @@ var capabilities = map[string]bool{
 	"SafeSetter":        true,
 	"Injectable":        true,
 	"Snapshotter":       true,
-	"Clocked":           true,
 	"Churnable":         true,
-	"CountChurnable":    true,
 	"StateKeyer":        true,
 	"Compactable":       true,
 	"CountBased":        true,
@@ -65,9 +63,7 @@ var capabilityMethods = map[string][]string{
 	"SafeSetter":        {"InSafeSet"},
 	"Injectable":        {"Inject", "InjectTransient"},
 	"Snapshotter":       {"SnapshotInto"},
-	"Clocked":           {"Clock"},
-	"Churnable":         {"ChurnBounds", "JoinAgent", "LeaveAgent"},
-	"CountChurnable":    {"CanChurn", "ChurnBounds", "JoinState", "LeaveState"},
+	"Churnable":         {"ChurnBounds", "Join", "Leave"},
 	"StateKeyer":        {"StateKey"},
 	"Compactable":       {"Compact"},
 	"CountBased":        {"BindSource", "StepMany"},

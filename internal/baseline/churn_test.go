@@ -1,7 +1,7 @@
 // churn_test.go unit-tests the agent-level Churnable surface of the
-// baselines: class-chosen join states, swap-remove leaves (with CIW's
-// stranded-rank clamp), and the error paths the engine relies on to fail
-// fast.
+// baselines: class-chosen join states, seeded swap-remove leaves (with
+// CIW's stranded-rank clamp), and the error paths the engine relies on to
+// fail fast.
 
 package baseline
 
@@ -22,26 +22,23 @@ func TestCIWChurnSurface(t *testing.T) {
 	}
 	src := rng.New(3)
 	for _, class := range []string{"", string(adversary.ClassCleanRankers)} {
-		i, err := c.JoinAgent(class, src)
-		if err != nil {
+		if err := c.Join(class, src); err != nil {
 			t.Fatal(err)
 		}
-		if i != c.N()-1 || c.RankOutput(i) != 1 {
-			t.Fatalf("class %q joined at %d with rank %d, want a fresh rank-1 ranker", class, i, c.RankOutput(i))
+		if r := c.RankOutput(c.N() - 1); r != 1 {
+			t.Fatalf("class %q joined with rank %d, want a fresh rank-1 ranker", class, r)
 		}
 	}
-	i, err := c.JoinAgent(string(adversary.ClassRandomGarbage), src)
-	if err != nil {
+	if err := c.Join(string(adversary.ClassRandomGarbage), src); err != nil {
 		t.Fatal(err)
 	}
-	if r := c.RankOutput(i); r < 1 || int(r) > c.N() {
+	if r := c.RankOutput(c.N() - 1); r < 1 || int(r) > c.N() {
 		t.Fatalf("random-garbage join rank %d outside [1, %d]", r, c.N())
 	}
-	i, err = c.JoinAgent(string(adversary.ClassDuplicateRanks), src)
-	if err != nil {
+	if err := c.Join(string(adversary.ClassDuplicateRanks), src); err != nil {
 		t.Fatal(err)
 	}
-	dup := false
+	i, dup := c.N()-1, false
 	for j := 0; j < i; j++ {
 		if c.RankOutput(j) == c.RankOutput(i) {
 			dup = true
@@ -50,30 +47,41 @@ func TestCIWChurnSurface(t *testing.T) {
 	if !dup {
 		t.Fatalf("duplicate-ranks join rank %d duplicates nobody", c.RankOutput(i))
 	}
-	if _, err := c.JoinAgent("bogus", src); err == nil {
+	if err := c.Join("bogus", src); err == nil {
 		t.Fatal("unrealizable join class accepted")
 	}
 }
 
+// leaveVictim returns the agent index Leave will draw from src for a
+// population of n, reading a copy so src itself does not advance.
+func leaveVictim(src *rng.PRNG, n int) int {
+	probe := *src
+	return probe.Intn(n)
+}
+
 func TestCIWLeaveClampsStrandedRanks(t *testing.T) {
 	c := NewCIWFromRanks([]int32{1, 2, 3, 4})
-	if err := c.LeaveAgent(4); err == nil {
-		t.Fatal("out-of-range leave accepted")
+	// Pick a stream whose victim is not the last agent: the leave then
+	// swap-moves rank 4 into the victim's slot, the shrunken space [1, 3]
+	// strands it, and the clamp must pull it down to 3.
+	src := rng.New(1)
+	for leaveVictim(src, 4) == 3 {
+		src.Uint64()
 	}
-	// Removing agent 0 swap-moves rank 4 into slot 0; the shrunken space
-	// [1, 3] strands it, so the clamp must pull it down to 3.
-	if err := c.LeaveAgent(0); err != nil {
+	want := []int32{1, 2, 3}
+	want[leaveVictim(src, 4)] = 3
+	if err := c.Leave(src); err != nil {
 		t.Fatal(err)
 	}
-	if c.N() != 3 || c.RankOutput(0) != 3 || c.RankOutput(1) != 2 || c.RankOutput(2) != 3 {
-		t.Fatalf("after the leave: n=%d ranks %d/%d/%d, want 3 and 3/2/3", c.N(), c.RankOutput(0), c.RankOutput(1), c.RankOutput(2))
+	if c.N() != 3 || c.RankOutput(0) != want[0] || c.RankOutput(1) != want[1] || c.RankOutput(2) != want[2] {
+		t.Fatalf("after the leave: n=%d ranks %d/%d/%d, want 3 and %v", c.N(), c.RankOutput(0), c.RankOutput(1), c.RankOutput(2), want)
 	}
 	for c.N() > 1 {
-		if err := c.LeaveAgent(0); err != nil {
+		if err := c.Leave(src); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.LeaveAgent(0); err == nil {
+	if err := c.Leave(src); err == nil {
 		t.Fatal("leave emptied the population")
 	}
 }
@@ -96,14 +104,10 @@ func TestLooseLEChurnSurface(t *testing.T) {
 		{string(adversary.ClassRandomGarbage), false, -1},
 	}
 	for _, tc := range cases {
-		i, err := l.JoinAgent(tc.class, src)
-		if err != nil {
+		if err := l.Join(tc.class, src); err != nil {
 			t.Fatal(err)
 		}
-		if i != l.N()-1 {
-			t.Fatalf("class %q joined at %d, want the last slot %d", tc.class, i, l.N()-1)
-		}
-		leader, timer := looseState(l.StateKey(i))
+		leader, timer := looseState(l.StateKey(l.N() - 1))
 		if tc.timerExact >= 0 && (leader != tc.leader || timer != tc.timerExact) {
 			t.Fatalf("class %q joined as (%v, %d), want (%v, %d)",
 				tc.class, leader, timer, tc.leader, tc.timerExact)
@@ -112,27 +116,29 @@ func TestLooseLEChurnSurface(t *testing.T) {
 			t.Fatalf("class %q joined with timer %d outside [0, %d]", tc.class, timer, tau)
 		}
 	}
-	if _, err := l.JoinAgent("bogus", src); err == nil {
+	if err := l.Join("bogus", src); err == nil {
 		t.Fatal("unrealizable join class accepted")
 	}
-	if err := l.LeaveAgent(l.N()); err == nil {
-		t.Fatal("out-of-range leave accepted")
+	// Remove a drawn victim other than the last agent, and check the swap
+	// brought the last agent's state into its slot.
+	for leaveVictim(src, l.N()) == l.N()-1 {
+		src.Uint64()
 	}
-	// Remove slot 0 and check the swap brought the last agent's state along.
+	victim := leaveVictim(src, l.N())
 	wantLeader, wantTimer := looseState(l.StateKey(l.N() - 1))
-	if err := l.LeaveAgent(0); err != nil {
+	if err := l.Leave(src); err != nil {
 		t.Fatal(err)
 	}
-	if leader, timer := looseState(l.StateKey(0)); leader != wantLeader || timer != wantTimer {
-		t.Fatalf("swap-remove left slot 0 as (%v, %d), want the moved (%v, %d)",
-			leader, timer, wantLeader, wantTimer)
+	if leader, timer := looseState(l.StateKey(victim)); leader != wantLeader || timer != wantTimer {
+		t.Fatalf("swap-remove left slot %d as (%v, %d), want the moved (%v, %d)",
+			victim, leader, timer, wantLeader, wantTimer)
 	}
 	for l.N() > 1 {
-		if err := l.LeaveAgent(0); err != nil {
+		if err := l.Leave(src); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.LeaveAgent(0); err == nil {
+	if err := l.Leave(src); err == nil {
 		t.Fatal("leave emptied the population")
 	}
 }

@@ -117,12 +117,12 @@ func TestAgentGolden(t *testing.T) {
 						// Three leaves per join shrink the population,
 						// stranding CIW's top ranks.
 						for k := 0; k < 3; k++ {
-							if err := p.LeaveAgent(src.Intn(p.N())); err != nil {
+							if err := p.Leave(src); err != nil {
 								t.Fatal(err)
 							}
 						}
 					}
-					if _, err := p.JoinAgent(pr.joins[round%len(pr.joins)], src); err != nil {
+					if err := p.Join(pr.joins[round%len(pr.joins)], src); err != nil {
 						t.Fatal(err)
 					}
 					putKeys(h, p)
@@ -159,7 +159,8 @@ func TestAgentGolden(t *testing.T) {
 // classes and CIW's rescale clamp), which TestSpeciesGolden does not reach:
 // the population first grows through every join class, then shrinks by
 // three leaves per join, and the (key, count) multiset is hashed in slot
-// order after every event group.
+// order after every event group, together with the state key of every
+// agent that left.
 func TestKeyedSpeciesChurnGolden(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -188,14 +189,13 @@ func TestKeyedSpeciesChurnGolden(t *testing.T) {
 				s.StepMany(300)
 				if round >= 20 {
 					for k := 0; k < 3; k++ {
-						key, err := s.LeaveState(src)
-						if err != nil {
+						put(leaveKey(s, src))
+						if err := s.Leave(src); err != nil {
 							t.Fatal(err)
 						}
-						put(key)
 					}
 				}
-				if err := s.JoinState(c.joins[round%len(c.joins)], src); err != nil {
+				if err := s.Join(c.joins[round%len(c.joins)], src); err != nil {
 					t.Fatal(err)
 				}
 				s.Each(func(key uint64, n int64) bool {
@@ -213,4 +213,22 @@ func TestKeyedSpeciesChurnGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// leaveKey returns the state key of the agent the next s.Leave(src)
+// removes: it replays Leave's count-weighted draw on a copy of src over
+// s.Each, whose order Leave walks too.
+func leaveKey(s *species.System, src *rng.PRNG) uint64 {
+	probe := *src
+	u := int64(probe.Uint64n(uint64(s.N())))
+	var key uint64
+	s.Each(func(k uint64, c int64) bool {
+		if u < c {
+			key = k
+			return false
+		}
+		u -= c
+		return true
+	})
+	return key
 }

@@ -117,31 +117,30 @@ func (e *keyed) StateKey(i int) uint64 { return uint64(e.keys[i]) }
 // agents.
 func (e *keyed) ChurnBounds() (minN, maxN int) { return 2, 0 }
 
-// JoinAgent adds one agent in the state the protocol's join rule picks for
-// the class; the duplicating classes copy a uniformly drawn agent's state.
-func (e *keyed) JoinAgent(class string, src *rng.PRNG) (int, error) {
+// Join adds one agent in the state the protocol's join rule picks for the
+// class; the duplicating classes copy a uniformly drawn agent's state.
+func (e *keyed) Join(class string, src *rng.PRNG) error {
 	key, err := e.rules.joinState(class, len(e.keys)+1, func() uint64 {
 		return uint64(e.keys[src.Intn(len(e.keys))])
 	}, src)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	e.keys = append(e.keys, uint32(key))
-	return len(e.keys) - 1, nil
+	return nil
 }
 
-// LeaveAgent removes agent i (swap-remove: agent identities carry no state
-// in the keyed baselines) and clamps any key the shrunken key space strands
-// — without the clamp a CIW rank above n could never be corrected ((k, k)
-// fires only on collisions) and the protocol would lose liveness.
-func (e *keyed) LeaveAgent(i int) error {
+// Leave removes one uniformly drawn agent (swap-remove: agent identities
+// carry no state in the keyed baselines) and clamps any key the shrunken
+// key space strands — without the clamp a CIW rank above n could never be
+// corrected ((k, k) fires only on collisions) and the protocol would lose
+// liveness.
+func (e *keyed) Leave(src *rng.PRNG) error {
 	n := len(e.keys)
-	if i < 0 || i >= n {
-		return fmt.Errorf("baseline: %s leave index %d out of range [0, %d)", e.rules.name, i, n)
-	}
 	if n <= 1 {
 		return fmt.Errorf("baseline: cannot remove the last %s agent", e.rules.name)
 	}
+	i := src.Intn(n)
 	e.keys[i] = e.keys[n-1]
 	e.keys = e.keys[:n-1]
 	if clamp := e.rules.clamp; clamp != nil {

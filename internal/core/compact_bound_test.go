@@ -109,12 +109,12 @@ func TestCompactKeysStayBelowStateSpace(t *testing.T) {
 				// as the workload orders them within an instant.
 				k := 1 + src.Intn(8)
 				for i := 0; i < k; i++ {
-					if _, err := s.LeaveState(src); err != nil {
+					if err := s.Leave(src); err != nil {
 						t.Fatal(err)
 					}
 				}
 				for i := 0; i < k; i++ {
-					if err := s.JoinState(classes[(round+i)%len(classes)], src); err != nil {
+					if err := s.Join(classes[(round+i)%len(classes)], src); err != nil {
 						t.Fatal(err)
 					}
 				}

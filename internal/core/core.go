@@ -90,7 +90,6 @@ type Protocol struct {
 
 	synthetic bool
 	src       *rng.PRNG
-	clock     uint64
 
 	// Incremental predicate counters (counters.go). Maintained by
 	// untrack/track around every agent mutation, they make the correctness
@@ -237,9 +236,6 @@ func (p *Protocol) Constants() Constants { return p.dyn.consts }
 // adversary package need them to build type-valid states).
 func (p *Protocol) VerifyParams() verify.Params { return p.dyn.vp }
 
-// Clock returns the number of interactions applied so far.
-func (p *Protocol) Clock() uint64 { return p.clock }
-
 // Events returns the attached event sink (possibly nil).
 func (p *Protocol) Events() *sim.Events { return p.dyn.events }
 
@@ -261,13 +257,12 @@ func (p *Protocol) Interact(a, b int) {
 	p.track(b)
 }
 
-// interact is the tracking-free transition body of Interact: the clock
-// tick, the synthetic-coin observation (the only per-agent-identity piece
-// of the transition), then the shared pair dynamics.
+// interact is the tracking-free transition body of Interact: the
+// synthetic-coin observation (the only per-agent-identity piece of the
+// transition), then the shared pair dynamics.
 //
 //sspp:hotpath
 func (p *Protocol) interact(a, b int) {
-	p.clock++
 	u, v := &p.agents[a], &p.agents[b]
 	if p.synthetic {
 		coin.Observe(&u.Coin, &v.Coin)

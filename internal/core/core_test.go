@@ -106,13 +106,6 @@ func TestAccessors(t *testing.T) {
 	if p.N() != 8 || p.R() != 2 {
 		t.Fatal("N/R accessors broken")
 	}
-	if p.Clock() != 0 {
-		t.Fatal("fresh clock must be 0")
-	}
-	p.Interact(0, 1)
-	if p.Clock() != 1 {
-		t.Fatal("clock must tick")
-	}
 	if p.Agent(0) == nil {
 		t.Fatal("Agent accessor broken")
 	}

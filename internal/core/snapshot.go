@@ -11,7 +11,6 @@ var (
 	_ sim.Ranker      = (*Protocol)(nil)
 	_ sim.SafeSetter  = (*Protocol)(nil)
 	_ sim.Snapshotter = (*Protocol)(nil)
-	_ sim.Clocked     = (*Protocol)(nil)
 )
 
 // SnapshotInto fills s with the current population composition: role

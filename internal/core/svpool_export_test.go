@@ -16,19 +16,19 @@ func OwnedStates(p *Protocol) []*verify.State {
 	return p.dyn.owned.states
 }
 
-// WatchPooled records every state a cleanup hands to the pools until the
-// test ends; the returned function reports whether s was one of them.
-func WatchPooled(t *testing.T) (pooled func(s *verify.State) bool) {
+// WatchPooled counts every hand-over of a state to the pools until the
+// test ends; the returned function reports how often s was handed over.
+func WatchPooled(t *testing.T) (handed func(s *verify.State) int) {
 	var mu sync.Mutex
-	seen := make(map[*verify.State]bool)
+	seen := make(map[*verify.State]int)
 	hook := func(s *verify.State) {
 		mu.Lock()
-		seen[s] = true
+		seen[s]++
 		mu.Unlock()
 	}
 	pooledHook.Store(&hook)
 	t.Cleanup(func() { pooledHook.Store(nil) })
-	return func(s *verify.State) bool {
+	return func(s *verify.State) int {
 		mu.Lock()
 		defer mu.Unlock()
 		return seen[s]

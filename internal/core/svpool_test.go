@@ -47,19 +47,33 @@ func runReuseTrial(t *testing.T, n, r int, seed uint64) (*core.Protocol, reuseTr
 	return p, tr
 }
 
+// handOvers reads how often each state has been handed to the pools.
+func handOvers(handed func(*verify.State) int, states []*verify.State) []int {
+	counts := make([]int, len(states))
+	for i, s := range states {
+		counts[i] = handed(s)
+	}
+	return counts
+}
+
 // awaitPooled collects garbage until every state of want has been handed
-// to the pools. It stops collecting once the first state is handed over:
-// one cleanup hands all of a Protocol's states, so the rest follow without
-// another collection. sync.Pool drops what it holds only on the second
-// collection after the hand-over, so the states stay in the pools until a
-// caller that allocates little before its next Get takes them.
-func awaitPooled(t *testing.T, pooled func(*verify.State) bool, want []*verify.State) {
+// to the pools more often than before says. before must be read while the
+// states' owner is still reachable: a state the owner took from the pools
+// was handed over once already, by the cleanup of the Protocol that owned
+// it earlier, and that cleanup can run late, while the owner is running.
+// Only a count above before shows the owner's own hand-over. It stops
+// collecting once the first state is handed over: one cleanup hands all
+// of a Protocol's states, so the rest follow without another collection.
+// sync.Pool drops what it holds only on the second collection after the
+// hand-over, so the states stay in the pools until a caller that allocates
+// little before its next Get takes them.
+func awaitPooled(t *testing.T, handed func(*verify.State) int, want []*verify.State, before []int) {
 	t.Helper()
 	collect := true
 	for try := 0; try < 1000; try++ {
 		waiting := 0
-		for _, s := range want {
-			if !pooled(s) {
+		for i, s := range want {
+			if handed(s) == before[i] {
 				waiting++
 			}
 		}
@@ -88,17 +102,20 @@ func emptyPools() {
 // agent's keys must equal the same trial run with empty pools. (250, 64)
 // has groups of 63 and 62, so two pools fill and drain at once.
 func TestVerifierStateReuse(t *testing.T) {
-	pooled := core.WatchPooled(t)
+	handed := core.WatchPooled(t)
 	for _, c := range []struct{ n, r int }{{256, 64}, {250, 64}} {
 		t.Run(fmt.Sprintf("n%d_r%d", c.n, c.r), func(t *testing.T) {
-			owned := func() []*verify.State {
+			owned, before := func() ([]*verify.State, []int) {
 				p, _ := runReuseTrial(t, c.n, c.r, 1)
-				return slices.Clone(core.OwnedStates(p))
+				owned := slices.Clone(core.OwnedStates(p))
+				before := handOvers(handed, owned)
+				runtime.KeepAlive(p)
+				return owned, before
 			}()
 			if len(owned) < c.n {
 				t.Fatalf("the first trial owns %d verifier states, want at least n = %d", len(owned), c.n)
 			}
-			awaitPooled(t, pooled, owned)
+			awaitPooled(t, handed, owned, before)
 			fromFirst := make(map[*verify.State]bool, len(owned))
 			for _, s := range owned {
 				fromFirst[s] = true
@@ -144,21 +161,22 @@ func TestVerifierStateReuse(t *testing.T) {
 // it lives, the agent's verifier state must stay out of the pools, and once
 // it is dropped the state must reach them.
 func TestVerifierStateReuseAgentHeld(t *testing.T) {
-	pooled := core.WatchPooled(t)
-	a, sv := func() (*core.Agent, *verify.State) {
+	handed := core.WatchPooled(t)
+	a, sv, before := func() (*core.Agent, *verify.State, []int) {
 		p, _ := runReuseTrial(t, 256, 64, 3)
-		return p.Agent(0), p.Agent(0).SV
+		sv := p.Agent(0).SV
+		return p.Agent(0), sv, handOvers(handed, []*verify.State{sv})
 	}()
 	for try := 0; try < 5; try++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	if pooled(sv) {
+	if handed(sv) != before[0] {
 		t.Fatal("a verifier state was pooled while an *Agent into its array was live")
 	}
 	if a.SV != sv || a.Role != core.RoleVerifying {
 		t.Fatal("the held agent changed")
 	}
 	runtime.KeepAlive(a)
-	awaitPooled(t, pooled, []*verify.State{sv})
+	awaitPooled(t, handed, []*verify.State{sv}, before)
 }

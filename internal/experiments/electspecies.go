@@ -78,12 +78,12 @@ func S3ElectLeaderSpecies(cfg Config) *Table {
 	for _, pt := range s3OccupancyPoints(cfg.Quick) {
 		budget := perAgent * uint64(pt.n)
 		st := firstTrial(cfg)
-		agent, err := core.New(pt.n, pt.r, core.WithSeed(st.ProtoSeed))
+		m, err := core.CompactClean(pt.n, pt.r, core.WithSeed(st.ProtoSeed))
 		if err != nil {
 			t.Note("n=%d r=%d: %v", pt.n, pt.r, err)
 			continue
 		}
-		sp, err := species.NewSystem(agent.Compact(), 1)
+		sp, err := species.NewSystem(m, 1)
 		if err != nil {
 			t.Note("n=%d r=%d: %v", pt.n, pt.r, err)
 			continue

@@ -212,7 +212,8 @@ func TestAdmissionAgreement(t *testing.T) {
 		{name: "non-injectable × adversary", single: inject(namerank), ens: ensemble(namerank, sspp.Grid{Adversaries: classes}),
 			ensOK: true, exception: "an Ensemble counts a class its protocol cannot realize as failed trials (Grid.Adversaries)"},
 		{name: "species × churn workload", single: run(species, sspp.WithWorkload(churn)), ens: ensemble(species, sspp.Grid{Workload: churn}),
-			singleOK: true, exception: "Ensemble workload mode runs on the agent backend only; a single species System absorbs churn"},
+			singleOK: true, ensOK: true},
+		{name: "species × fault phases", single: run(species, sspp.WithWorkload(faults)), ens: ensemble(species, sspp.Grid{Workload: faults})},
 	} {
 		errSingle, errEns := row.single(), row.ens()
 		if (errSingle == nil) != row.singleOK || (errEns == nil) != row.ensOK {

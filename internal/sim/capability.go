@@ -82,52 +82,29 @@ type Snapshotter interface {
 	SnapshotInto(s *Snapshot)
 }
 
-// Clocked is implemented by protocols that count their own interactions;
-// the engine then reports the protocol's clock instead of its own tally, so
-// direct protocol-level steps stay visible.
-type Clocked interface {
-	Clock() uint64
-}
-
-// Churnable is implemented by agent-level protocols that support population
-// churn: agents joining and leaving mid-run (the dynamic half of the
-// robustness story — self-stabilization under ongoing disruption, not just
-// after a single burst). Joins enter in an adversary-class-chosen state; the
-// engine applies the leaves of a same-instant event group before its joins,
-// so replacement-churn protocols (ChurnBounds returning (n, n)) see each
+// Churnable is implemented by protocols that support population churn:
+// agents joining and leaving mid-run (the dynamic half of the robustness
+// story — self-stabilization under ongoing disruption, not just after a
+// single burst). Agent-level protocols and count-based backends implement
+// it alike: a join enters in an adversary-class-chosen state, and a leave
+// removes a victim the protocol draws itself, uniformly over the live
+// agents (count-weighted over states in species form). The engine applies
+// the leaves of a same-instant event group before its joins, so
+// replacement-churn protocols (ChurnBounds returning (n, n)) see each
 // departure paired with an arrival.
 type Churnable interface {
-	// JoinAgent adds one agent in the state the adversary class names (""
+	// Join adds one agent in the state the adversary class names (""
 	// selects the protocol's canonical clean join state), drawing randomness
-	// from src, and returns the new agent's index. Classes not realizable as
-	// a join state return an error.
-	JoinAgent(class string, src *rng.PRNG) (int, error)
-	// LeaveAgent removes agent i from the population.
-	LeaveAgent(i int) error
+	// from src. Classes not realizable as a join state return an error.
+	Join(class string, src *rng.PRNG) error
+	// Leave removes one uniformly chosen live agent, drawing the victim
+	// from src.
+	Leave(src *rng.PRNG) error
 	// ChurnBounds returns the population sizes the protocol supports: churn
 	// schedules must keep n within [minN, maxN] (maxN 0 means unbounded).
 	// Equal bounds declare replacement churn only (leaves paired with joins
 	// at the same instant).
 	ChurnBounds() (minN, maxN int)
-}
-
-// CountChurnable is implemented by count-based backends whose model supports
-// churn (CompactModel.Churn). The engine prefers it over Churnable: agent
-// identities do not exist in species form, so joins and leaves act on the
-// state multiset directly.
-type CountChurnable interface {
-	// CanChurn reports whether the running model declares churn hooks; the
-	// method set alone cannot express this, so the engine gates on it.
-	CanChurn() bool
-	// ChurnBounds mirrors Churnable.ChurnBounds.
-	ChurnBounds() (minN, maxN int)
-	// JoinState adds one agent in the state the model's Join hook picks for
-	// the class.
-	JoinState(class string, src *rng.PRNG) error
-	// LeaveState removes one uniformly chosen agent (count-weighted over
-	// states — the same law as a uniform agent pick) and returns its state
-	// key.
-	LeaveState(src *rng.PRNG) (uint64, error)
 }
 
 // StateKeyer is implemented by agent-level protocols whose per-agent state
@@ -205,7 +182,7 @@ type CompactModel struct {
 	SafeSet func(v CountView) bool
 	// Churn, when non-nil, declares that the model supports population churn
 	// (joins and leaves changing n mid-run); the species system then exposes
-	// the CountChurnable capability.
+	// the Churnable capability.
 	Churn *CompactChurn
 	// Release, when non-nil, is called by the engine after a state's count
 	// returns to zero (never mid-transition: only once the full interaction
@@ -311,15 +288,15 @@ func AsInjectable(v any) (Injectable, bool) { i, ok := v.(Injectable); return i,
 // AsSnapshotter reports whether v can export a rich state summary.
 func AsSnapshotter(v any) (Snapshotter, bool) { s, ok := v.(Snapshotter); return s, ok }
 
-// AsClocked reports whether v counts its own interactions.
-func AsClocked(v any) (Clocked, bool) { c, ok := v.(Clocked); return c, ok }
-
-// AsChurnable reports whether v supports agent-level population churn.
-func AsChurnable(v any) (Churnable, bool) { c, ok := v.(Churnable); return c, ok }
-
-// AsCountChurnable reports whether v supports count-based population churn.
-func AsCountChurnable(v any) (CountChurnable, bool) {
-	c, ok := v.(CountChurnable)
+// AsChurnable reports whether v supports population churn. Count-based
+// backends carry the Churnable method set on every system and say through
+// CanChurn whether their model declares churn hooks; this is the one place
+// that reads it.
+func AsChurnable(v any) (Churnable, bool) {
+	c, ok := v.(Churnable)
+	if g, gated := v.(interface{ CanChurn() bool }); ok && gated {
+		ok = g.CanChurn()
+	}
 	return c, ok
 }
 

@@ -17,29 +17,25 @@ import (
 // allCaps implements every optional capability with no-op bodies.
 type allCaps struct{}
 
-func (allCaps) N() int                                   { return 2 }
-func (allCaps) Interact(_, _ int)                        {}
-func (allCaps) Correct() bool                            { return true }
-func (allCaps) RankOutput(int) int32                     { return 1 }
-func (allCaps) CorrectRanking() bool                     { return true }
-func (allCaps) LeaderIndex() (int, bool)                 { return 0, true }
-func (allCaps) InSafeSet() bool                          { return true }
-func (allCaps) Inject(string, *rng.PRNG) error           { return nil }
-func (allCaps) InjectTransient(int, *rng.PRNG) []int     { return nil }
-func (allCaps) SnapshotInto(*Snapshot)                   {}
-func (allCaps) Clock() uint64                            { return 0 }
-func (allCaps) JoinAgent(string, *rng.PRNG) (int, error) { return 0, nil }
-func (allCaps) LeaveAgent(int) error                     { return nil }
-func (allCaps) ChurnBounds() (int, int)                  { return 2, 0 }
-func (allCaps) CanChurn() bool                           { return false }
-func (allCaps) JoinState(string, *rng.PRNG) error        { return nil }
-func (allCaps) LeaveState(*rng.PRNG) (uint64, error)     { return 0, nil }
-func (allCaps) StateKey(int) uint64                      { return 0 }
-func (allCaps) Compact() CompactModel                    { return CompactModel{} }
-func (allCaps) BindSource(*rng.PRNG)                     {}
-func (allCaps) StepMany(uint64)                          {}
-func (allCaps) StartContinuous(*rng.PRNG, bool)          {}
-func (allCaps) ParallelTime() float64                    { return 0 }
+func (allCaps) N() int                               { return 2 }
+func (allCaps) Interact(_, _ int)                    {}
+func (allCaps) Correct() bool                        { return true }
+func (allCaps) RankOutput(int) int32                 { return 1 }
+func (allCaps) CorrectRanking() bool                 { return true }
+func (allCaps) LeaderIndex() (int, bool)             { return 0, true }
+func (allCaps) InSafeSet() bool                      { return true }
+func (allCaps) Inject(string, *rng.PRNG) error       { return nil }
+func (allCaps) InjectTransient(int, *rng.PRNG) []int { return nil }
+func (allCaps) SnapshotInto(*Snapshot)               {}
+func (allCaps) Join(string, *rng.PRNG) error         { return nil }
+func (allCaps) Leave(*rng.PRNG) error                { return nil }
+func (allCaps) ChurnBounds() (int, int)              { return 2, 0 }
+func (allCaps) StateKey(int) uint64                  { return 0 }
+func (allCaps) Compact() CompactModel                { return CompactModel{} }
+func (allCaps) BindSource(*rng.PRNG)                 {}
+func (allCaps) StepMany(uint64)                      {}
+func (allCaps) StartContinuous(*rng.PRNG, bool)      {}
+func (allCaps) ParallelTime() float64                { return 0 }
 
 func TestCapabilityHelpers(t *testing.T) {
 	probes := []struct {
@@ -51,9 +47,7 @@ func TestCapabilityHelpers(t *testing.T) {
 		{"safe-setter", func(v any) bool { _, ok := AsSafeSetter(v); return ok }},
 		{"injectable", func(v any) bool { _, ok := AsInjectable(v); return ok }},
 		{"snapshotter", func(v any) bool { _, ok := AsSnapshotter(v); return ok }},
-		{"clocked", func(v any) bool { _, ok := AsClocked(v); return ok }},
 		{"churnable", func(v any) bool { _, ok := AsChurnable(v); return ok }},
-		{"count-churnable", func(v any) bool { _, ok := AsCountChurnable(v); return ok }},
 		{"state-keyer", func(v any) bool { _, ok := AsStateKeyer(v); return ok }},
 		{"compactable", func(v any) bool { _, ok := AsCompactable(v); return ok }},
 		{"count-based", func(v any) bool { _, ok := AsCountBased(v); return ok }},
@@ -67,6 +61,25 @@ func TestCapabilityHelpers(t *testing.T) {
 		}
 		if p.ok(&none) {
 			t.Errorf("%s: helper claims the capability on a bare value", p.name)
+		}
+	}
+}
+
+// gatedChurn carries the Churnable method set and declares through CanChurn
+// whether it really churns, the way a count-based backend does.
+type gatedChurn struct {
+	allCaps
+	can bool
+}
+
+func (g gatedChurn) CanChurn() bool { return g.can }
+
+// TestAsChurnableReadsTheChurnGate: a value whose CanChurn reports false is
+// not churnable, whatever its method set.
+func TestAsChurnableReadsTheChurnGate(t *testing.T) {
+	for _, can := range []bool{false, true} {
+		if _, got := AsChurnable(gatedChurn{can: can}); got != can {
+			t.Errorf("AsChurnable with CanChurn %v = %v", can, got)
 		}
 	}
 }

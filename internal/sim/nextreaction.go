@@ -4,10 +4,9 @@
 // chain remains uniform over edges — the same law the discrete EdgeSampler
 // deals), and the next interaction is the edge whose clock fires first.
 // This is Gibson–Bruck's next-reaction method specialized to equal rates:
-// absolute firing times live in an indexed binary min-heap keyed by time,
-// the fired edge redraws its clock and is sifted back down from the root,
-// and the index (pos) supports out-of-band key updates. Each interaction
-// costs O(log M) with zero allocations.
+// absolute firing times live in a binary min-heap keyed by time,
+// and the fired edge redraws its clock and is sifted back down from the
+// root. Each interaction costs O(log M) with zero allocations.
 
 package sim
 
@@ -30,7 +29,6 @@ type NextReaction struct {
 	t       float64
 
 	heap []int32   // heap[i] is the edge at heap position i
-	pos  []int32   // pos[e] is edge e's heap position
 	key  []float64 // key[e] is edge e's absolute firing time
 }
 
@@ -48,12 +46,10 @@ func NewNextReaction(g *graph.Graph, src *rng.PRNG, start float64) *NextReaction
 		invRate: 2 * float64(m) / float64(g.N()),
 		t:       start,
 		heap:    make([]int32, m),
-		pos:     make([]int32, m),
 		key:     make([]float64, m),
 	}
 	for e := 0; e < m; e++ {
 		nr.heap[e] = int32(e)
-		nr.pos[e] = int32(e)
 		nr.key[e] = start + src.Exp()*nr.invRate
 	}
 	for i := m/2 - 1; i >= 0; i-- {
@@ -92,8 +88,7 @@ func (nr *NextReaction) fire() int32 {
 	return e
 }
 
-// siftDown restores the min-heap property downward from position i,
-// keeping the edge→position index current.
+// siftDown restores the min-heap property downward from position i.
 //
 //sspp:hotpath
 func (nr *NextReaction) siftDown(i int) {
@@ -112,39 +107,7 @@ func (nr *NextReaction) siftDown(i int) {
 			return
 		}
 		h[i], h[min] = h[min], h[i]
-		nr.pos[h[i]] = int32(i)
-		nr.pos[h[min]] = int32(min)
 		i = min
-	}
-}
-
-// siftUp restores the min-heap property upward from position i.
-//
-//sspp:hotpath
-func (nr *NextReaction) siftUp(i int) {
-	h, key := nr.heap, nr.key
-	for i > 0 {
-		parent := (i - 1) / 2
-		if key[h[parent]] <= key[h[i]] {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		nr.pos[h[i]] = int32(i)
-		nr.pos[h[parent]] = int32(parent)
-		i = parent
-	}
-}
-
-// UpdateKey moves edge e's absolute firing time to when and re-sifts it in
-// either direction — the indexed-heap key-update hook (used when per-edge
-// rates change out of band).
-func (nr *NextReaction) UpdateKey(e int32, when float64) {
-	old := nr.key[e]
-	nr.key[e] = when
-	if when < old {
-		nr.siftUp(int(nr.pos[e]))
-	} else {
-		nr.siftDown(int(nr.pos[e]))
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 )
 
 // CanChurn reports whether the running model declares churn hooks. The
-// methods below exist on every System, so the engine gates on this before
-// trusting the sim.CountChurnable capability.
+// methods below exist on every System, so sim.AsChurnable reads this before
+// reporting the sim.Churnable capability.
 func (s *System) CanChurn() bool { return s.model.Churn != nil }
 
 // ChurnBounds returns the model's declared population bounds (zero values
@@ -30,11 +30,11 @@ func (s *System) ChurnBounds() (minN, maxN int) {
 	return s.model.Churn.MinN, s.model.Churn.MaxN
 }
 
-// JoinState adds one agent in the state the model's Join hook picks for the
+// Join adds one agent in the state the model's Join hook picks for the
 // adversary class. The hook sees the pre-join configuration but the post-join
-// size, matching the agent-level Churnable contract. A join state outside the
+// size, as the agent-level Churnable protocols do. A join state outside the
 // rescaled state space is refused before the system changes.
-func (s *System) JoinState(class string, src *rng.PRNG) error {
+func (s *System) Join(class string, src *rng.PRNG) error {
 	ch := s.model.Churn
 	if ch == nil {
 		return fmt.Errorf("species: model has no churn hooks")
@@ -53,17 +53,17 @@ func (s *System) JoinState(class string, src *rng.PRNG) error {
 	return nil
 }
 
-// LeaveState removes one uniformly chosen agent — count-weighted over states,
-// the same law as a uniform agent pick — and returns its state key. The
-// population may dip to one agent mid-event-group (a replacement pair at the
-// protocol's minimum size); the workload validator guarantees every group
-// boundary restores the declared bounds.
-func (s *System) LeaveState(src *rng.PRNG) (uint64, error) {
+// Leave removes one uniformly chosen agent — count-weighted over states, in
+// Each order, the same law as a uniform agent pick. The population may dip
+// to one agent mid-event-group (a replacement pair at the protocol's minimum
+// size); the workload validator guarantees every group boundary restores the
+// declared bounds.
+func (s *System) Leave(src *rng.PRNG) error {
 	if s.model.Churn == nil {
-		return 0, fmt.Errorf("species: model has no churn hooks")
+		return fmt.Errorf("species: model has no churn hooks")
 	}
 	if s.n <= 1 {
-		return 0, fmt.Errorf("species: cannot remove an agent from a population of %d", s.n)
+		return fmt.Errorf("species: cannot remove an agent from a population of %d", s.n)
 	}
 	u := int64(src.Uint64n(uint64(s.n)))
 	var key uint64
@@ -77,13 +77,13 @@ func (s *System) LeaveState(src *rng.PRNG) (uint64, error) {
 		return true
 	})
 	if !found {
-		return 0, fmt.Errorf("species: leave sampling ran past the population (corrupted counts)")
+		return fmt.Errorf("species: leave sampling ran past the population (corrupted counts)")
 	}
 	s.add(key, -1)
 	space, remap := s.rescale(s.n - 1)
 	s.resize(s.n-1, space, remap)
 	s.reap(key)
-	return key, nil
+	return nil
 }
 
 // rescale lets the model update any internal size state its React closure

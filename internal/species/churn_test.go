@@ -78,11 +78,11 @@ func TestChurnGate(t *testing.T) {
 	if bare.CanChurn() {
 		t.Fatal("model without churn hooks reports CanChurn")
 	}
-	if err := bare.JoinState("", rng.New(2)); err == nil {
-		t.Fatal("JoinState accepted without churn hooks")
+	if err := bare.Join("", rng.New(2)); err == nil {
+		t.Fatal("Join accepted without churn hooks")
 	}
-	if _, err := bare.LeaveState(rng.New(2)); err == nil {
-		t.Fatal("LeaveState accepted without churn hooks")
+	if err := bare.Leave(rng.New(2)); err == nil {
+		t.Fatal("Leave accepted without churn hooks")
 	}
 	churny := mustSystem(t, toyChurn(16))
 	if !churny.CanChurn() {
@@ -95,7 +95,7 @@ func TestChurnGate(t *testing.T) {
 
 func TestJoinStateByClass(t *testing.T) {
 	s := mustSystem(t, toyChurn(16))
-	if err := s.JoinState("", rng.New(3)); err != nil {
+	if err := s.Join("", rng.New(3)); err != nil {
 		t.Fatal(err)
 	}
 	if s.N() != 17 || s.Count(1) != 17 {
@@ -103,13 +103,13 @@ func TestJoinStateByClass(t *testing.T) {
 	}
 	// "top" joins at the post-join maximum rank — key 18 exists only because
 	// Rescale grew the space first.
-	if err := s.JoinState("top", rng.New(4)); err != nil {
+	if err := s.Join("top", rng.New(4)); err != nil {
 		t.Fatal(err)
 	}
 	if s.N() != 18 || s.Count(18) != 1 {
 		t.Fatalf("after a top join: n=%d, count(18)=%d", s.N(), s.Count(18))
 	}
-	if err := s.JoinState("bogus", rng.New(5)); err == nil {
+	if err := s.Join("bogus", rng.New(5)); err == nil {
 		t.Fatal("unrealizable class accepted")
 	}
 	if s.N() != 18 {
@@ -164,7 +164,7 @@ func TestRejectedChurnKeyLeavesSystemIntact(t *testing.T) {
 		}
 	}
 
-	if err := s.JoinState("beyond", rng.New(15)); err == nil || !strings.Contains(err.Error(), "outside") {
+	if err := s.Join("beyond", rng.New(15)); err == nil || !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("out-of-space join accepted: %v", err)
 	}
 	intact("a refused join", 4)
@@ -178,7 +178,7 @@ func TestRejectedChurnKeyLeavesSystemIntact(t *testing.T) {
 		t.Fatalf("out-of-space growth delta accepted: %v", err)
 	}
 	intact("a refused growth delta", 4)
-	if err := s.JoinState("top", rng.New(16)); err != nil {
+	if err := s.Join("top", rng.New(16)); err != nil {
 		t.Fatal(err)
 	}
 	intact("a top join", 5)
@@ -199,23 +199,48 @@ func (s *System) stateOf(t *testing.T) uint64 {
 	return key
 }
 
+// leaveKey returns the state key of the agent the next s.Leave(src)
+// removes, replaying Leave's count-weighted draw on a copy of src.
+func (s *System) leaveKey(src *rng.PRNG) uint64 {
+	probe := *src
+	u := int64(probe.Uint64n(uint64(s.N())))
+	var key uint64
+	s.Each(func(k uint64, c int64) bool {
+		if u < c {
+			key = k
+			return false
+		}
+		u -= c
+		return true
+	})
+	return key
+}
+
 func TestLeaveStateFollowsCounts(t *testing.T) {
-	s := mustSystem(t, toyChurn(16)) // all 16 agents in state 1
-	key, err := s.LeaveState(rng.New(6))
-	if err != nil {
+	s := mustSystem(t, toyChurn(16))
+	// Spread the population over three states, 10/4/2.
+	if err := s.ApplyDeltas([]workload.KeyDelta{{Key: 1, Delta: -6}, {Key: 2, Delta: 4}, {Key: 3, Delta: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if key != 1 || s.N() != 15 || s.Count(1) != 15 {
-		t.Fatalf("leave took key %d, n=%d, count(1)=%d", key, s.N(), s.Count(1))
+	src := rng.New(6)
+	for i := 0; i < 8; i++ {
+		key := s.leaveKey(src)
+		n, before := s.N(), s.Count(key)
+		if err := s.Leave(src); err != nil {
+			t.Fatal(err)
+		}
+		if s.N() != n-1 || s.Count(key) != before-1 {
+			t.Fatalf("leave %d: n=%d, count(%d)=%d, want %d and %d", i, s.N(), key, s.Count(key), n-1, before-1)
+		}
+		selfCheck(t, s)
 	}
-	selfCheck(t, s)
 	// Drain to one agent: the final leave must refuse.
 	for s.N() > 1 {
-		if _, err := s.LeaveState(rng.New(uint64(s.N()))); err != nil {
+		if err := s.Leave(rng.New(uint64(s.N()))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.LeaveState(rng.New(7)); err == nil {
+	if err := s.Leave(rng.New(7)); err == nil {
 		t.Fatal("leave emptied the population")
 	}
 	selfCheck(t, s)
@@ -228,7 +253,7 @@ func TestShrinkClampsStrandedKeys(t *testing.T) {
 	if err := s.ApplyDeltas([]workload.KeyDelta{{Key: 1, Delta: -4}, {Key: 4, Delta: 4}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LeaveState(rng.New(8)); err != nil {
+	if err := s.Leave(rng.New(8)); err != nil {
 		t.Fatal(err)
 	}
 	if s.N() != 3 || s.Count(4) != 0 || s.Count(3) != 3 {
@@ -253,7 +278,7 @@ func TestGrowSpaceMigratesToSparse(t *testing.T) {
 	if s.dense == nil {
 		t.Fatal("system did not start dense")
 	}
-	if err := s.JoinState("", rng.New(9)); err != nil {
+	if err := s.Join("", rng.New(9)); err != nil {
 		t.Fatal(err)
 	}
 	if s.dense != nil || s.sparse == nil {
@@ -266,7 +291,7 @@ func TestGrowSpaceMigratesToSparse(t *testing.T) {
 	// The migrated system keeps stepping and churning.
 	s.BindSource(rng.New(10))
 	s.StepMany(500)
-	if _, err := s.LeaveState(rng.New(11)); err != nil {
+	if err := s.Leave(rng.New(11)); err != nil {
 		t.Fatal(err)
 	}
 	selfCheck(t, s)
@@ -313,15 +338,15 @@ func TestChurnSequenceKeepsInvariants(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		switch i % 4 {
 		case 0:
-			if err := s.JoinState("", src); err != nil {
+			if err := s.Join("", src); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
-			if err := s.JoinState("top", src); err != nil {
+			if err := s.Join("top", src); err != nil {
 				t.Fatal(err)
 			}
 		case 2, 3:
-			if _, err := s.LeaveState(src); err != nil {
+			if err := s.Leave(src); err != nil {
 				t.Fatal(err)
 			}
 		}

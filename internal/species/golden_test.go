@@ -63,10 +63,10 @@ func churnReplacements(t *testing.T, s *species.System, src *rng.PRNG, rounds in
 	t.Helper()
 	for i := 0; i < rounds; i++ {
 		s.StepMany(chunk)
-		if _, err := s.LeaveState(src); err != nil {
+		if err := s.Leave(src); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.JoinState(classes[i%len(classes)], src); err != nil {
+		if err := s.Join(classes[i%len(classes)], src); err != nil {
 			t.Fatal(err)
 		}
 	}

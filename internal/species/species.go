@@ -74,12 +74,12 @@ type System struct {
 }
 
 // The System implements the minimal protocol contract, bulk stepping, and
-// its own interaction clock.
+// the churn method set (reported as a capability only when CanChurn holds).
 var (
 	_ sim.Protocol   = (*System)(nil)
 	_ sim.CountBased = (*System)(nil)
-	_ sim.Clocked    = (*System)(nil)
 	_ sim.CountView  = (*System)(nil)
+	_ sim.Churnable  = (*System)(nil)
 )
 
 // NewSystem builds a System from a compact model, seeding the fallback

@@ -1,7 +1,6 @@
 // trace.go defines the versioned workload trace: everything one run did —
-// the interaction schedule (explicit pairs, or edge indices into a named
-// interaction graph, the superset of the scheduler Recording format), the
-// pre-interaction state keys, and the scheduled events with their exact
+// the interaction schedule (explicit agent pairs on the complete topology),
+// the pre-interaction state keys, and the scheduled events with their exact
 // effect on the state multiset — so a recorded workload replays bit-exactly
 // on either backend. The agent backend replays the pairs and re-fires the
 // events from their seeds; the count-based backend replays the state-key
@@ -49,14 +48,8 @@ type Trace struct {
 	N int `json:"n"`
 	// Steps is the number of interactions executed.
 	Steps uint64 `json:"steps"`
-	// Topology names the interaction graph of edge-indexed traces (""
-	// for the complete topology, which stores explicit pairs).
-	Topology string `json:"topology,omitempty"`
 	// Pairs holds the dealt agent pairs, two entries per interaction.
 	Pairs []int32 `json:"pairs,omitempty"`
-	// Edges holds edge indices into the named topology's graph, one entry
-	// per interaction (the edge-index mode of the Recording format).
-	Edges []int32 `json:"edges,omitempty"`
 	// Keys holds the pre-interaction state keys of the dealt agents, two
 	// entries per interaction — the count-based replay schedule.
 	Keys []uint64 `json:"keys,omitempty"`
@@ -72,11 +65,8 @@ func (t *Trace) Validate() error {
 	if t.N < 2 {
 		return fmt.Errorf("workload: trace population %d < 2", t.N)
 	}
-	if t.Topology == "" && uint64(len(t.Pairs)) != 2*t.Steps {
+	if uint64(len(t.Pairs)) != 2*t.Steps {
 		return fmt.Errorf("workload: trace has %d steps but %d pair entries", t.Steps, len(t.Pairs))
-	}
-	if t.Topology != "" && uint64(len(t.Edges)) != t.Steps {
-		return fmt.Errorf("workload: trace has %d steps but %d edge entries", t.Steps, len(t.Edges))
 	}
 	if len(t.Keys) > 0 && uint64(len(t.Keys)) != 2*t.Steps {
 		return fmt.Errorf("workload: trace has %d steps but %d key entries", t.Steps, len(t.Keys))

@@ -258,8 +258,7 @@ type Caps struct {
 	// Injectable reports the injectable capability (transient bursts and
 	// re-injections).
 	Injectable bool
-	// Churnable reports churn support (agent-level Churnable, or a
-	// count-based model with churn hooks).
+	// Churnable reports the churnable capability (joins and leaves).
 	Churnable bool
 	// MinN and MaxN are the protocol's churn bounds (MaxN 0 = unbounded).
 	// Equal bounds declare replacement churn only.

@@ -278,7 +278,6 @@ func TestTraceValidate(t *testing.T) {
 		{"future version", func(tr *Trace) { tr.Version = 2 }, "version 2"},
 		{"tiny population", func(tr *Trace) { tr.N = 1 }, "population 1"},
 		{"pair count", func(tr *Trace) { tr.Pairs = tr.Pairs[:1] }, "pair entries"},
-		{"edge count", func(tr *Trace) { tr.Topology = "ring"; tr.Pairs = nil }, "edge entries"},
 		{"key count", func(tr *Trace) { tr.Keys = []uint64{1} }, "key entries"},
 		{"event past end", func(tr *Trace) {
 			tr.Events = []TraceEvent{{Event: Event{At: 9}}}

@@ -12,6 +12,7 @@ package sspp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sspp/internal/adversary"
 	"sspp/internal/baseline"
@@ -141,30 +142,32 @@ func (e *electProtocol) ChurnBounds() (minN, maxN int) {
 	return n, n
 }
 
-// LeaveAgent marks slot i vacant. The slot's state is replaced when the
-// paired join fires; the protocol is anonymous, so a departed agent is
-// indistinguishable from its slot awaiting re-initialization.
-func (e *electProtocol) LeaveAgent(i int) error {
-	if i < 0 || i >= e.Protocol.N() {
-		return fmt.Errorf("sspp: electleader leave index %d out of range [0, %d)", i, e.Protocol.N())
+// Leave marks a uniformly drawn live slot vacant, redrawing until the draw
+// misses the slots already vacated at this instant. The slot's state is
+// replaced when the paired join fires; the protocol is anonymous, so a
+// departed agent is indistinguishable from its slot awaiting
+// re-initialization.
+func (e *electProtocol) Leave(src *rng.PRNG) error {
+	n := e.Protocol.N()
+	if len(e.vacant) >= n-1 {
+		return fmt.Errorf("sspp: electleader cannot vacate its last live slot")
 	}
-	for _, v := range e.vacant {
-		if v == i {
-			return fmt.Errorf("sspp: electleader slot %d is already vacant", i)
+	for {
+		if i := src.Intn(n); !slices.Contains(e.vacant, i) {
+			e.vacant = append(e.vacant, i)
+			return nil
 		}
 	}
-	e.vacant = append(e.vacant, i)
-	return nil
 }
 
-// JoinAgent fills the most recent vacancy with a brand-new agent: a fresh
-// ranker with fresh randomness (ReplaceAgent), then reshaped by the join
-// class. Realizable classes: "" / clean-rankers (the canonical clean join),
+// Join fills the most recent vacancy with a brand-new agent: a fresh ranker
+// with fresh randomness (ReplaceAgent), then reshaped by the join class.
+// Realizable classes: "" / clean-rankers (the canonical clean join),
 // triggered (an agent arriving mid-reset), and random-garbage (an agent
 // arriving with arbitrary memory).
-func (e *electProtocol) JoinAgent(class string, src *rng.PRNG) (int, error) {
+func (e *electProtocol) Join(class string, src *rng.PRNG) error {
 	if len(e.vacant) == 0 {
-		return 0, fmt.Errorf("sspp: electleader supports replacement churn only — pair each leave with a join at the same instant")
+		return fmt.Errorf("sspp: electleader supports replacement churn only — pair each leave with a join at the same instant")
 	}
 	i := e.vacant[len(e.vacant)-1]
 	e.vacant = e.vacant[:len(e.vacant)-1]
@@ -176,9 +179,9 @@ func (e *electProtocol) JoinAgent(class string, src *rng.PRNG) (int, error) {
 	case adversary.ClassRandomGarbage:
 		adversary.CorruptOne(e.Protocol, i, src)
 	default:
-		return 0, fmt.Errorf("sspp: class %q not realizable as an electleader join state", class)
+		return fmt.Errorf("sspp: class %q not realizable as an electleader join state", class)
 	}
-	return i, nil
+	return nil
 }
 
 // validateBaseline is the shared validation of the non-core protocols: a

@@ -140,7 +140,7 @@ type System struct {
 	plan
 	proto  sim.Protocol
 	events *sim.Events
-	steps  uint64    // engine-counted interactions (Clocked protocols report their own)
+	steps  uint64    // interactions the engine has dealt (see Interactions)
 	clock  sim.Clock // the one owner of parallel time (see ParallelTime)
 }
 
@@ -331,12 +331,7 @@ func (s *System) R() int {
 }
 
 // Interactions returns the number of interactions executed so far.
-func (s *System) Interactions() uint64 {
-	if c, ok := sim.AsClocked(s.proto); ok {
-		return c.Clock()
-	}
-	return s.steps
-}
+func (s *System) Interactions() uint64 { return s.steps }
 
 // ParallelTime returns the parallel time elapsed so far on the system's one
 // clock: interactions over the live population size under the discrete

@@ -110,9 +110,9 @@ func PopulationStep(t uint64, delta int, class Adversary, seed uint64) WorkloadP
 }
 
 // applyWorkloadEvent fires one scheduled event against the running protocol,
-// dispatching on its capabilities: count-based churn (species backend) wins
-// over agent-level churn, and the fault kinds go through the injectable
-// capability. Validation has already guaranteed the capability exists.
+// dispatching on its capabilities: joins and leaves go through the churnable
+// capability, the fault kinds through the injectable one. Validation has
+// already guaranteed the capability exists.
 func (s *System) applyWorkloadEvent(ev workload.Event) error {
 	src := rng.New(ev.Seed)
 	switch ev.Kind {
@@ -121,34 +121,15 @@ func (s *System) applyWorkloadEvent(ev workload.Event) error {
 		return err
 	case workload.KindInject:
 		return s.injectWith(Adversary(ev.Class), src)
-	case workload.KindJoin:
-		if cc, ok := sim.AsCountChurnable(s.proto); ok && cc.CanChurn() {
-			return cc.JoinState(ev.Class, src)
+	case workload.KindJoin, workload.KindLeave:
+		ch, ok := sim.AsChurnable(s.proto)
+		if !ok {
+			return fmt.Errorf("sspp: protocol %q does not support churn", s.ProtocolName())
 		}
-		if ch, ok := sim.AsChurnable(s.proto); ok {
-			_, err := ch.JoinAgent(ev.Class, src)
-			return err
+		if ev.Kind == workload.KindJoin {
+			return ch.Join(ev.Class, src)
 		}
-		return fmt.Errorf("sspp: protocol %q does not support churn", s.ProtocolName())
-	case workload.KindLeave:
-		if cc, ok := sim.AsCountChurnable(s.proto); ok && cc.CanChurn() {
-			_, err := cc.LeaveState(src)
-			return err
-		}
-		if ch, ok := sim.AsChurnable(s.proto); ok {
-			// The victim is uniform over the live agents. Replacement-churn
-			// protocols keep dead slots in place until the paired join fires,
-			// so a pick may land on an already-vacant slot — redraw. The
-			// retry bound only triggers on a persistent error.
-			var err error
-			for attempts := 0; attempts < 128; attempts++ {
-				if err = ch.LeaveAgent(src.Intn(s.N())); err == nil {
-					return nil
-				}
-			}
-			return err
-		}
-		return fmt.Errorf("sspp: protocol %q does not support churn", s.ProtocolName())
+		return ch.Leave(src)
 	default:
 		return fmt.Errorf("sspp: unknown workload event kind %q", ev.Kind)
 	}
@@ -297,9 +278,6 @@ func (s *System) ReplayTrace(t *WorkloadTrace) error {
 	tr := t.tr
 	if err := tr.Validate(); err != nil {
 		return err
-	}
-	if tr.Topology != "" {
-		return fmt.Errorf("sspp: edge-indexed traces (topology %q) replay through DecodeRecording", tr.Topology)
 	}
 	if s.graph != nil {
 		return fmt.Errorf("sspp: traces replay on the complete topology, this system runs %q", s.cfg.Topology.Name())

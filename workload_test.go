@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"sspp/internal/rng"
 	"sspp/internal/sim"
 )
 
@@ -454,8 +455,8 @@ func TestEnsembleWorkloadMode(t *testing.T) {
 }
 
 // TestEnsembleWorkloadValidation: the workload mode is exclusive with
-// TransientK, rejects species trials, and checks the capability footprint
-// per protocol up front.
+// TransientK, accepts churn-only species grids but not species fault
+// phases, and checks the capability footprint per protocol up front.
 func TestEnsembleWorkloadValidation(t *testing.T) {
 	churn := NewWorkload(ReplacementChurn(0, 400, 2, "", 41))
 	faults := NewWorkload(TransientBurst(100, 2, 42))
@@ -467,8 +468,13 @@ func TestEnsembleWorkloadValidation(t *testing.T) {
 
 	g = Grid{Protocols: []string{ProtocolCIW}, Backend: BackendSpecies,
 		Points: []Point{{N: 64}}, Seeds: 2, Workload: churn}
-	if _, err := NewEnsemble(g); err == nil {
-		t.Error("species workload grid accepted")
+	if _, err := NewEnsemble(g); err != nil {
+		t.Errorf("species churn workload grid rejected: %v", err)
+	}
+
+	g.Workload = NewWorkload(ReplacementChurn(0, 400, 2, "", 41), TransientBurst(100, 2, 42))
+	if _, err := NewEnsemble(g); err == nil || !strings.Contains(err.Error(), "no agent identities") {
+		t.Errorf("species grid with a fault phase: %v, want the species faults rejection", err)
 	}
 
 	g = Grid{Protocols: []string{ProtocolNameRank}, Points: []Point{{N: 16}}, Seeds: 2, Workload: churn}
@@ -490,6 +496,78 @@ func TestEnsembleWorkloadValidation(t *testing.T) {
 	g = Grid{Protocols: []string{ProtocolCIW}, Points: []Point{{N: 16}}, Seeds: 2, Workload: faults}
 	if _, err := NewEnsemble(g); err != nil {
 		t.Errorf("fault workload rejected for ciw: %v", err)
+	}
+}
+
+// TestSpeciesEnsembleChurnWorkload: a species grid runs a churn-only
+// workload the way a species System does, and every trial recovers after
+// every event, for each protocol whose species form declares churn hooks.
+func TestSpeciesEnsembleChurnWorkload(t *testing.T) {
+	grid := Grid{
+		Protocols:       []string{ProtocolCIW, ProtocolLooseLE, ProtocolElectLeader},
+		Backend:         BackendSpecies,
+		Points:          []Point{{N: 32, R: 8}},
+		Seeds:           2,
+		BaseSeed:        3,
+		MaxInteractions: 2_000_000,
+		Workload:        NewWorkload(ReplacementChurn(0, 20_000, 0.5, "", 3)),
+	}
+	ens, err := NewEnsemble(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range ens.Run().Cells {
+		if cell.Recovered != cell.Seeds {
+			t.Fatalf("cell %s: %d/%d recovered", cell.Protocol, cell.Recovered, cell.Seeds)
+		}
+		if len(cell.Events) == 0 {
+			t.Fatalf("cell %s carries no event aggregation", cell.Protocol)
+		}
+		for i, ec := range cell.Events {
+			if ec.Fired != cell.Seeds || ec.Recovered != cell.Seeds {
+				t.Fatalf("cell %s event %d: fired %d, recovered %d of %d", cell.Protocol, i, ec.Fired, ec.Recovered, cell.Seeds)
+			}
+		}
+	}
+}
+
+// TestElectLeaderMassReplacement: a burst that replaces all but one agent
+// at one instant is a valid replacement schedule; every leave finds a live
+// slot however few remain, and the population ends whole.
+func TestElectLeaderMassReplacement(t *testing.T) {
+	const n = 500
+	sys, err := New(Config{Protocol: ProtocolElectLeader, N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sys.Run(SchedulerSeed(2), MaxInteractions(1000),
+		WithWorkload(NewWorkload(ChurnBursts(10, 11, 1, n-1, n-1, "", 5))))
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	outs := res.EventOutcomes()
+	if len(outs) != 2*(n-1) {
+		t.Fatalf("%d event outcomes, want %d", len(outs), 2*(n-1))
+	}
+	for i, eo := range outs {
+		if !eo.Fired {
+			t.Fatalf("event %d (%s at %d) did not fire", i, eo.Kind, eo.At)
+		}
+	}
+	if sys.N() != n {
+		t.Fatalf("N = %d after the burst, want %d", sys.N(), n)
+	}
+	// A replayed trace is outside input and can ask for one leave too many:
+	// the last live slot is refused instead of redrawn forever.
+	e := sys.proto.(*electProtocol)
+	src := rng.New(6)
+	for i := 0; i < n-1; i++ {
+		if err := e.Leave(src); err != nil {
+			t.Fatalf("leave %d: %v", i, err)
+		}
+	}
+	if err := e.Leave(src); err == nil {
+		t.Fatal("Leave vacated the last live slot")
 	}
 }
 
