@@ -187,7 +187,7 @@ func TestLRUEvictionFallsBackToDisk(t *testing.T) {
 	if got := resp.Header.Get("X-Sppd-Cache"); got != "computed=0 dedup=0 memory=0 disk=1" {
 		t.Fatalf("evicted cell provenance = %q, want a disk hit", got)
 	}
-	if got := s.computed.Load(); got != 2 {
+	if got := s.counts[srcComputed].Load(); got != 2 {
 		t.Fatalf("computed %d cells, want 2 (eviction must not force a re-compute)", got)
 	}
 }

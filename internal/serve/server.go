@@ -44,7 +44,7 @@ const ResultSchemaVersion = 1
 // response body carries — assembled, never re-marshaled, so byte identity
 // is structural rather than an accident of encoder stability. Bytes enter
 // the cache only in canonical form (compact and HTML-escaped, as
-// json.Marshal writes them; see diskStore.getCell), so a grid body
+// json.Marshal writes them; see diskStore.get), so a grid body
 // stitched from them equals json.Marshal of its GridResult.
 type CellResult struct {
 	SchemaVersion int       `json:"schema_version"`
@@ -101,7 +101,7 @@ type Options struct {
 	MaxTrialInteractions uint64
 }
 
-// source names where a job's cell came from.
+// source names the layer of the lookup chain a cell or recording came from.
 type source uint8
 
 const (
@@ -116,8 +116,8 @@ const (
 // in X-Sppd-Cache order.
 var sourceNames = [numSources]string{"computed", "dedup", "memory", "disk"}
 
-// flight is one in-progress cell computation; concurrent requests for the
-// same content address block on done and share the result (singleflight).
+// flight is one in-progress computation of a cell or recording; concurrent
+// requests for it block on done and share the result (singleflight).
 type flight struct {
 	done  chan struct{}
 	bytes []byte
@@ -129,8 +129,11 @@ type job struct {
 	id    string
 	cells []CellSpec
 	keys  []string
-	// checkpointEvery is the submitting grid's SSE checkpoint cadence.
-	checkpointEvery uint64
+	// ens[i] is cell i's Ensemble, compiled and validated at submit, until
+	// the cell has run; nil for memory hits, and all of it when every cell
+	// was one.
+	ens             []*sspp.Ensemble
+	checkpointEvery uint64 // the submitting grid's SSE checkpoint cadence
 
 	// results[i] is cell i's CellResult bytes: the slice the cache holds,
 	// shared, never copied or written. Memory hits are filled at submit;
@@ -170,13 +173,10 @@ type Server struct {
 
 	jobSeq atomic.Uint64
 
-	grids    atomic.Uint64 // grids accepted
-	computed atomic.Uint64 // cells actually simulated
-	deduped  atomic.Uint64 // cells coalesced onto an in-flight computation
-	memHits  atomic.Uint64 // cells served from the in-memory LRU
-	diskHits atomic.Uint64 // cells served from the on-disk store
-	replays  atomic.Uint64 // trial recordings computed
-	diskErrs atomic.Uint64 // cell and replay writes the on-disk store dropped
+	grids    atomic.Uint64             // grids accepted
+	counts   [numSources]atomic.Uint64 // cells served, by source
+	replays  [numSources]atomic.Uint64 // trial recordings served, by source
+	diskErrs atomic.Uint64             // cell and replay writes the on-disk store dropped
 }
 
 // maxJobs bounds the retained-job map; the oldest finished jobs are
@@ -352,12 +352,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"grid crosses to %d cells, over this server's %d-cell limit", len(cells), s.maxCells)
 		return
 	}
-	// One hash and one LRU lookup per cell. Fail fast: every other cell
-	// must compile to a valid one-cell Ensemble before anything runs, so an
-	// illegal combination deep in the cross product rejects the whole grid
-	// instead of surfacing mid-run. A memory-resident cell skips that
-	// check: its address entered the cache only once its cell had compiled
-	// and run.
+	// One hash per cell, and the lookup chain's memory layer for the whole
+	// grid under one lock. Fail fast: every other cell must compile to a
+	// valid one-cell Ensemble before anything runs, so an illegal
+	// combination deep in the cross product rejects the whole grid instead
+	// of surfacing mid-run; the Ensemble compiled here is the one that runs.
+	// A memory-resident cell skips the compile: its address entered the
+	// cache only once its cell had compiled and run.
 	keys := make([]string, len(cells))
 	for i := range cells {
 		keys[i] = cells[i].Hash()
@@ -368,20 +369,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		results[i] = s.cache.get(key)
 	}
 	s.mu.Unlock()
+	var ens []*sspp.Ensemble
 	hits := 0
 	for i := range cells {
 		if results[i] != nil {
 			hits++
 			continue
 		}
-		if _, err := cells[i].ensemble(); err != nil {
+		if ens == nil {
+			ens = make([]*sspp.Ensemble, len(cells))
+		}
+		// Checkpoints attach only where observation is provably inert (see
+		// CellSpec.observationInert), so the cadence stays out of the content
+		// address. Jobs racing to compute one cell share the winner's feed:
+		// checkpoints are best-effort telemetry, not part of the result.
+		var opts []sspp.EnsembleOption
+		if spec.CheckpointEvery > 0 && cells[i].observationInert() {
+			key := keys[i]
+			opts = append(opts, sspp.ObserveTrials(spec.CheckpointEvery, func(obs sspp.TrialObservation) {
+				s.broadcast(key, obs)
+			}))
+		}
+		if ens[i], err = cells[i].ensemble(opts...); err != nil {
 			httpError(w, http.StatusBadRequest, "cell %d (%s): %v", i, keys[i][:12], err)
 			return
 		}
 	}
-	j := s.newJob(spec, cells, keys, results)
+	j := s.newJob(spec, cells, keys, results, ens)
 	s.grids.Add(1)
-	s.memHits.Add(uint64(hits))
+	s.counts[srcMemory].Add(uint64(hits))
 
 	if r.URL.Query().Get("async") == "1" {
 		go s.runJob(j)
@@ -396,21 +412,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // newJob registers a job and its checkpoint watches. results holds the
-// memory hits found at submit, nil for every other cell.
-func (s *Server) newJob(spec GridSpec, cells []CellSpec, keys []string, results [][]byte) *job {
+// memory hits found at submit; ens holds the other cells' Ensembles.
+func (s *Server) newJob(spec GridSpec, cells []CellSpec, keys []string, results [][]byte, ens []*sspp.Ensemble) *job {
 	j := &job{
 		id:              "j-" + strconv.FormatUint(s.jobSeq.Add(1), 10),
 		cells:           cells,
 		keys:            keys,
+		ens:             ens,
 		checkpointEvery: spec.CheckpointEvery,
 		results:         results,
 		sources:         make([]source, len(cells)),
 		done:            make(chan struct{}),
-	}
-	for i, b := range results {
-		if b != nil {
-			j.sources[i] = srcMemory
-		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -427,31 +439,35 @@ func (s *Server) newJob(spec GridSpec, cells []CellSpec, keys []string, results 
 	return j
 }
 
-// evictJobsLocked drops the oldest finished jobs over maxJobs.
+// evictJobsLocked drops the oldest finished jobs until at most maxJobs
+// remain, in one pass over the creation order that stops once they do. A
+// running job is never evicted; order entries whose job is gone are
+// dropped.
 func (s *Server) evictJobsLocked() {
-	for len(s.jobs) > maxJobs {
-		evicted := false
-		for i, id := range s.order {
-			j, ok := s.jobs[id]
-			if !ok {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-			select {
-			case <-j.done:
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-			default:
-				continue
-			}
+	excess := len(s.jobs) - maxJobs
+	if excess <= 0 {
+		return
+	}
+	kept := s.order[:0]
+	for i, id := range s.order {
+		if excess == 0 {
+			kept = append(kept, s.order[i:]...)
 			break
 		}
-		if !evicted {
-			return // everything old is still running; let the map grow
+		j, ok := s.jobs[id]
+		if !ok {
+			continue
+		}
+		select {
+		case <-j.done:
+			delete(s.jobs, id)
+			excess--
+		default:
+			kept = append(kept, id)
 		}
 	}
+	clear(s.order[len(kept):])
+	s.order = kept
 }
 
 // runJob fills the job's missing cells, each on its own goroutine (the
@@ -462,15 +478,25 @@ func (s *Server) runJob(j *job) {
 	var wg sync.WaitGroup
 	for i, b := range j.results {
 		if b != nil {
+			j.sources[i] = srcMemory
 			j.emit(cellFrame(i, j.keys[i], srcMemory, nil), true)
 			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			b, src, err := s.cellBytes(&j.cells[i], j.keys[i], j.checkpointEvery)
+			ens, cs, key := j.ens[i], &j.cells[i], j.keys[i]
+			b, src, err := s.lookup(entry{key: key}, func() ([]byte, error) {
+				return json.Marshal(CellResult{
+					SchemaVersion: ResultSchemaVersion,
+					Hash:          key,
+					Spec:          *cs,
+					Cell:          ens.Run().Cells[0],
+				})
+			})
+			j.ens[i] = nil
 			j.results[i], j.sources[i], errs[i] = b, src, err
-			j.emit(cellFrame(i, j.keys[i], src, err), true)
+			j.emit(cellFrame(i, key, src, err), true)
 		}(i)
 	}
 	wg.Wait()
@@ -506,86 +532,88 @@ func (s *Server) runJob(j *job) {
 	close(j.done)
 }
 
-// cellBytes returns the marshaled CellResult for the cell, from (in order)
-// the in-memory LRU, an identical in-flight computation, the disk store,
-// or a fresh simulation on the bounded pool. The source return names which
-// (memory | dedup | disk | computed).
-func (s *Server) cellBytes(cs *CellSpec, key string, checkpointEvery uint64) (b []byte, src source, err error) {
-	s.mu.Lock()
-	if b := s.cache.get(key); b != nil {
-		s.mu.Unlock()
-		s.memHits.Add(1)
-		return b, srcMemory, nil
-	}
-	if fl, ok := s.flight[key]; ok {
-		s.mu.Unlock()
-		s.deduped.Add(1)
-		<-fl.done
-		return fl.bytes, srcDedup, fl.err
-	}
-	fl := &flight{done: make(chan struct{})}
-	s.flight[key] = fl
-	s.mu.Unlock()
+// entry names what the lookup chain fetches: the cell at key or, when
+// replay, the recording of one seed's trial of that cell.
+type entry struct {
+	key    string
+	replay bool
+	seed   int
+}
 
+// errAbandoned reaches the joiners of a flight whose computation panicked.
+var errAbandoned = errors.New("serve: the computation this request joined did not finish")
+
+// lookup is the one lookup chain, for cells and recordings alike: the
+// in-memory LRU (cells only; a recording can be megabytes), an identical
+// in-flight computation, the disk store, then compute on the bounded pool.
+// It counts each outcome by its source and fills the LRU and the store. A
+// submit probes the LRU for its whole grid under one lock; its misses then
+// run this chain. With compute nil the chain is read-only: it skips the
+// flights and stops after disk, so a cell still computing is a miss (nil).
+func (s *Server) lookup(e entry, compute func() ([]byte, error)) (b []byte, src source, err error) {
+	tally, fkey := &s.counts, e.key
+	if e.replay {
+		tally, fkey = &s.replays, e.key+"/"+strconv.Itoa(e.seed)
+	}
+	s.mu.Lock()
+	if !e.replay {
+		if b = s.cache.get(e.key); b != nil {
+			s.mu.Unlock()
+			tally[srcMemory].Add(1)
+			return b, srcMemory, nil
+		}
+	}
+	var fl *flight
+	if compute != nil {
+		if joined := s.flight[fkey]; joined != nil {
+			s.mu.Unlock()
+			tally[srcDedup].Add(1)
+			<-joined.done
+			return joined.bytes, srcDedup, joined.err
+		}
+		fl = &flight{done: make(chan struct{})}
+		s.flight[fkey] = fl
+	}
+	s.mu.Unlock()
 	defer func() {
-		fl.bytes, fl.err = b, err
 		s.mu.Lock()
-		delete(s.flight, key)
-		if err == nil {
-			s.cache.put(key, b)
+		if fl != nil {
+			delete(s.flight, fkey)
+		}
+		if b != nil && !e.replay {
+			s.cache.put(e.key, b)
 		}
 		s.mu.Unlock()
-		close(fl.done)
+		if fl != nil {
+			fl.bytes, fl.err = b, err
+			if b == nil && err == nil {
+				fl.err = errAbandoned
+			}
+			close(fl.done)
+		}
 	}()
 
 	if s.store != nil {
-		if b := s.store.getCell(key); b != nil {
-			s.diskHits.Add(1)
+		if b = s.store.get(e); b != nil {
+			tally[srcDisk].Add(1)
 			return b, srcDisk, nil
 		}
 	}
-
+	if compute == nil {
+		return nil, 0, nil
+	}
+	// Released by defer so a panicking computation (a replay's is recovered
+	// by net/http) cannot leak the slot and shrink the pool.
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
-
-	g, err := cs.compileGrid()
-	if err != nil {
+	if b, err = compute(); err != nil {
 		return nil, srcComputed, err
 	}
-	// Each cell's seeds run sequentially (Workers(1)); the server pool is
-	// the only parallelism. Checkpoints attach only where observation is
-	// provably inert (see CellSpec.observationInert), so the observed
-	// computation is bit-identical to an unobserved one and the cadence
-	// stays out of the content address. When concurrent jobs race to
-	// compute the same cell, the winner's cadence drives everyone's feed —
-	// checkpoints are best-effort telemetry, not part of the result.
-	opts := []sspp.EnsembleOption{sspp.Workers(1)}
-	if checkpointEvery > 0 && cs.observationInert() {
-		opts = append(opts, sspp.ObserveTrials(checkpointEvery, func(obs sspp.TrialObservation) {
-			s.broadcast(key, obs)
-		}))
-	}
-	ens, err := sspp.NewEnsemble(g, opts...)
-	if err != nil {
-		return nil, srcComputed, err
-	}
-	res := ens.Run()
-	s.computed.Add(1)
-	b, err = json.Marshal(CellResult{
-		SchemaVersion: ResultSchemaVersion,
-		Hash:          key,
-		Spec:          *cs,
-		Cell:          res.Cells[0],
-	})
-	if err != nil {
-		return nil, srcComputed, err
-	}
-	if s.store != nil {
-		// Best effort: the disk layer is an accelerator, so a failed write
-		// only shows in the stats.
-		if s.store.putCell(key, b) != nil {
-			s.diskErrs.Add(1)
-		}
+	tally[srcComputed].Add(1)
+	// Best effort: the disk layer is an accelerator, so a failed write only
+	// shows in the stats.
+	if s.store != nil && s.store.put(e, b) != nil {
+		s.diskErrs.Add(1)
 	}
 	return b, srcComputed, nil
 }
@@ -814,36 +842,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		w.Write(frame)
 	}
 	flusher.Flush()
-	// A post-completion subscriber returns immediately — but the job may
-	// have finished between subscribe() (replay copied) and here, with the
-	// terminal frame enqueued on ch rather than in the replay, so drain ch
-	// before returning.
-	select {
-	case <-j.done:
-		for {
-			select {
-			case frame := <-ch:
-				w.Write(frame)
-				flusher.Flush()
-			default:
-				return
-			}
-		}
-	default:
-	}
 	for {
 		select {
 		case frame := <-ch:
 			w.Write(frame)
 			flusher.Flush()
 		case <-j.done:
-			// Drain what the emitter enqueued before closing.
+			// Drain what the emitter enqueued before closing: the terminal
+			// frame is on ch, not in the replay, when the job finished after
+			// subscribe.
 			for {
 				select {
 				case frame := <-ch:
 					w.Write(frame)
-					flusher.Flush()
 				default:
+					flusher.Flush()
 					return
 				}
 			}
@@ -851,29 +864,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// lookupCell fetches cached cell bytes by content address: LRU first, then
-// disk (promoting the hit into the LRU); nil when neither holds them. No
-// simulation — /v1/cells is a read-only view of the cache.
-func (s *Server) lookupCell(key string) (b []byte, src source) {
-	s.mu.Lock()
-	b = s.cache.get(key)
-	s.mu.Unlock()
-	if b != nil {
-		s.memHits.Add(1)
-		return b, srcMemory
-	}
-	if s.store != nil {
-		if b = s.store.getCell(key); b != nil {
-			s.diskHits.Add(1)
-			s.mu.Lock()
-			s.cache.put(key, b)
-			s.mu.Unlock()
-			return b, srcDisk
-		}
-	}
-	return nil, 0
 }
 
 // validHash reports whether key is a well-formed cell content address:
@@ -900,7 +890,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no cached cell %q (addresses are 64 lowercase hex characters)", key)
 		return
 	}
-	b, src := s.lookupCell(key)
+	b, src, _ := s.lookup(entry{key: key}, nil)
 	if b == nil {
 		httpError(w, http.StatusNotFound, "no cached cell %q (cells appear once a grid computes them)", key)
 		return
@@ -924,63 +914,54 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cellBytes, _ := s.lookupCell(key)
-	if cellBytes == nil {
+	cell, _, _ := s.lookup(entry{key: key}, nil)
+	if cell == nil {
 		httpError(w, http.StatusNotFound, "no cached cell %q (replays derive from cached cells)", key)
 		return
 	}
-	if s.store != nil {
-		if b := s.store.getReplay(key, seed); b != nil {
-			w.Header().Set("X-Sppd-Cache", "disk")
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(b)
-			return
+	// A replay re-runs one full trial, so it computes on the pool like a
+	// cell; concurrent requests for the same seed coalesce onto one run.
+	b, src, err := s.lookup(entry{key: key, replay: true, seed: seed}, func() ([]byte, error) {
+		var cr CellResult
+		if err := json.Unmarshal(cell, &cr); err != nil {
+			return nil, fmt.Errorf("corrupt cached cell: %v", err)
 		}
-	}
-	var cr CellResult
-	if err := json.Unmarshal(cellBytes, &cr); err != nil {
-		httpError(w, http.StatusInternalServerError, "corrupt cached cell: %v", err)
-		return
-	}
-	ens, err := cr.Spec.ensemble()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	// A replay re-runs one full trial, so it takes a pool slot like any
-	// other simulation. Released by defer so a panicking trial (recovered
-	// by net/http) cannot leak the slot and shrink the pool.
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-	rec, protoSeed, err := ens.TrialRecording(0, seed)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var buf bytes.Buffer
-	if err := rec.Encode(&buf); err != nil {
-		httpError(w, http.StatusInternalServerError, "encode recording: %v", err)
-		return
-	}
-	s.replays.Add(1)
-	b, err := json.Marshal(ReplayResult{
-		SchemaVersion: ResultSchemaVersion,
-		Hash:          key,
-		Seed:          seed,
-		ProtoSeed:     protoSeed,
-		Recording:     buf.Bytes(),
+		ens, err := cr.Spec.ensemble()
+		if err != nil {
+			return nil, err
+		}
+		rec, protoSeed, err := ens.TrialRecording(0, seed)
+		if err != nil {
+			return nil, badRequest{err}
+		}
+		var buf bytes.Buffer
+		if err := rec.Encode(&buf); err != nil {
+			return nil, fmt.Errorf("encode recording: %v", err)
+		}
+		return json.Marshal(ReplayResult{
+			SchemaVersion: ResultSchemaVersion,
+			Hash:          key,
+			Seed:          seed,
+			ProtoSeed:     protoSeed,
+			Recording:     buf.Bytes(),
+		})
 	})
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		code := http.StatusInternalServerError
+		if errors.As(err, new(badRequest)) {
+			code = http.StatusBadRequest
+		}
+		httpError(w, code, "%v", err)
 		return
 	}
-	if s.store != nil && s.store.putReplay(key, seed, b) != nil {
-		s.diskErrs.Add(1) // best effort, as for cells
-	}
-	w.Header().Set("X-Sppd-Cache", "computed")
+	w.Header().Set("X-Sppd-Cache", sourceNames[src])
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)
 }
+
+// badRequest marks a replay the request cannot have (a seed the cell does
+// not replay): a 400, where any other failure is the server's 500.
+type badRequest struct{ error }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
@@ -989,11 +970,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"grids":             s.grids.Load(),
-		"cells_computed":    s.computed.Load(),
-		"dedup_hits":        s.deduped.Load(),
-		"memory_hits":       s.memHits.Load(),
-		"disk_hits":         s.diskHits.Load(),
-		"replays":           s.replays.Load(),
+		"cells_computed":    s.counts[srcComputed].Load(),
+		"dedup_hits":        s.counts[srcDedup].Load(),
+		"memory_hits":       s.counts[srcMemory].Load(),
+		"disk_hits":         s.counts[srcDisk].Load(),
+		"replays":           s.replays[srcComputed].Load(),
 		"disk_write_errors": s.diskErrs.Load(),
 		"cache_entries":     entries,
 		"in_flight":         inflight,

@@ -65,7 +65,7 @@ func TestSubmitComputesAndWarmRepeatIsByteIdentical(t *testing.T) {
 	if got := resp.Header.Get("X-Sppd-Cache"); got != "computed=1 dedup=0 memory=0 disk=0" {
 		t.Fatalf("cold provenance = %q", got)
 	}
-	if got := s.computed.Load(); got != 1 {
+	if got := s.counts[srcComputed].Load(); got != 1 {
 		t.Fatalf("cold submit computed %d cells, want 1", got)
 	}
 
@@ -79,7 +79,7 @@ func TestSubmitComputesAndWarmRepeatIsByteIdentical(t *testing.T) {
 	if got := resp.Header.Get("X-Sppd-Cache"); got != "computed=0 dedup=0 memory=1 disk=0" {
 		t.Fatalf("warm provenance = %q", got)
 	}
-	if got := s.computed.Load(); got != 1 {
+	if got := s.counts[srcComputed].Load(); got != 1 {
 		t.Fatalf("warm repeat re-simulated: computed %d cells, want still 1", got)
 	}
 
@@ -133,9 +133,9 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := s.computed.Load(); got != 1 {
+	if got := s.counts[srcComputed].Load(); got != 1 {
 		t.Fatalf("%d concurrent identical submissions computed %d cells, want 1 (dedup=%d memory=%d)",
-			clients, got, s.deduped.Load(), s.memHits.Load())
+			clients, got, s.counts[srcDedup].Load(), s.counts[srcMemory].Load())
 	}
 	for i := 1; i < clients; i++ {
 		if !bytes.Equal(bodies[0], bodies[i]) {
@@ -224,7 +224,7 @@ func TestOverlappingGridsShareCells(t *testing.T) {
 	if got := resp.Header.Get("X-Sppd-Cache"); got != "computed=1 dedup=0 memory=1 disk=0" {
 		t.Fatalf("superset provenance = %q", got)
 	}
-	if got := s.computed.Load(); got != 2 {
+	if got := s.counts[srcComputed].Load(); got != 2 {
 		t.Fatalf("computed %d cells total, want 2 (1 + 1 new)", got)
 	}
 }
@@ -249,7 +249,7 @@ func TestDiskStoreSurvivesRestart(t *testing.T) {
 	if got := resp.Header.Get("X-Sppd-Cache"); got != "computed=0 dedup=0 memory=0 disk=1" {
 		t.Fatalf("disk provenance = %q", got)
 	}
-	if got := s2.computed.Load(); got != 0 {
+	if got := s2.counts[srcComputed].Load(); got != 0 {
 		t.Fatalf("restarted server re-simulated %d cells", got)
 	}
 }
@@ -704,5 +704,138 @@ func TestStatsAndProtocols(t *testing.T) {
 	resp.Body.Close()
 	if len(protos) != len(sspp.Protocols()) {
 		t.Fatalf("protocols endpoint lists %d entries, registry has %d", len(protos), len(sspp.Protocols()))
+	}
+}
+
+// TestReplaySingleflight: concurrent identical replay requests coalesce
+// onto one computation and get identical bytes. The pool is held until
+// every request has joined the flight, so the test does not depend on
+// timing.
+func TestReplaySingleflight(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	spec := smallGrid()
+	if code, body, _ := submit(t, ts, spec, ""); code != http.StatusOK {
+		t.Fatalf("submit: status %d, body %s", code, body)
+	}
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/v1/cells/" + cells[0].Hash() + "/replay?seed=0"
+
+	const clients = 8
+	bodies := make([][]byte, clients)
+	sources := make([]string, clients)
+	release := holdPool(s)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("client %d: status %d", i, resp.StatusCode)
+			}
+			bodies[i], _ = io.ReadAll(resp.Body)
+			sources[i] = resp.Header.Get("X-Sppd-Cache")
+		}(i)
+	}
+	waitFor(t, "replays to coalesce", func() bool { return s.replays[srcDedup].Load() == clients-1 })
+	release()
+	wg.Wait()
+
+	if got := s.replays[srcComputed].Load(); got != 1 {
+		t.Fatalf("%d concurrent identical replays computed %d recordings, want 1", clients, got)
+	}
+	computed := 0
+	for i := range bodies {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("client %d got different bytes than client 0", i)
+		}
+		if sources[i] == "computed" {
+			computed++
+		} else if sources[i] != "dedup" {
+			t.Fatalf("client %d: source %q, want computed or dedup", i, sources[i])
+		}
+	}
+	if computed != 1 {
+		t.Fatalf("%d responses say computed, want 1", computed)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats["replays"].(float64) != 1 || stats["dedup_hits"].(float64) != 0 {
+		t.Fatalf("stats = %v: want replays 1, and no replay among the cell dedup hits", stats)
+	}
+}
+
+// TestJobEviction: past maxJobs retained jobs the oldest finished ones are
+// evicted and read 404, while a job still running is kept and served.
+func TestJobEviction(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	status := func(id string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/grids/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	submitID := func(spec GridSpec, query string, want int) string {
+		t.Helper()
+		code, body, resp := submit(t, ts, spec, query)
+		if code != want {
+			t.Fatalf("submit%s: status %d, body %s, want %d", query, code, body, want)
+		}
+		return resp.Header.Get("X-Sppd-Job")
+	}
+
+	first := submitID(smallGrid(), "", http.StatusOK)
+	release := holdPool(s)
+	heldSpec := smallGrid()
+	heldSpec.BaseSeed = 9
+	held := submitID(heldSpec, "?async=1", http.StatusAccepted)
+	// Memory hits need no pool slot, so these finish while the held job
+	// waits for one.
+	ids := make([]string, maxJobs)
+	for i := range ids {
+		ids[i] = submitID(smallGrid(), "", http.StatusOK)
+	}
+
+	for _, id := range []string{first, ids[0]} {
+		if code := status(id); code != http.StatusNotFound {
+			t.Errorf("oldest finished job %s: status %d, want 404", id, code)
+		}
+	}
+	if code := status(ids[1]); code != http.StatusOK {
+		t.Errorf("retained job %s: status %d, want 200", ids[1], code)
+	}
+	if code := status(held); code != http.StatusAccepted {
+		t.Errorf("running job %s: status %d, want 202", held, code)
+	}
+	s.mu.Lock()
+	jobs, order := len(s.jobs), len(s.order)
+	s.mu.Unlock()
+	if jobs != maxJobs || order != maxJobs {
+		t.Errorf("%d jobs and %d order entries retained, want %d of each", jobs, order, maxJobs)
+	}
+
+	release()
+	<-s.job(held).done
+	if code := status(held); code != http.StatusOK {
+		t.Fatalf("held job after release: status %d, want 200", code)
 	}
 }

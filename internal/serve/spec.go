@@ -14,7 +14,7 @@
 //
 // spec.go defines the request surface (GridSpec), its decomposition into
 // resolved per-cell configs (CellSpec), and the compilation of a CellSpec
-// back into a one-cell sspp.Grid. The service resolves nothing itself:
+// back into a one-cell sspp.Ensemble. The service resolves nothing itself:
 // protocol, backend and clock selectors go through sspp.Resolve, the same
 // resolver every System is built through, so a content address always
 // names the computation the engine runs. hash.go canonically encodes a
@@ -264,14 +264,19 @@ func (g *GridSpec) Cells() ([]CellSpec, error) {
 	return out, nil
 }
 
-// compileGrid compiles the cell back into a one-cell sspp.Grid with every
-// axis explicit, so the computed sspp.Cell is stamped with its protocol,
-// topology and clock names — cached cell bytes must be self-describing,
-// not dependent on which axes the submitting grid happened to cross.
-func (c *CellSpec) compileGrid() (sspp.Grid, error) {
+// ensemble compiles the cell back into a validated one-cell Ensemble with
+// every axis explicit, so the computed sspp.Cell is stamped with its
+// protocol, topology and clock names — cached cell bytes must be
+// self-describing, not dependent on which axes the submitting grid happened
+// to cross. The cell's seeds run sequentially (Workers(1)): the service
+// parallelizes across cells on its own bounded pool, and nesting a second
+// pool inside each cell would oversubscribe it. Results are byte-identical
+// either way — that is the Ensemble layer's worker-count contract. opts
+// follow Workers(1).
+func (c *CellSpec) ensemble(opts ...sspp.EnsembleOption) (*sspp.Ensemble, error) {
 	top, err := sspp.ParseTopology(c.Topology)
 	if err != nil {
-		return sspp.Grid{}, err
+		return nil, err
 	}
 	g := sspp.Grid{
 		Protocols:       []string{c.Protocol},
@@ -294,25 +299,12 @@ func (c *CellSpec) compileGrid() (sspp.Grid, error) {
 		phases := make([]sspp.WorkloadPhase, len(c.Workload))
 		for i, p := range c.Workload {
 			if phases[i], err = p.compile(); err != nil {
-				return sspp.Grid{}, err
+				return nil, err
 			}
 		}
 		g.Workload = sspp.NewWorkload(phases...)
 	}
-	return g, nil
-}
-
-// ensemble builds the validated one-cell Ensemble for the cell. The
-// per-cell ensemble runs its seeds sequentially (Workers(1)): the service
-// parallelizes across cells on its own bounded pool, and nesting a second
-// pool inside each cell would oversubscribe it. Results are byte-identical
-// either way — that is the Ensemble layer's worker-count contract.
-func (c *CellSpec) ensemble() (*sspp.Ensemble, error) {
-	g, err := c.compileGrid()
-	if err != nil {
-		return nil, err
-	}
-	return sspp.NewEnsemble(g, sspp.Workers(1))
+	return sspp.NewEnsemble(g, append([]sspp.EnsembleOption{sspp.Workers(1)}, opts...)...)
 }
 
 // observationInert reports whether Observe checkpoints can be attached to

@@ -35,27 +35,40 @@ func newDiskStore(dir string) (*diskStore, error) {
 	return &diskStore{dir: dir}, nil
 }
 
-func (d *diskStore) cellPath(key string) string {
-	return filepath.Join(d.dir, "cells", key+".json")
+// path is where e's bytes persist.
+func (d *diskStore) path(e entry) string {
+	if e.replay {
+		return filepath.Join(d.dir, "replays", fmt.Sprintf("%s-%d.json", e.key, e.seed))
+	}
+	return filepath.Join(d.dir, "cells", e.key+".json")
 }
 
-func (d *diskStore) replayPath(key string, seed int) string {
-	return filepath.Join(d.dir, "replays", fmt.Sprintf("%s-%d.json", key, seed))
-}
-
-// read returns the bytes at path when valid accepts them, or nil. A file
-// valid rejects is removed, so the recompute's write replaces it.
-func (d *diskStore) read(path string, valid func([]byte) bool) []byte {
+// get returns e's persisted bytes: nil if absent, not the CellResult (or
+// the ReplayResult, with e's seed) carrying e's address, or not canonical.
+// A file it rejects is removed, so the recompute's write replaces it.
+func (d *diskStore) get(e entry) []byte {
+	path := d.path(e)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil
 	}
-	if !valid(b) {
+	valid := canonical(b)
+	if e.replay {
+		var rr ReplayResult
+		valid = valid && json.Unmarshal(b, &rr) == nil && rr.Hash == e.key && rr.Seed == e.seed
+	} else {
+		var cr CellResult
+		valid = valid && json.Unmarshal(b, &cr) == nil && cr.Hash == e.key
+	}
+	if !valid {
 		os.Remove(path)
 		return nil
 	}
 	return b
 }
+
+// put atomically persists e's bytes.
+func (d *diskStore) put(e entry, b []byte) error { return d.write(d.path(e), b) }
 
 // write atomically persists b at path; errors are returned so the caller
 // can log them, but a failed persist never fails the request — the disk
@@ -90,30 +103,4 @@ func (d *diskStore) write(path string, b []byte) error {
 func canonical(b []byte) bool {
 	c, err := json.Marshal(json.RawMessage(b))
 	return err == nil && bytes.Equal(c, b)
-}
-
-// getCell returns the persisted result bytes for the address: nil if absent,
-// not a CellResult carrying that address, or not canonical.
-func (d *diskStore) getCell(key string) []byte {
-	return d.read(d.cellPath(key), func(b []byte) bool {
-		var cr CellResult
-		return json.Unmarshal(b, &cr) == nil && cr.Hash == key && canonical(b)
-	})
-}
-
-// putCell persists the result bytes for the address.
-func (d *diskStore) putCell(key string, b []byte) error { return d.write(d.cellPath(key), b) }
-
-// getReplay returns the persisted replay bytes: nil if absent, not a
-// ReplayResult carrying that address and seed, or not canonical.
-func (d *diskStore) getReplay(key string, seed int) []byte {
-	return d.read(d.replayPath(key, seed), func(b []byte) bool {
-		var rr ReplayResult
-		return json.Unmarshal(b, &rr) == nil && rr.Hash == key && rr.Seed == seed && canonical(b)
-	})
-}
-
-// putReplay persists the replay bytes.
-func (d *diskStore) putReplay(key string, seed int, b []byte) error {
-	return d.write(d.replayPath(key, seed), b)
 }

@@ -106,13 +106,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func submitHeld(t *testing.T, s *Server, ts *httptest.Server, spec GridSpec, wantDedup uint64) string {
 	t.Helper()
 	release := holdPool(s)
-	before := s.deduped.Load()
+	before := s.counts[srcDedup].Load()
 	code, body, resp := submit(t, ts, spec, "?async=1")
 	if code != http.StatusAccepted {
 		release()
 		t.Fatalf("async submit: status %d, body %s", code, body)
 	}
-	waitFor(t, "duplicated cells to coalesce", func() bool { return s.deduped.Load()-before == wantDedup })
+	waitFor(t, "duplicated cells to coalesce", func() bool { return s.counts[srcDedup].Load()-before == wantDedup })
 	release()
 	id := resp.Header.Get("X-Sppd-Job")
 	<-s.job(id).done
@@ -335,7 +335,7 @@ func TestReindentedDiskCellIsRecomputed(t *testing.T) {
 	if got := resp.Header.Get("X-Sppd-Cache"); got != "computed=1 dedup=0 memory=0 disk=0" {
 		t.Fatalf("provenance = %q, want a recompute", got)
 	}
-	if got := s2.computed.Load(); got != 1 {
+	if got := s2.counts[srcComputed].Load(); got != 1 {
 		t.Fatalf("computed %d cells, want 1", got)
 	}
 	if !bytes.Equal(cold, again) {
@@ -414,7 +414,7 @@ func TestMemoryHitDoesNotSkipValidation(t *testing.T) {
 	if code, body, _ := submit(t, ts, smallGrid(), ""); code != http.StatusOK {
 		t.Fatalf("prewarm: status %d, body %s", code, body)
 	}
-	hits := s.memHits.Load()
+	hits := s.counts[srcMemory].Load()
 	bad := smallGrid()
 	bad.Backends = []string{sspp.BackendAgent, sspp.BackendSpecies}
 	bad.Topologies = []string{"complete", "ring"}
@@ -422,10 +422,10 @@ func TestMemoryHitDoesNotSkipValidation(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("memory hit + species-on-ring: status %d, body %s, want 400", code, body)
 	}
-	if got := s.computed.Load(); got != 1 {
+	if got := s.counts[srcComputed].Load(); got != 1 {
 		t.Fatalf("rejected grid computed cells: %d computed, want the prewarm's 1", got)
 	}
-	if got := s.memHits.Load(); got != hits {
+	if got := s.counts[srcMemory].Load(); got != hits {
 		t.Fatalf("rejected grid counted %d memory hits", got-hits)
 	}
 }

@@ -228,16 +228,11 @@ func nLogBudget(c float64, n int) uint64 {
 	return uint64(c * nf * math.Log(nf+1))
 }
 
-// protocolOrder lists the registry in presentation order.
-var protocolOrder = []string{
-	ProtocolElectLeader, ProtocolCIW, ProtocolNameRank, ProtocolLooseLE, ProtocolFastLE,
-}
-
-// protocolSpecs is the registry. Budgets are generous multiples of each
-// protocol's expected stabilization shape, mirroring DefaultBudget's role
-// for ElectLeader_r.
-var protocolSpecs = map[string]*protocolSpec{
-	ProtocolElectLeader: {
+// registry lists every protocol in presentation order. Budgets are
+// generous multiples of each protocol's expected stabilization shape,
+// mirroring DefaultBudget's role for ElectLeader_r.
+var registry = []protocolSpec{
+	{
 		name:            ProtocolElectLeader,
 		description:     "ElectLeader_r (Thm 1.1): self-stabilizing ranking, O((n²/r)·log n) time, 2^O(r²·log n) states",
 		selfStabilizing: true,
@@ -264,7 +259,7 @@ var protocolSpecs = map[string]*protocolSpec{
 		},
 		zero: (*electProtocol)(nil),
 	},
-	ProtocolCIW: {
+	{
 		name:            ProtocolCIW,
 		description:     "Cai-Izumi-Wada-style silent ranking (§2): n states, Θ(n²) expected time, self-stabilizing",
 		selfStabilizing: true,
@@ -275,7 +270,7 @@ var protocolSpecs = map[string]*protocolSpec{
 		budget: func(cfg Config) uint64 { return uint64(2000 * cfg.N * cfg.N) },
 		zero:   (*baseline.CIW)(nil),
 	},
-	ProtocolNameRank: {
+	{
 		name:            ProtocolNameRank,
 		description:     "names-broadcast ranking (App. D / [16]): O(n·log n) time whp, O(n·log n) bits, not self-stabilizing",
 		selfStabilizing: false,
@@ -286,7 +281,7 @@ var protocolSpecs = map[string]*protocolSpec{
 		budget: func(cfg Config) uint64 { return nLogBudget(2000, cfg.N) },
 		zero:   (*baseline.NameRank)(nil),
 	},
-	ProtocolLooseLE: {
+	{
 		name:            ProtocolLooseLE,
 		description:     "loosely-stabilizing election (Sudo et al.): fast convergence, leader held for a finite τ-controlled time",
 		selfStabilizing: false,
@@ -297,7 +292,7 @@ var protocolSpecs = map[string]*protocolSpec{
 		budget: func(cfg Config) uint64 { return nLogBudget(500, cfg.N) },
 		zero:   (*baseline.LooseLE)(nil),
 	},
-	ProtocolFastLE: {
+	{
 		name:            ProtocolFastLE,
 		description:     "FastLeaderElect (App. D.2, Lemma D.10): O(n·log n) election from awakening starts, not self-stabilizing",
 		selfStabilizing: false,
@@ -315,11 +310,12 @@ func specFor(name string) (*protocolSpec, error) {
 	if name == "" {
 		name = ProtocolElectLeader
 	}
-	spec, ok := protocolSpecs[name]
-	if !ok {
-		return nil, fmt.Errorf("sspp: unknown protocol %q (see Protocols())", name)
+	for i := range registry {
+		if registry[i].name == name {
+			return &registry[i], nil
+		}
 	}
-	return spec, nil
+	return nil, fmt.Errorf("sspp: unknown protocol %q (see Protocols())", name)
 }
 
 // capabilitiesOf probes which optional engine capabilities p implements.
@@ -353,9 +349,8 @@ func capabilitiesOf(p sim.Protocol) []string {
 // Config.Protocol accepts, with its capability set. All of them run through
 // the same System.Run and Ensemble machinery.
 func Protocols() []ProtocolInfo {
-	out := make([]ProtocolInfo, 0, len(protocolOrder))
-	for _, name := range protocolOrder {
-		spec := protocolSpecs[name]
+	out := make([]ProtocolInfo, 0, len(registry))
+	for _, spec := range registry {
 		out = append(out, ProtocolInfo{
 			Name:            spec.name,
 			Description:     spec.description,
