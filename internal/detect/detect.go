@@ -137,7 +137,11 @@ type State struct {
 	Counter int32
 	// Msgs holds the circulating messages this agent carries, indexed by
 	// the governing rank's index within the agent's group; each row is a
-	// list of (ID, content) pairs.
+	// list of (ID, content) pairs sorted by (content, id). That is the row
+	// invariant: ReinitInto, restamp and balanceLoad emit sorted rows,
+	// CloneInto copies them, and the adversarial mutators of harness.go
+	// re-sort the row they touch, so the pair work reads each row as a
+	// sequence of content runs.
 	Msgs [][]msg
 	// Obs is the observations array: Obs[j-1] is the content the agent last
 	// wrote into its own message with ID j.
@@ -259,9 +263,8 @@ func appendI32(b []byte, v int32) []byte {
 
 // AppendKey appends a canonical encoding of the state to b and returns the
 // extended slice. Two states with the same key are semantically identical:
-// the in-row message order (which BalanceLoad permutes) is canonicalized to
-// the (content, id) row order of sortMsgs — the invariant clean executions
-// already maintain, so the common case encodes in place without copying.
+// every row is (content, id)-sorted (the row invariant, see State.Msgs), so
+// a row's encoding depends only on its message multiset.
 // Every field is encoded at full width: signatures range over [1, 2g²·n²]
 // and counters over [0, RefreshRate], both of which overflow narrower
 // encodings long before the n = 10⁶ populations the species backend runs.
@@ -274,10 +277,6 @@ func (s *State) AppendKey(b []byte) []byte {
 	b = appendI32(b, s.Signature)
 	b = appendI32(b, s.Counter)
 	for _, row := range s.Msgs {
-		if !msgsSorted(row) {
-			row = append([]msg(nil), row...)
-			sortMsgs(row)
-		}
 		b = append(b, 0xFE)
 		for _, m := range row {
 			b = appendI32(b, m.id)
@@ -303,14 +302,17 @@ type Scratch struct {
 // NewScratch returns an empty scratch buffer.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// mark prepares the seen array for a new deduplication pass over an ID space
-// of the given size.
-func (sc *Scratch) mark(idSpace int32) {
+// mark prepares the seen array for a marking pass over an ID space of the
+// given size and returns the pass's tag. Tags never repeat within one seen
+// array, so no mark left by an earlier pass — over any group size — can
+// match the current one.
+func (sc *Scratch) mark(idSpace int32) int64 {
 	if int(idSpace) > len(sc.seen) {
 		sc.seen = make([]int64, idSpace)
 		sc.epoch = 0
 	}
 	sc.epoch++
+	return sc.epoch
 }
 
 // Interact applies DetectCollision_r (Protocol 3) to the ordered pair with
@@ -351,27 +353,39 @@ func Interact(p *Params, uRank int32, u *State, vRank int32, v *State, su, sv co
 }
 
 // duplicateMessage reports whether u and v hold two copies of the same
-// (rank, ID) message. From a correct initialization every message has
-// exactly one holder, so a duplicate proves an inconsistent start.
+// (rank, ID) message with an ID in the rank's space [1, 2g²]. From a correct
+// initialization every message has exactly one holder, so a duplicate proves
+// an inconsistent start. A row pair that cannot share an ID (disjointRuns)
+// is skipped; any other pair is checked by marking u's IDs in sc.seen.
 func duplicateMessage(g int32, u, v *State, sc *Scratch) bool {
-	sc.mark(2 * g * g)
-	for idx := int32(0); idx < g; idx++ {
-		if int(idx) >= len(u.Msgs) || int(idx) >= len(v.Msgs) {
+	space := 2 * g * g
+	for idx := 0; idx < int(g) && idx < len(u.Msgs) && idx < len(v.Msgs); idx++ {
+		uRow, vRow := u.Msgs[idx], v.Msgs[idx]
+		if len(uRow) == 0 || len(vRow) == 0 || disjointRuns(uRow, vRow) {
 			continue
 		}
-		tag := sc.epoch*int64(g) + int64(idx) + 1
-		for _, m := range u.Msgs[idx] {
-			if m.id >= 1 && int(m.id) <= len(sc.seen) {
+		tag := sc.mark(space)
+		for _, m := range uRow {
+			if m.id >= 1 && m.id <= space {
 				sc.seen[m.id-1] = tag
 			}
 		}
-		for _, m := range v.Msgs[idx] {
-			if m.id >= 1 && int(m.id) <= len(sc.seen) && sc.seen[m.id-1] == tag {
+		for _, m := range vRow {
+			if m.id >= 1 && m.id <= space && sc.seen[m.id-1] == tag {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// disjointRuns reports whether the non-empty sorted rows a and b are each a
+// single content run with disjoint [first, last] ID intervals. Within one
+// content run a sorted row is ID-sorted, so such rows share no ID.
+func disjointRuns(a, b []msg) bool {
+	a0, a1, b0, b1 := a[0], a[len(a)-1], b[0], b[len(b)-1]
+	return a0.content == a1.content && b0.content == b1.content &&
+		(a1.id < b0.id || b1.id < a0.id)
 }
 
 // checkConsistency is CheckMessageConsistency(u, v) (Protocol 12): any
@@ -415,8 +429,7 @@ func updateMessages(p *Params, uRank int32, u, v *State, su coin.Sampler) {
 // restamp rewrites every message of row to the governor's current signature,
 // mirroring each write into the governor's observations. A row whose contents
 // actually changed is re-sorted to restore the (content, id) row invariant
-// that balanceLoad's linear merge relies on (uniform content, so the sort
-// reduces to an ID sort).
+// (uniform content, so the sort reduces to an ID sort).
 func restamp(row []msg, sig int32, obs []int32) {
 	changed := false
 	for i := range row {
@@ -438,9 +451,10 @@ func restamp(row []msg, sig int32, obs []int32) {
 // class, the union of the pair's messages is split between them — ordered by
 // ID, first half / second half — with the ceil half going to whichever agent
 // has accumulated fewer messages so far. The exchange is deterministic; no
-// randomness is consumed. sc.merged holds the union, so the halves are
-// appended straight into the agents' own rows; sc.spill receives the share of
-// an agent that has no row idx (adversarial states only), which is dropped.
+// randomness is consumed. sc.merged holds the sorted union, whose content
+// runs are the classes; the halves are appended straight into the agents'
+// own rows, so both leave sorted. sc.spill receives the share of an agent
+// that has no row idx (adversarial states only), which is dropped.
 func balanceLoad(g int32, u, v *State, sc *Scratch) {
 	uCount, vCount := 0, 0
 	for idx := int32(0); idx < g; idx++ {
@@ -464,10 +478,8 @@ func balanceLoad(g int32, u, v *State, sc *Scratch) {
 			vOut = vRow[:0]
 		}
 		for lo := 0; lo < len(sc.merged); {
-			hi := lo + 1
-			for hi < len(sc.merged) && sc.merged[hi].content == sc.merged[lo].content {
-				hi++
-			}
+			// The run ends after the last message ≤ (content, max ID).
+			hi := lo + prefixLE(sc.merged[lo:], msg{id: math.MaxInt32, content: sc.merged[lo].content})
 			run := sc.merged[lo:hi]
 			floorHalf := run[:len(run)/2]
 			ceilHalf := run[len(run)/2:]
@@ -515,57 +527,62 @@ func msgLess(a, b msg) bool {
 	return a.id < b.id
 }
 
-// msgsSorted reports whether ms is sorted by (content, id). Clean executions
-// maintain this as a row invariant (InitState, restamp and balanceLoad all
-// emit sorted rows); only adversarially constructed states violate it.
-func msgsSorted(ms []msg) bool {
-	for i := 1; i < len(ms); i++ {
-		if msgLess(ms[i], ms[i-1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeRows fills sc.merged with the (content, id)-sorted union of uRow and
-// vRow: a linear merge when both rows honor the row invariant, and a sort of
-// the concatenation otherwise (adversarial states only). The result is
-// exactly what sorting the concatenation would produce — ties are identical
-// msg values, so run order is preserved bit-for-bit.
+// mergeRows fills sc.merged with the (content, id)-sorted union of the
+// sorted rows uRow and vRow. It merges message by message while the rows
+// interleave, and once one row has given minGallop messages in a row it
+// copies that row's whole prefix not above the other's head as one block
+// (prefixLE). Rows that do not interleave therefore cost a few steps and
+// two copies. Ties are identical msg values, so the result is exactly what
+// sorting the concatenation would produce.
 func mergeRows(sc *Scratch, uRow, vRow []msg) {
-	merged, ok := mergeSorted(sc.merged[:0], uRow, vRow)
-	if !ok {
-		merged = append(append(merged[:0], uRow...), vRow...)
-		sortMsgs(merged)
+	dst := sc.merged[:0]
+	a, b := uRow, vRow // a holds the smaller head
+	streak := 0        // messages a has given since the lead last changed
+	for len(a) > 0 && len(b) > 0 {
+		if msgLess(b[0], a[0]) {
+			a, b, streak = b, a, 0
+		}
+		if streak < minGallop {
+			dst, a, streak = append(dst, a[0]), a[1:], streak+1
+			continue
+		}
+		k := prefixLE(a, b[0])
+		dst, a = append(dst, a[:k]...), a[k:]
 	}
-	sc.merged = merged
+	sc.merged = append(append(dst, a...), b...)
 }
 
-// mergeSorted appends the two-way merge of uRow and vRow to dst, checking
-// each row's (content, id) order against the row's previous element as it
-// goes, so the row invariant costs no separate pass. It reports false at the
-// first inversion, leaving dst partly filled.
-func mergeSorted(dst, uRow, vRow []msg) ([]msg, bool) {
-	i, j := 0, 0
-	for i < len(uRow) && j < len(vRow) {
-		if msgLess(vRow[j], uRow[i]) {
-			if j > 0 && msgLess(vRow[j], vRow[j-1]) {
-				return dst, false
-			}
-			dst = append(dst, vRow[j])
-			j++
+// minGallop is the streak after which mergeRows stops stepping and searches
+// for the end of the leading row's block.
+const minGallop = 4
+
+// prefixLE returns the length of the longest prefix of the sorted row whose
+// messages are all ≤ x, given row[0] ≤ x. It checks the last message first
+// (the whole row, when rows do not interleave or hold one content run), then
+// gallops from the front and finishes with a binary search.
+func prefixLE(row []msg, x msg) int {
+	n := len(row)
+	if !msgLess(x, row[n-1]) {
+		return n
+	}
+	// row[lo] ≤ x < row[hi] throughout.
+	lo, hi := 0, n-1
+	for step := 1; lo+step < hi; step *= 2 {
+		if msgLess(x, row[lo+step]) {
+			hi = lo + step
+			break
+		}
+		lo += step
+	}
+	for lo+1 < hi {
+		m := int(uint(lo+hi) >> 1)
+		if msgLess(x, row[m]) {
+			hi = m
 		} else {
-			if i > 0 && msgLess(uRow[i], uRow[i-1]) {
-				return dst, false
-			}
-			dst = append(dst, uRow[i])
-			i++
+			lo = m
 		}
 	}
-	if !msgsSorted(uRow[max(i-1, 0):]) || !msgsSorted(vRow[max(j-1, 0):]) {
-		return dst, false
-	}
-	return append(append(dst, uRow[i:]...), vRow[j:]...), true
+	return hi
 }
 
 // CheckStateRestriction verifies the definitional restriction of §5.1: if an

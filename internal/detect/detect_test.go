@@ -137,9 +137,11 @@ func TestDuplicateCirculatingMessage(t *testing.T) {
 
 // TestSoundness is Lemma E.1(a): from a correct initialization on a correct
 // ranking, no ⊤ is ever generated; message conservation and the state
-// restriction hold throughout.
+// restriction hold throughout. Where r does not divide n (the last three
+// cases) the groups differ in size, and one Scratch serves duplicate checks
+// over different ID spaces.
 func TestSoundness(t *testing.T) {
-	cases := []struct{ n, r int }{{16, 1}, {16, 4}, {16, 8}, {24, 6}}
+	cases := []struct{ n, r int }{{16, 1}, {16, 4}, {16, 8}, {24, 6}, {11, 4}, {19, 5}, {23, 6}}
 	for _, c := range cases {
 		for seed := uint64(0); seed < 3; seed++ {
 			h, err := NewHarness(c.n, c.r, nil, rng.New(seed))

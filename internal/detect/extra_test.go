@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,22 +20,34 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestAppendKeyCanonicalUnderRowPermutation(t *testing.T) {
-	p := NewParams(8, 4)
-	a := InitState(p, 1)
-	b := InitState(p, 1)
-	// Reverse one row of b: same semantic state, different slice order.
-	row := b.Msgs[2]
-	for i, j := 0, len(row)-1; i < j; i, j = i+1, j-1 {
-		row[i], row[j] = row[j], row[i]
+// TestAppendKeyCanonicalUnderArrivalOrder checks that a key depends only on
+// each row's message multiset. Clumping rank 1's messages onto the rank-2
+// agent of two harnesses that list the group's agents in different orders
+// appends the same blocks in different orders; the keys must still agree.
+// A tampered content must change the key.
+func TestAppendKeyCanonicalUnderArrivalOrder(t *testing.T) {
+	orders := [][]int32{{1, 2, 3, 4, 5, 6, 7, 8}, {1, 4, 3, 2, 5, 6, 7, 8}}
+	var keys []string
+	var holders []*State
+	for _, ranks := range orders {
+		h, err := NewHarness(8, 4, ranks, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		holder := slices.Index(ranks, 2)
+		if err := h.ClumpRankMessages(1, holder); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, string(h.State(holder).AppendKey(nil)))
+		holders = append(holders, h.State(holder))
 	}
-	ka := string(a.AppendKey(nil))
-	kb := string(b.AppendKey(nil))
-	if ka != kb {
-		t.Fatal("keys differ under row permutation")
+	if keys[0] != keys[1] {
+		t.Fatal("keys differ for the same multiset that arrived in two orders")
 	}
-	b.Msgs[2][0].content = 2
-	if ka == string(b.AppendKey(nil)) {
+	if !TamperForeignMessage(NewParams(8, 4), 2, holders[1]) {
+		t.Fatal("no foreign message to tamper")
+	}
+	if keys[0] == string(holders[1].AppendKey(nil)) {
 		t.Fatal("keys collide for different contents")
 	}
 }

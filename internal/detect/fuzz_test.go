@@ -76,3 +76,39 @@ func FuzzInteractSoundness(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBalanceLoad runs the differential check of
+// TestBalanceLoadMatchesReference on rows the fuzzer chooses. shape picks g
+// in [1, 4] and how many rows each agent has (0 to g+1, so rows can be
+// missing); every two bytes of data place one message: the first picks the
+// agent and row, the second the content in [1, 4] and an ID in
+// [1, 2g² + 2]. Rows are sorted before use.
+func FuzzBalanceLoad(f *testing.F) {
+	f.Add(uint8(0x1d), []byte{0, 5, 2, 9, 1, 6, 3, 10})
+	f.Add(uint8(0x3f), []byte{0, 4, 0, 8, 1, 4, 1, 12, 2, 1, 3, 2})
+	f.Add(uint8(0x02), []byte{})
+	f.Fuzz(func(t *testing.T, shape uint8, data []byte) {
+		g := int32(shape%4) + 1
+		states := [2]*State{
+			{Msgs: make([][]msg, int(shape/4)%int(g+2))},
+			{Msgs: make([][]msg, int(shape/16)%int(g+2))},
+		}
+		for i := 0; i+1 < len(data) && i < 400; i += 2 {
+			s := states[data[i]&1]
+			if len(s.Msgs) == 0 {
+				continue
+			}
+			row := int(data[i]>>1) % len(s.Msgs)
+			s.Msgs[row] = append(s.Msgs[row], msg{
+				id:      1 + int32(data[i+1]>>2)%(2*g*g+2),
+				content: 1 + int32(data[i+1]&3),
+			})
+		}
+		for _, s := range states {
+			for _, row := range s.Msgs {
+				sortMsgs(row)
+			}
+		}
+		checkAgainstReference(t, g, states[0], states[1], NewScratch())
+	})
+}

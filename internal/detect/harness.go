@@ -161,7 +161,8 @@ func (h *Harness) CheckRestriction() error {
 // The result is the adversarial "clumped" distribution that BalanceLoad
 // (Protocol 14) exists to disperse: the per-rank holding invariant is
 // maximally violated while the message multiset is preserved. Experiment A4
-// measures detection latency from here with and without balancing.
+// measures detection latency from here with and without balancing. The
+// holder's row is re-sorted to keep the row invariant (State.Msgs).
 func (h *Harness) ClumpRankMessages(rank int32, holder int) error {
 	pt := h.params.pt
 	if h.ranks[holder] == rank {
@@ -179,6 +180,7 @@ func (h *Harness) ClumpRankMessages(rank int32, holder int) error {
 		dst.Msgs[idx] = append(dst.Msgs[idx], s.Msgs[idx]...)
 		s.Msgs[idx] = s.Msgs[idx][:0]
 	}
+	sortMsgs(dst.Msgs[idx])
 	return nil
 }
 
@@ -247,8 +249,8 @@ func (h *Harness) TamperForeignMessage(holder int) bool {
 }
 
 // TamperForeignMessage corrupts one message in s governed by a rank other
-// than ownRank, flipping its content to a different value. It reports
-// whether a message was modified.
+// than ownRank, flipping its content to a different value, and re-sorts
+// that row. It reports whether a message was modified.
 func TamperForeignMessage(p *Params, ownRank int32, s *State) bool {
 	idx := p.pt.RankIdx(ownRank)
 	for row := range s.Msgs {
@@ -261,6 +263,7 @@ func TamperForeignMessage(p *Params, ownRank int32, s *State) bool {
 		g := p.pt.SizeOf(ownRank)
 		m := &s.Msgs[row][0]
 		m.content = m.content%p.sigSpace(g) + 1 // guaranteed different, in-range
+		sortMsgs(s.Msgs[row])
 		return true
 	}
 	return false
@@ -269,7 +272,8 @@ func TamperForeignMessage(p *Params, ownRank int32, s *State) bool {
 // DuplicateMessageInto copies the first circulating message of src into
 // dst's corresponding row, producing a two-holder message — a type-valid but
 // inconsistent configuration that the duplicate check of Protocol 3 line 3
-// must flag. Both agents must be in the same group. It reports success.
+// must flag. Both agents must be in the same group. The grown row is
+// re-sorted. It reports success.
 func DuplicateMessageInto(p *Params, srcRank int32, src *State, dstRank int32, dst *State) bool {
 	if !p.pt.SameGroup(srcRank, dstRank) {
 		return false
@@ -285,6 +289,7 @@ func DuplicateMessageInto(p *Params, srcRank int32, src *State, dstRank int32, d
 			continue
 		}
 		dst.Msgs[row] = append(dst.Msgs[row], src.Msgs[row][0])
+		sortMsgs(dst.Msgs[row])
 		return true
 	}
 	return false

@@ -21,8 +21,8 @@ func sortedRow(src *rng.PRNG, k, contents, ids int) []msg {
 }
 
 // TestMergeRowsMatchesSort pins mergeRows to "concatenate, then sortMsgs"
-// on random rows: sorted ones, and ones with a single inversion at every
-// position of either row, which must take the sorting fallback.
+// on random sorted rows. Unsorted rows cannot reach mergeRows: every row
+// producer keeps the row invariant (TestRowsStaySorted).
 func TestMergeRowsMatchesSort(t *testing.T) {
 	src := rng.New(11)
 	sc := NewScratch()
@@ -44,16 +44,6 @@ func TestMergeRowsMatchesSort(t *testing.T) {
 		u := sortedRow(src, src.Intn(12), contents, 40)
 		v := sortedRow(src, src.Intn(12), contents, 40)
 		check("sorted", u, v)
-		for _, row := range [][]msg{u, v} {
-			for k := 1; k < len(row); k++ {
-				if row[k] == row[k-1] {
-					continue // swapping equal messages inverts nothing
-				}
-				row[k], row[k-1] = row[k-1], row[k]
-				check("one inversion", u, v)
-				row[k], row[k-1] = row[k-1], row[k]
-			}
-		}
 	}
 }
 

@@ -33,7 +33,10 @@ const (
 	// Epoch 2: a cell's parallel time summarizes each trial's clock reading
 	// rather than interactions/n₀, which moves continuous-clock and churn
 	// cells (DESIGN.md §13).
-	EngineEpoch = 2
+	// Epoch 3: DetectCollision_r's duplicate check no longer reads marks a
+	// pass over a larger group left behind, which raised false ⊤ when r
+	// does not divide n; it moves ElectLeader cells with unequal groups.
+	EngineEpoch = 3
 )
 
 // hasher accumulates the canonical encoding.

@@ -64,9 +64,9 @@ func TestCanonicalHashGolden(t *testing.T) {
 	// First and last cell pinned in full, the whole set pinned through a
 	// combined digest over the 64 hex strings in decomposition order.
 	const (
-		wantFirst    = "106d8be73c67cb3d865afad11caf270b89ab931351f79caf1b3a1613f6d286cf"
-		wantLast     = "671e14fe2410d22d6b085fad21d4cbb45ffd79dac3424ee450a295654591b6e3"
-		wantCombined = "d3207ff1c53eec41771961b4c048d5441e4f0cc5b4be5a1d4f81716293c5b0d4"
+		wantFirst    = "f0d01aecee295dee6c950594f76eb585e9a8e39090302aec54817fa15b7d6cff"
+		wantLast     = "852a8788bbac78e8297b383da8e417d457812ea64a5223cb8d9b3a13e64f82b1"
+		wantCombined = "50cfa4142f409efe2c8252060449c98536e838ed1a72ecb111696970931a9787"
 	)
 	combined := sha256.New()
 	for _, h := range hashes {
